@@ -26,12 +26,12 @@ fewer cells, >= 5x lower latency)::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
+from harness import add_gate_args, finish, latencies
 from repro.core import encode_summary
 from repro.quantiles import KLLQuantiles, MomentSketch
 from repro.store import CubeStore
@@ -69,18 +69,6 @@ def _build_cube(n_keys: int, n_records: int, epochs: int) -> CubeStore:
     return cube
 
 
-def _latencies(fn, repeats: int) -> dict:
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return {
-        "p50_seconds": float(np.percentile(samples, 50)),
-        "p99_seconds": float(np.percentile(samples, 99)),
-    }
-
-
 def bench_queries(cube: CubeStore, repeats: int) -> dict:
     lo, hi = cube.key_span()
 
@@ -99,8 +87,8 @@ def bench_queries(cube: CubeStore, repeats: int) -> dict:
             "naive_cells": int(total_naive.plan.cells_merged),
             "cells_reduction": total_naive.plan.cells_merged
             / total.plan.cells_merged,
-            "cube": _latencies(lambda: run(), repeats),
-            "naive": _latencies(lambda: run(use_rollups=False), repeats),
+            "cube": latencies(lambda: run(), repeats),
+            "naive": latencies(lambda: run(use_rollups=False), repeats),
         },
         "group_by_country": {
             "serving_mask": list(grouped.plan.serving_mask or []),
@@ -109,8 +97,8 @@ def bench_queries(cube: CubeStore, repeats: int) -> dict:
             "naive_cells": int(grouped_naive.plan.cells_merged),
             "cells_reduction": grouped_naive.plan.cells_merged
             / grouped.plan.cells_merged,
-            "cube": _latencies(lambda: run(group_by=("country",)), repeats),
-            "naive": _latencies(
+            "cube": latencies(lambda: run(group_by=("country",)), repeats),
+            "naive": latencies(
                 lambda: run(group_by=("country",), use_rollups=False), repeats
             ),
         },
@@ -177,32 +165,6 @@ def _smoke_metrics(report: dict) -> dict:
     }
 
 
-def check_against_snapshot(report: dict, snapshot_path: str, factor: float = 2.0):
-    """Regression messages (empty = pass): snapshot ratios + hard floors."""
-    with open(snapshot_path) as handle:
-        snapshot = json.load(handle)
-    current = _smoke_metrics(report)
-    baseline = _smoke_metrics(snapshot)
-    failures = []
-    for key, base in baseline.items():
-        if key not in current:
-            failures.append(f"missing smoke metric {key!r}")
-            continue
-        now = current[key]
-        if now < base / factor:
-            failures.append(
-                f"{key}: {now:.2f}x vs snapshot {base:.2f}x "
-                f"(fell below 1/{factor:.0f} of snapshot)"
-            )
-    for key, floor in FLOORS.items():
-        if current.get(key, 0.0) < floor:
-            failures.append(
-                f"{key}: {current.get(key, 0.0):.2f}x is below the "
-                f"acceptance floor of {floor:.0f}x"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="dimension-cube benchmarks (E26)")
     parser.add_argument("--keys", type=int, default=100_000,
@@ -214,20 +176,12 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="small cube, few repeats (CI smoke run)",
     )
-    parser.add_argument("--out", default="BENCH_cube.json")
-    parser.add_argument(
-        "--check", default=None, metavar="SNAPSHOT",
-        help="compare smoke ratios against this snapshot JSON and the "
-             "acceptance floors; exit 1 on regression",
-    )
+    add_gate_args(parser, "BENCH_cube.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.keys, args.records, args.epochs, args.repeats = 10_000, 20_000, 32, 3
 
     report = run_report(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
     print(
         f"cube: {report['n_records']} records, {report['n_keys']} distinct "
         f"keys x {COUNTRIES} countries over {report['epochs']} epochs -> "
@@ -251,16 +205,7 @@ def main(argv=None) -> int:
         f"{cost['kll_quantiles']['bytes']} B (size "
         f"{cost['kll_quantiles']['size']}) — {cost['bytes_ratio']:.1f}x smaller"
     )
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check_against_snapshot(report, args.check)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"snapshot check against {args.check}: ok")
-    return 0
+    return finish(report, args, _smoke_metrics, floors=FLOORS)
 
 
 if __name__ == "__main__":  # pragma: no cover

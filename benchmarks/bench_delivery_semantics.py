@@ -11,10 +11,12 @@ very differently:
   inflated n*, but estimates drift from the true counts by the
   duplicated mass.
 
-This experiment injects duplicate deliveries at increasing rates and
-measures the induced error — quantifying why production systems pair
-additive sketches with exactly-once transports (or dedup tokens) while
-lattice sketches run happily over fire-and-forget delivery.
+This experiment injects duplicate deliveries at increasing rates
+(``FaultModel(duplicate=p)`` with the merge ledger off, i.e. bare
+at-least-once delivery) and measures the induced error — quantifying
+why production systems pair additive sketches with exactly-once
+transports (or dedup tokens) while lattice sketches run happily over
+fire-and-forget delivery.
 
 Run:  python benchmarks/bench_delivery_semantics.py
       pytest benchmarks/bench_delivery_semantics.py --benchmark-only
@@ -24,15 +26,23 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 from repro import HyperLogLog, KMinValues, MisraGries
 from repro.analysis import print_table
-from repro.distributed import ContiguousPartitioner, balanced_tree, run_aggregation
+from repro.distributed import (
+    ContiguousPartitioner,
+    FaultModel,
+    balanced_tree,
+    run_aggregation,
+)
 from repro.workloads import zipf_stream
 
 N = 2**16
 NODES = 32
+
+
+def _at_least_once(dup_p: float, rng: int) -> dict:
+    """Duplicate injection with no exactly-once ledger."""
+    return {"fault_model": FaultModel(duplicate=dup_p, rng=rng), "exactly_once": False}
 
 
 def run_experiment():
@@ -45,7 +55,7 @@ def run_experiment():
         # additive: Misra-Gries frequency estimates
         mg_result = run_aggregation(
             data, ContiguousPartitioner(), lambda: MisraGries(256),
-            balanced_tree(NODES), duplicate_probability=dup_p, rng=2,
+            balanced_tree(NODES), **_at_least_once(dup_p, rng=2),
         )
         mg_err = max(
             abs(mg_result.summary.estimate(item) - truth[item])
@@ -64,7 +74,7 @@ def run_experiment():
         ):
             result = run_aggregation(
                 data, ContiguousPartitioner(), factory,
-                balanced_tree(NODES), duplicate_probability=dup_p, rng=2,
+                balanced_tree(NODES), **_at_least_once(dup_p, rng=2),
             )
             clean = run_aggregation(
                 data, ContiguousPartitioner(), factory, balanced_tree(NODES)
@@ -106,7 +116,7 @@ def test_e19_faulty_run(benchmark):
     def run():
         return run_aggregation(
             data, ContiguousPartitioner(), lambda: HyperLogLog(p=10, seed=1),
-            balanced_tree(8), duplicate_probability=0.5, rng=6,
+            balanced_tree(8), **_at_least_once(0.5, rng=6),
         )
 
     result = benchmark(run)

@@ -28,13 +28,13 @@ checked against the snapshot, exit non-zero past a 2x regression::
 from __future__ import annotations
 
 import argparse
-import json
 import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from harness import add_gate_args, best_of, finish
 from repro.store import SegmentStore
 from repro.workloads import zipf_stream
 
@@ -54,15 +54,6 @@ def _fresh_store(width: float = 1.0) -> SegmentStore:
     store = SegmentStore(width=width, codec="binary.v1")
     store.add_member("hot", "misra_gries", field="value", k=32)
     return store
-
-
-def _time_best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +79,10 @@ def bench_wal_overhead(n_batches: int, batch_size: int, repeats: int, workdir: P
             store.wal.close()
         return inner
 
-    plain = _time_best_of(run_plain, repeats)
-    unbuffered = _time_best_of(run_wal(1, "unbuffered"), repeats)
-    batched = _time_best_of(run_wal(8, "batched"), repeats)
-    log_only = _time_best_of(run_wal(0, "logonly"), repeats)
+    plain = best_of(run_plain, repeats)
+    unbuffered = best_of(run_wal(1, "unbuffered"), repeats)
+    batched = best_of(run_wal(8, "batched"), repeats)
+    log_only = best_of(run_wal(0, "logonly"), repeats)
     rate = n_batches / plain
     return {
         "n_batches": int(n_batches),
@@ -155,14 +146,14 @@ def bench_save(n_batches: int, batch_size: int, repeats: int, workdir: Path) -> 
         store._snapshot = 0  # forget the previous commit: stage everything
         store.save(full_dir)
 
-    full_seconds = _time_best_of(full_save, repeats)
+    full_seconds = best_of(full_save, repeats)
     first = store.save(full_dir)
 
     # touch one epoch, then re-save: only the replaced base segment and
     # the invalidated roll-up chain should be rewritten
     store.ingest([{"value": 1}], [0.5])
     second = store.save(full_dir)
-    incr_seconds = _time_best_of(lambda: store.save(full_dir), max(repeats, 3))
+    incr_seconds = best_of(lambda: store.save(full_dir), max(repeats, 3))
     return {
         "segments": int(first["segments"]),
         "full_save_seconds": full_seconds,
@@ -216,26 +207,6 @@ def _smoke_metrics(report: dict) -> dict:
     }
 
 
-def check_against_snapshot(report: dict, snapshot_path: str, factor: float = 2.0):
-    """Return regression messages (empty = pass); ratios only, no seconds."""
-    with open(snapshot_path) as handle:
-        snapshot = json.load(handle)
-    current = _smoke_metrics(report)
-    baseline = _smoke_metrics(snapshot)
-    failures = []
-    for key, base in baseline.items():
-        if key not in current:
-            failures.append(f"missing smoke metric {key!r}")
-            continue
-        now = current[key]
-        if now < base / factor:
-            failures.append(
-                f"{key}: {now:.2f}x vs snapshot {base:.2f}x "
-                f"(fell below 1/{factor:.0f} of snapshot)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="durability benchmarks (E25)")
     parser.add_argument("--batches", type=int, default=256)
@@ -245,20 +216,12 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="small streams, one repeat (CI smoke run)",
     )
-    parser.add_argument("--out", default="BENCH_durability.json")
-    parser.add_argument(
-        "--check", default=None, metavar="SNAPSHOT",
-        help="compare smoke ratios against this snapshot JSON; exit 1 on "
-             "a >2x regression",
-    )
+    add_gate_args(parser, "BENCH_durability.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.batches, args.batch_size, args.repeats = 48, 512, 1
 
     report = run_report(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
     wal = report["sections"]["wal"]
     print(
         f"wal: {wal['n_batches']} batches of {wal['batch_size']} — "
@@ -281,16 +244,7 @@ def main(argv=None) -> int:
         f"({save['incremental_save_written']} rewritten, "
         f"{save['incremental_speedup']:.1f}x faster)"
     )
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check_against_snapshot(report, args.check)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"snapshot check against {args.check}: ok")
-    return 0
+    return finish(report, args, _smoke_metrics)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -31,61 +31,15 @@ checked-in snapshot, non-zero exit past a 2x regression::
 from __future__ import annotations
 
 import argparse
-import gc
-import json
 import math
-import sys
-import time
-from contextlib import contextmanager
 
+from harness import add_gate_args, finish, paired_best
 from repro.core import dumps, merge_all
 from repro.distributed import ContiguousPartitioner, build_topology, run_aggregation
 from repro.frequency import MisraGries
 from repro.store import SegmentStore
 from repro.store.segment import merged_segment
 from repro.workloads import zipf_stream
-
-
-@contextmanager
-def _gc_paused():
-    """Keep the collector out of the timed region (both sides equally)."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _time_best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    with _gc_paused():
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _paired_best(engine_fn, legacy_fn, repeats: int) -> tuple:
-    """Interleave the two sides so load shifts hit both equally.
-
-    Timing each side in its own block makes the efficiency ratio
-    hostage to whatever else the machine was doing during that block;
-    alternating engine/legacy within every repeat and taking each
-    side's best keeps the comparison honest on a noisy box.
-    """
-    engine_best = legacy_best = float("inf")
-    with _gc_paused():
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            engine_fn()
-            engine_best = min(engine_best, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            legacy_fn()
-            legacy_best = min(legacy_best, time.perf_counter() - t0)
-    return engine_best, legacy_best
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +94,7 @@ def bench_folds(parts_count: int, items_per: int, repeats: int) -> dict:
         assert dumps(merge_all(make_parts(), strategy=strategy)) == dumps(
             fold(make_parts())
         ), f"engine fold diverged from legacy loop for {strategy!r}"
-        engine_seconds, legacy_seconds = _paired_best(
+        engine_seconds, legacy_seconds = paired_best(
             lambda: merge_all(make_parts(), strategy=strategy),
             lambda: fold(make_parts()),
             repeats,
@@ -178,7 +132,7 @@ def bench_aggregation(leaves: int, n_items: int, repeats: int) -> dict:
         return replicas[schedule.root]
 
     assert dumps(engine()) == dumps(legacy()), "simulator diverged from replay"
-    engine_seconds, legacy_seconds = _paired_best(engine, legacy, repeats)
+    engine_seconds, legacy_seconds = paired_best(engine, legacy, repeats)
     return {
         "leaves": int(leaves),
         "n_items": int(n_items),
@@ -269,15 +223,12 @@ def bench_compaction(epochs: int, per_epoch: int, repeats: int) -> dict:
         probe_legacy
     ), "engine compaction diverged from the pre-engine loop"
 
-    engine_seconds = legacy_seconds = float("inf")
-    with _gc_paused():
-        for engine_store, legacy_store in zip(engine_stores, legacy_stores):
-            t0 = time.perf_counter()
-            engine_store.compact()
-            engine_seconds = min(engine_seconds, time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            _legacy_compact(legacy_store)
-            legacy_seconds = min(legacy_seconds, time.perf_counter() - t0)
+    engines, legacies = iter(engine_stores), iter(legacy_stores)
+    engine_seconds, legacy_seconds = paired_best(
+        lambda: next(engines).compact(),
+        lambda: _legacy_compact(next(legacies)),
+        repeats,
+    )
     rollups = engine_stores[0].num_rollups
     return {
         "epochs": int(epochs),
@@ -323,26 +274,6 @@ def _smoke_metrics(report: dict) -> dict:
     return metrics
 
 
-def check_against_snapshot(report: dict, snapshot_path: str, factor: float = 2.0):
-    """Return regression messages (empty = pass); ratios only, no seconds."""
-    with open(snapshot_path) as handle:
-        snapshot = json.load(handle)
-    current = _smoke_metrics(report)
-    baseline = _smoke_metrics(snapshot)
-    failures = []
-    for key, base in baseline.items():
-        if key not in current:
-            failures.append(f"missing smoke metric {key!r}")
-            continue
-        now = current[key]
-        if now < base / factor:
-            failures.append(
-                f"{key}: {now:.2f}x vs snapshot {base:.2f}x "
-                f"(fell below 1/{factor:.0f} of snapshot)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="merge-engine overhead (E25)")
     parser.add_argument("--parts", type=int, default=64)
@@ -356,12 +287,7 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="small streams, fewer repeats (CI smoke run)",
     )
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument(
-        "--check", default=None, metavar="SNAPSHOT",
-        help="compare efficiency ratios against this snapshot JSON; exit 1 "
-             "on a >2x regression",
-    )
+    add_gate_args(parser, "BENCH_engine.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.parts, args.items_per_part = 32, 200
@@ -370,9 +296,6 @@ def main(argv=None) -> int:
         args.repeats = 5
 
     report = run_report(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
     for strategy, row in report["sections"]["folds"].items():
         print(
             f"fold {strategy:<6} {row['parts']} parts: "
@@ -394,16 +317,7 @@ def main(argv=None) -> int:
         f"legacy {comp['legacy_seconds']*1e3:.2f} ms "
         f"(overhead {comp['overhead_pct']:+.1f}%)"
     )
-    print(f"report -> {args.out}")
-
-    if args.check:
-        failures = check_against_snapshot(report, args.check)
-        if failures:
-            for message in failures:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            return 1
-        print(f"snapshot check passed ({args.check})")
-    return 0
+    return finish(report, args, _smoke_metrics)
 
 
 if __name__ == "__main__":

@@ -42,13 +42,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import os
 import sys
-import time
 
 import numpy as np
 
+from harness import add_gate_args, best_of, finish
 from repro import (
     CountMin,
     HyperLogLog,
@@ -60,15 +59,6 @@ from repro.core.merge import merge_chain
 from repro.core.parallel import ParallelExecutor
 from repro.distributed import ContiguousPartitioner, balanced_tree, run_aggregation
 from repro.workloads import value_stream, zipf_stream
-
-
-def _time_best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +89,7 @@ def bench_parallel_aggregation(n_items: int, repeats: int) -> list:
                 last["degraded"] = result.degraded_to_serial
                 last["events"] = list(result.degradation_events)
 
-            seconds = _time_best_of(once, repeats)
+            seconds = best_of(once, repeats)
             if workers is None:
                 serial = seconds
             rows.append(
@@ -143,10 +133,10 @@ def bench_kway_merge(n_items: int, fanins, repeats: int) -> list:
                 factory(i).extend(shard.tolist()) for i, shard in enumerate(shards)
             ]
 
-            fold_seconds = _time_best_of(
+            fold_seconds = best_of(
                 lambda: merge_chain([copy.deepcopy(parts[0])] + parts[1:]), repeats
             )
-            kway_seconds = _time_best_of(
+            kway_seconds = best_of(
                 lambda: copy.deepcopy(parts[0]).merge_many(parts[1:]), repeats
             )
             rows.append(
@@ -186,9 +176,9 @@ def bench_query_cache(n_items: int, n_queries: int, repeats: int) -> list:
         def warm():
             summary.quantiles(qs)
 
-        no_cache_seconds = _time_best_of(no_cache, repeats)
+        no_cache_seconds = best_of(no_cache, repeats)
         summary.quantiles(qs)  # materialize the view once
-        warm_seconds = _time_best_of(warm, repeats)
+        warm_seconds = best_of(warm, repeats)
         rows.append(
             {
                 "summary": name,
@@ -299,7 +289,7 @@ def bench_parallel_gate(repeats: int) -> dict:
             executor=workers,
         )
 
-    serial_seconds = _time_best_of(lambda: run(1), repeats)
+    serial_seconds = best_of(lambda: run(1), repeats)
     degraded = {}
 
     def parallel_run():
@@ -307,7 +297,7 @@ def bench_parallel_gate(repeats: int) -> dict:
         degraded["flag"] = result.degraded_to_serial
         degraded["events"] = list(result.degradation_events)
 
-    parallel_seconds = _time_best_of(parallel_run, repeats)
+    parallel_seconds = best_of(parallel_run, repeats)
     speedup = serial_seconds / parallel_seconds
     return {
         "cpus": int(cpus),
@@ -346,8 +336,12 @@ def run_report(args) -> dict:
     }
 
 
-#: smoke metrics compared against the snapshot: (getter, higher_is_better)
+#: smoke metrics gated lower-is-better; every other one is a speedup
+LOWER_IS_BETTER = ("kll_steps_per_item", "cmd_bytes_per_merge")
+
+
 def _smoke_metrics(report: dict) -> dict:
+    """Machine-independent ratios and counts gated against the snapshot."""
     sections = report["sections"]
     # individual quick-size k-way timings jitter ~2x on loaded CI boxes;
     # the geometric mean over all (type, fanin) rows is what gets gated
@@ -363,39 +357,6 @@ def _smoke_metrics(report: dict) -> dict:
         # lower is better: commands must stay plan-step-id sized
         metrics["cmd_bytes_per_merge"] = dispatch["cmd_bytes_per_merge"]
     return metrics
-
-
-def check_against_snapshot(report: dict, snapshot_path: str, factor: float = 2.0):
-    """Return a list of regression messages (empty = pass).
-
-    Wall-clock seconds are not comparable across machines, so the gate
-    uses ratios (speedups) and the deterministic KLL step count: a
-    speedup may not fall below snapshot/factor, and steps_per_item may
-    not exceed snapshot*factor.
-    """
-    with open(snapshot_path) as handle:
-        snapshot = json.load(handle)
-    current = _smoke_metrics(report)
-    baseline = _smoke_metrics(snapshot)
-    failures = []
-    for key, base in baseline.items():
-        if key not in current:
-            failures.append(f"missing smoke metric {key!r}")
-            continue
-        now = current[key]
-        if key in ("kll_steps_per_item", "cmd_bytes_per_merge"):
-            if now > base * factor:
-                failures.append(
-                    f"{key}: {now:.2f} vs snapshot {base:.2f} "
-                    f"(>{factor:.0f}x regression)"
-                )
-        elif now < base / factor:
-            failures.append(
-                f"{key}: {now:.2f}x vs snapshot {base:.2f}x "
-                f"(fell below 1/{factor:.0f} of snapshot)"
-            )
-    failures.extend(check_parallel_gate(report))
-    return failures
 
 
 def check_parallel_gate(report: dict):
@@ -445,20 +406,12 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="small streams, one repeat (CI smoke run)",
     )
-    parser.add_argument("--out", default="BENCH_merge.json")
-    parser.add_argument(
-        "--check", default=None, metavar="SNAPSHOT",
-        help="compare smoke ratios against this snapshot JSON; exit 1 on "
-             "a >2x regression",
-    )
+    add_gate_args(parser, "BENCH_merge.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.items, args.repeats, args.queries = 2**13, 1, 128
 
     report = run_report(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
     for row in report["sections"]["parallel_aggregation"]:
         label = "legacy" if row["workers"] is None else f"{row['workers']}w"
         flag = "  DEGRADED-TO-SERIAL" if row["degraded_to_serial"] else ""
@@ -510,16 +463,10 @@ def main(argv=None) -> int:
         + ("enforced" if gate["enforced"] else "not enforced: <4 CPUs")
         + ")"
     )
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check_against_snapshot(report, args.check)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"snapshot check against {args.check}: ok")
-    return 0
+    return finish(
+        report, args, _smoke_metrics,
+        extra_check=check_parallel_gate, lower_is_better=LOWER_IS_BETTER,
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,25 +25,15 @@ checked-in snapshot and exits non-zero past a 2x regression::
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-import time
 
 import numpy as np
 
+from harness import add_gate_args, best_of, finish
 from repro.core import encode_summary
 from repro.store import SegmentStore, fan_in_bound
 from repro.workloads import value_stream, zipf_stream
-
-
-def _time_best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _records(n_items: int):
@@ -71,11 +61,9 @@ def _build_store(records, keys, epochs: int, view_capacity: int = 8) -> SegmentS
 
 def bench_ingest(n_items: int, epochs: int, repeats: int) -> dict:
     records, keys = _records(n_items)
-    ingest_seconds = _time_best_of(
-        lambda: _build_store(records, keys, epochs), repeats
-    )
+    ingest_seconds = best_of(lambda: _build_store(records, keys, epochs), repeats)
     store = _build_store(records, keys, epochs)
-    compact_seconds = _time_best_of(store.compact, 1)  # first call does the work
+    compact_seconds = best_of(store.compact, 1)  # first call does the work
     stats = store.stats()
     return {
         "n_records": int(n_items),
@@ -135,10 +123,10 @@ def bench_query(n_items: int, epochs: int, repeats: int) -> dict:
         store._views.clear()
         store.query(lo, hi, use_rollups=False)
 
-    rollup_seconds = _time_best_of(cold_rollup, repeats)
-    naive_seconds = _time_best_of(cold_naive, repeats)
+    rollup_seconds = best_of(cold_rollup, repeats)
+    naive_seconds = best_of(cold_naive, repeats)
     store.query(lo, hi)  # materialize the cached view
-    warm_seconds = _time_best_of(lambda: store.query(lo, hi), max(repeats, 3))
+    warm_seconds = best_of(lambda: store.query(lo, hi), max(repeats, 3))
     return {
         "epochs_covered": int(epochs - 2),
         "naive_seconds": naive_seconds,
@@ -204,26 +192,6 @@ def _smoke_metrics(report: dict) -> dict:
     }
 
 
-def check_against_snapshot(report: dict, snapshot_path: str, factor: float = 2.0):
-    """Return regression messages (empty = pass); ratios only, no seconds."""
-    with open(snapshot_path) as handle:
-        snapshot = json.load(handle)
-    current = _smoke_metrics(report)
-    baseline = _smoke_metrics(snapshot)
-    failures = []
-    for key, base in baseline.items():
-        if key not in current:
-            failures.append(f"missing smoke metric {key!r}")
-            continue
-        now = current[key]
-        if now < base / factor:
-            failures.append(
-                f"{key}: {now:.2f}x vs snapshot {base:.2f}x "
-                f"(fell below 1/{factor:.0f} of snapshot)"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="segment-store benchmarks (E24)")
     parser.add_argument("--items", type=int, default=2**17)
@@ -233,20 +201,12 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="small streams, one repeat (CI smoke run)",
     )
-    parser.add_argument("--out", default="BENCH_store.json")
-    parser.add_argument(
-        "--check", default=None, metavar="SNAPSHOT",
-        help="compare smoke ratios against this snapshot JSON; exit 1 on "
-             "a >2x regression",
-    )
+    add_gate_args(parser, "BENCH_store.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.items, args.epochs, args.repeats = 2**14, 64, 1
 
     report = run_report(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
     ingest = report["sections"]["ingest"]
     print(
         f"ingest: {ingest['n_records']} records into {ingest['epochs']} epochs "
@@ -275,16 +235,7 @@ def main(argv=None) -> int:
         f"binary.v1 {codecs['binary_v1_bytes']} B "
         f"({codecs['compression_ratio']:.2f}x smaller)"
     )
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check_against_snapshot(report, args.check)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"snapshot check against {args.check}: ok")
-    return 0
+    return finish(report, args, _smoke_metrics)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -24,11 +24,11 @@ import argparse
 import copy
 import json
 import sys
-import time
 
 import numpy as np
 import pytest
 
+from harness import best_of
 from repro import (
     BottomKSample,
     CountMin,
@@ -130,15 +130,6 @@ def test_ingest_batched(benchmark, name):
     benchmark(_batched_ingest, factory, stream)
 
 
-def _time_best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def run_batch_trajectory(n_items: int, repeats: int = 3) -> dict:
     """Time per-item vs batched ingestion; return the E11 artifact dict."""
     items = zipf_stream(n_items, alpha=1.2, universe=20_000, rng=1)
@@ -158,8 +149,8 @@ def run_batch_trajectory(n_items: int, repeats: int = 3) -> dict:
     }
     trajectory = []
     for name, (factory, stream) in cases.items():
-        per_item = _time_best_of(lambda: _per_item_ingest(factory, stream), repeats)
-        batched = _time_best_of(lambda: _batched_ingest(factory, stream), repeats)
+        per_item = best_of(lambda: _per_item_ingest(factory, stream), repeats)
+        batched = best_of(lambda: _batched_ingest(factory, stream), repeats)
         trajectory.append(
             {
                 "summary": name,

@@ -26,12 +26,12 @@ live buckets, >= 10x query speedup over the naive rebuild)::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
+from harness import add_gate_args, finish, latencies
 from repro.frequency import CountMin
 
 UNIVERSE = 997
@@ -51,18 +51,6 @@ def _flat(depth: int) -> CountMin:
 
 def _items(n: int) -> list:
     return [int(v) for v in np.arange(n) % UNIVERSE]
-
-
-def _latencies(fn, repeats: int) -> dict:
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return {
-        "p50_seconds": float(np.percentile(samples, 50)),
-        "p99_seconds": float(np.percentile(samples, 99)),
-    }
 
 
 def bench_ingest(items: list, eps: float, granularity: int, depth: int):
@@ -118,10 +106,10 @@ def bench_queries(win, items: list, repeats: int) -> dict:
         rows[label] = {
             "buckets_covered": int(view.buckets_covered),
             "covered_items": len(covered),
-            "query": _latencies(
+            "query": latencies(
                 lambda w=window: win.window_query(window=w), repeats
             ),
-            "rebuild": _latencies(
+            "rebuild": latencies(
                 lambda c=covered: win._spawn().extend(c), repeats
             ),
         }
@@ -166,32 +154,6 @@ def _smoke_metrics(report: dict) -> dict:
     }
 
 
-def check_against_snapshot(report: dict, snapshot_path: str, factor: float = 2.0):
-    """Regression messages (empty = pass): snapshot ratios + hard floors."""
-    with open(snapshot_path) as handle:
-        snapshot = json.load(handle)
-    current = _smoke_metrics(report)
-    baseline = _smoke_metrics(snapshot)
-    failures = []
-    for key, base in baseline.items():
-        if key not in current:
-            failures.append(f"missing smoke metric {key!r}")
-            continue
-        now = current[key]
-        if now < base / factor:
-            failures.append(
-                f"{key}: {now:.2f}x vs snapshot {base:.2f}x "
-                f"(fell below 1/{factor:.0f} of snapshot)"
-            )
-    for key, floor in FLOORS.items():
-        if current.get(key, 0.0) < floor:
-            failures.append(
-                f"{key}: {current.get(key, 0.0):.2f} is below the "
-                f"acceptance floor of {floor:.0f}"
-            )
-    return failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="sliding-window benchmarks (E27)"
@@ -209,20 +171,12 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="half-size stream, few repeats (CI smoke run)",
     )
-    parser.add_argument("--out", default="BENCH_windows.json")
-    parser.add_argument(
-        "--check", default=None, metavar="SNAPSHOT",
-        help="compare smoke ratios against this snapshot JSON and the "
-             "acceptance floors; exit 1 on regression",
-    )
+    add_gate_args(parser, "BENCH_windows.json")
     args = parser.parse_args(argv)
     if args.quick:
         args.items, args.granularity, args.repeats = 2**18, 128, 3
 
     report = run_report(args)
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-
     ingest = report["sections"]["ingest"]
     print(
         f"windows: {report['n_items']} items, eps={report['eps']} "
@@ -244,16 +198,7 @@ def main(argv=None) -> int:
             f"p99 {row['query']['p99_seconds']*1e3:7.2f} / "
             f"{row['rebuild']['p99_seconds']*1e3:8.2f} ms"
         )
-    print(f"wrote {args.out}")
-
-    if args.check:
-        failures = check_against_snapshot(report, args.check)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"snapshot check against {args.check}: ok")
-    return 0
+    return finish(report, args, _smoke_metrics, floors=FLOORS)
 
 
 if __name__ == "__main__":  # pragma: no cover

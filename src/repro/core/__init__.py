@@ -13,10 +13,14 @@ from .exceptions import (
 from .codecs import (
     Codec,
     decode_summary,
+    dumps,
     encode_summary,
+    from_envelope,
     get_codec,
+    loads,
     register_codec,
     registered_codecs,
+    to_envelope,
 )
 from .merge import (
     MERGE_STRATEGIES,
@@ -35,7 +39,6 @@ from .registry import (
     registered_names,
 )
 from .rng import resolve_rng, spawn
-from .serialization import dumps, from_envelope, loads, to_envelope
 
 __all__ = [
     "Summary",

@@ -189,7 +189,7 @@ class Summary(abc.ABC):
         """Serialize state to a JSON-compatible dictionary.
 
         The dictionary must round-trip through :meth:`from_dict` and is
-        what :mod:`repro.core.serialization` embeds in its envelope.
+        what :mod:`repro.core.codecs` embeds in its envelope.
         """
 
     @classmethod

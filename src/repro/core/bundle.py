@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 from .base import Summary, normalize_batch
 from .exceptions import MergeError, ParameterError
 from .registry import get_summary_class
-from .serialization import from_envelope, to_envelope
+from .codecs import from_envelope, to_envelope
 
 __all__ = ["SummaryBundle"]
 

@@ -1,10 +1,10 @@
 """Versioned codec stack: one serialization layer for wire and disk.
 
 Before this module existed the library had a single ad-hoc JSON envelope
-in :mod:`repro.core.serialization` doing double duty as the distributed
-wire format *and* the persistence format, with versioning bolted onto
-the envelope's ``format`` field.  This module re-layers that into a
-**codec registry**: each codec is a named, versioned encoder/decoder
+doing double duty as the distributed wire format *and* the persistence
+format, with versioning bolted onto the envelope's ``format`` field.
+This module re-layers that into a **codec registry**: each codec is a
+named, versioned encoder/decoder
 pair from a :class:`~repro.core.base.Summary` to a payload (``str`` or
 ``bytes``), and everything that serializes a summary — the distributed
 simulator's :class:`~repro.distributed.node.Node`, the segment store's
@@ -34,6 +34,8 @@ Registered codecs
 :func:`decode_summary` sniffs the payload, so a reader never needs to
 know which codec (or which JSON envelope generation) produced it —
 pre-refactor format-1 and format-2 envelopes keep deserializing.
+:func:`dumps`/:func:`loads` are the short public names for the same
+front door (``repro.dumps``/``repro.loads``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ __all__ = [
     "registered_codecs",
     "encode_summary",
     "decode_summary",
+    "dumps",
+    "loads",
     "state_checksum",
     "to_envelope",
     "from_envelope",
@@ -356,3 +360,16 @@ def decode_summary(payload: Payload) -> Summary:
     ):
         return get_codec("binary.v1").decode(payload)
     return get_codec("json.v2").decode(payload)
+
+
+def dumps(summary: Summary, codec: str = DEFAULT_CODEC) -> Payload:
+    """Serialize ``summary`` with the named codec (default: ``json.v2``).
+
+    Returns ``str`` for the JSON codecs and ``bytes`` for binary ones.
+    """
+    return encode_summary(summary, codec)
+
+
+def loads(payload: Payload) -> Summary:
+    """Deserialize a payload produced by any registered codec."""
+    return decode_summary(payload)

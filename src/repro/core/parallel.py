@@ -1,41 +1,35 @@
-"""Process-parallel execution: one-shot maps and the persistent worker runtime.
+"""Process-parallel execution: the persistent worker runtime.
 
 The merge/query runtime parallelizes two embarrassingly parallel
 phases of a distributed aggregation: *leaf builds* (every node ingests
 its own shard) and *level merges* (all pairs of a merge-tree level are
-independent).  Two mechanisms serve them:
-
-- :meth:`ParallelExecutor.map` — the legacy one-shot map.  The pool is
-  forked per call and the callable travels to the children via
-  fork-time memory inheritance (a module-level payload slot), so
-  lambdas work; only task results are pickled back.  Right for a
-  single large dispatch, wrong for a plan of many small waves.
-- :class:`WorkerRuntime` — the persistent runtime behind
-  :func:`repro.engine.execute_plan`'s wave path.  Workers are forked
-  *once per plan* and inherit every slot value and builder closure
-  copy-on-write; each wave is then **one IPC round-trip** shipping only
-  plan-step ids (slot names + merge ordinals), never summaries.  State
-  stays resident in the workers between waves; when a value must move
-  (a wave result, a stale slot synced to another worker) its bulk bytes
-  travel through :mod:`repro.core.shared_state` shared-memory arenas,
-  not the command pipes.
+independent).  One mechanism serves both: the :class:`WorkerRuntime`
+behind :func:`repro.engine.execute_plan`.  Workers are forked *once per
+plan* and inherit every slot value and builder closure copy-on-write;
+each wave is then **one IPC round-trip** shipping only plan-step ids
+(slot names + merge ordinals), never summaries.  State stays resident
+in the workers between waves; when a value must move (a wave result, a
+stale slot synced to another worker) its bulk bytes travel through
+:mod:`repro.core.shared_state` shared-memory arenas, not the command
+pipes.  :class:`ParallelExecutor` is the long-lived handle that owns
+the worker count and the degradation state across plans.
 
 Design constraints, in order:
 
 1. **Determinism.** Results must be byte-identical regardless of the
-   worker count.  Maps are order-preserving; the runtime's wave groups
-   are slot-disjoint and each slot's merge chain replays in plan order
-   no matter which worker executes it.
+   worker count.  The runtime's wave groups are slot-disjoint and each
+   slot's merge chain replays in plan order no matter which worker
+   executes it.
 2. **Graceful, *recoverable*, *visible* degradation.**  Anywhere a
    process pool cannot run — ``max_workers <= 1``, no ``fork`` start
    method, a sandbox that forbids subprocesses — execution degrades to
-   an in-process serial path with identical semantics.  A transient
+   the engine's in-process path with identical semantics.  A transient
    failure does **not** disable parallelism forever: the executor
-   backs off (``reprobe_after`` map calls, doubling up to a cap) and
-   then re-probes the pool.  Every degradation is recorded in
-   :attr:`ParallelExecutor.degradation_events` so callers (benchmarks,
-   the CLI) can surface "this ran serial" instead of silently reporting
-   parallel numbers.
+   refuses the next runtime starts (8, doubling per consecutive
+   failure up to 64) and then re-probes.  Every degradation is
+   recorded in :attr:`ParallelExecutor.degradation_events` so callers
+   (benchmarks, the CLI) can surface "this ran serial" instead of
+   silently reporting parallel numbers.
 3. **Exactly-once under worker crashes.**  A runtime worker publishes a
    wave's results in a single ack message and never mutates shared
    bytes in place, so a worker that dies mid-wave leaves no partial
@@ -49,17 +43,7 @@ import os
 import pickle
 import secrets
 import traceback
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from .exceptions import ParameterError
 from .shared_state import (
@@ -78,30 +62,19 @@ __all__ = [
     "RuntimeUnavailable",
 ]
 
-#: fork-time payload slot for one-shot maps: ``(fn, tasks)`` visible to
-#: children of the next pool fork.  Populated only for the duration of
-#: the fork (cleared in a ``finally``) so it can never pin a wave's
-#: summaries — or closures over them — alive after the map returns.
-_FORK_PAYLOAD: Optional[Tuple[Callable[..., Any], Sequence[Tuple[Any, ...]]]] = None
-
 #: fork-time payload slot for the persistent runtime: the plan/slot
-#: state workers inherit.  Same lifecycle rule: populated only while
-#: the worker processes fork, cleared in a ``finally``.
+#: state workers inherit.  Populated only while the worker processes
+#: fork (cleared in a ``finally``) so it can never pin a plan's
+#: summaries — or closures over them — alive after the fork.
 _RUNTIME_PAYLOAD: Any = None
 
-#: degradation cooldown: after a pool failure, stay serial for this
-#: many map calls before re-probing (doubles per consecutive failure,
+#: degradation cooldown: after a failed runtime start, refuse this many
+#: runtime starts before re-probing (doubles per consecutive failure,
 #: capped at _MAX_COOLDOWN)
 _REPROBE_AFTER = 8
 _MAX_COOLDOWN = 64
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
-
-
-def _forked_task(index: int) -> Any:
-    """Run task ``index`` of the payload inherited at fork time."""
-    fn, tasks = _FORK_PAYLOAD  # type: ignore[misc]
-    return fn(*tasks[index])
 
 
 def _fork_available() -> bool:
@@ -118,35 +91,26 @@ class RuntimeUnavailable(Exception):
 
 
 class ParallelExecutor:
-    """Order-preserving task map over a process pool, with serial fallback.
+    """Worker-count handle that starts runtimes, with serial fallback.
 
     Parameters
     ----------
     max_workers:
         Pool size.  ``None`` means ``os.cpu_count()``; ``0`` or ``1``
         means serial execution (no subprocesses, no pickling).
-    reprobe_after:
-        After a pool failure, stay serial for this many map calls, then
-        try the pool again (the cooldown doubles per consecutive
-        failure, capped).  ``0`` restores the legacy permanently-broken
-        behavior.
 
     Attributes
     ----------
     fallbacks:
-        Number of map calls that degraded to serial execution after a
-        pool failure (0 on healthy platforms).
+        Number of runtime starts and worker crashes that degraded work
+        to the serial path (0 on healthy platforms).
     degradation_events:
-        Human-readable record of every degradation (pool failures,
-        runtime start failures, worker crashes) — what callers surface
-        so serial runs are never silently reported as parallel.
+        Human-readable record of every degradation (runtime start
+        failures, worker crashes) — what callers surface so serial runs
+        are never silently reported as parallel.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        reprobe_after: int = _REPROBE_AFTER,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 0:
@@ -155,7 +119,6 @@ class ParallelExecutor:
             )
         self.max_workers = int(max_workers)
         self.fallbacks = 0
-        self.reprobe_after = int(reprobe_after)
         self.degradation_events: List[str] = []
         self._fork_unavailable = not _fork_available()
         self._cooldown = 0
@@ -170,7 +133,7 @@ class ParallelExecutor:
 
     @property
     def is_parallel(self) -> bool:
-        """True when map calls will attempt to use a process pool."""
+        """True when the next :meth:`start_runtime` will try to fork."""
         return (
             self.max_workers > 1
             and not self._fork_unavailable
@@ -184,60 +147,6 @@ class ParallelExecutor:
             self._fork_unavailable or self._cooldown > 0
         )
 
-    def _record_failure(self, what: str, exc: BaseException) -> None:
-        self._failure_streak += 1
-        if self.reprobe_after > 0:
-            self._cooldown = min(
-                _MAX_COOLDOWN, self.reprobe_after * (2 ** (self._failure_streak - 1))
-            )
-            retry = f"re-probing after {self._cooldown} call(s)"
-        else:
-            self._cooldown = 1 << 62  # effectively permanent, by request
-            retry = "re-probing disabled"
-        self.degradation_events.append(
-            f"{what} degraded to serial ({type(exc).__name__}: {exc}); {retry}"
-        )
-
-    def map(
-        self,
-        fn: Callable[..., Any],
-        tasks: Sequence[Tuple[Any, ...]],
-    ) -> List[Any]:
-        """Apply ``fn(*task)`` to every task; results in task order.
-
-        Tasks never observe each other; a failure to run the pool (or a
-        worker raising pickling errors) degrades to the serial path and
-        is recorded.  Exceptions raised by ``fn`` itself propagate
-        unchanged.
-        """
-        tasks = list(tasks)
-        if len(tasks) <= 1 or self.max_workers <= 1 or self._fork_unavailable:
-            return [fn(*task) for task in tasks]
-        if self._cooldown > 0:
-            # degraded: serve serial, tick toward the next pool re-probe
-            self._cooldown -= 1
-            return [fn(*task) for task in tasks]
-        global _FORK_PAYLOAD
-        import multiprocessing
-
-        workers = min(self.max_workers, len(tasks))
-        chunksize = max(1, (len(tasks) + workers - 1) // workers)
-        _FORK_PAYLOAD = (fn, tasks)
-        try:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_forked_task, range(len(tasks)), chunksize)
-            self._failure_streak = 0
-            return results
-        except (OSError, PermissionError, ImportError) as exc:
-            # sandboxes without subprocess support: degrade, remember,
-            # and retry later — one transient fault must not disable
-            # parallelism for the process lifetime
-            self.fallbacks += 1
-            self._record_failure("map", exc)
-            return [fn(*task) for task in tasks]
-        finally:
-            _FORK_PAYLOAD = None
-
     def start_runtime(
         self,
         session_factory: Callable[..., Any],
@@ -246,18 +155,32 @@ class ParallelExecutor:
     ) -> "WorkerRuntime":
         """Fork a persistent :class:`WorkerRuntime` inheriting ``payload``.
 
-        Raises :class:`RuntimeUnavailable` (after recording the
-        degradation) when workers cannot be forked; the caller falls
-        back to its serial path.
+        Raises :class:`RuntimeUnavailable` when the executor is serial,
+        while a failure cooldown lasts (each refused start ticks it
+        down), and — after recording the degradation — when workers
+        cannot be forked; the caller falls back to its serial path.
         """
-        if not self.is_parallel:
-            raise RuntimeUnavailable("executor is serial or degraded")
+        if self.max_workers <= 1 or self._fork_unavailable:
+            raise RuntimeUnavailable("executor is serial")
+        if self._cooldown > 0:
+            self._cooldown -= 1
+            raise RuntimeUnavailable("executor is degraded; re-probing later")
         count = min(self.max_workers, workers) if workers else self.max_workers
         try:
             runtime = WorkerRuntime(count, session_factory, payload)
         except (OSError, PermissionError, ImportError) as exc:
+            # sandboxes without subprocess support: degrade, remember,
+            # and re-probe later — one transient fault must not disable
+            # parallelism for the process lifetime
             self.fallbacks += 1
-            self._record_failure("runtime start", exc)
+            self._failure_streak += 1
+            self._cooldown = min(
+                _MAX_COOLDOWN, _REPROBE_AFTER * 2 ** (self._failure_streak - 1)
+            )
+            self.degradation_events.append(
+                f"runtime start degraded to serial ({type(exc).__name__}: "
+                f"{exc}); re-probing after {self._cooldown} refused start(s)"
+            )
             raise RuntimeUnavailable(str(exc)) from exc
         self._failure_streak = 0
         if self._debug_worker_crash is not None:

@@ -1,7 +1,7 @@
 """Name → summary-class registry.
 
 Registered names give every summary a stable identifier used by the
-serialization envelope (:mod:`repro.core.serialization`), the benchmark
+serialization envelope (:mod:`repro.core.codecs`), the benchmark
 harness tables, and the examples.  Registration is explicit via the
 :func:`register_summary` decorator applied at class-definition time.
 

@@ -1,8 +1,14 @@
 """Distributed-aggregation substrate: partitioners, topologies, simulator,
 fault injection, and coordinator checkpoint/recovery."""
 
+from ..engine.faults import (
+    FaultModel,
+    FaultStats,
+    MergeLedger,
+    RetryPolicy,
+    corrupt_payload,
+)
 from .continuous import ContinuousAggregation, EpochReport
-from .faults import FaultModel, FaultStats, MergeLedger, RetryPolicy, corrupt_payload
 from .node import Node
 from .recovery import (
     Checkpoint,
@@ -19,7 +25,7 @@ from .partition import (
     SortedPartitioner,
     UniformRandomPartitioner,
 )
-from .simulator import AggregationResult, plan_merge_waves, run_aggregation
+from .simulator import AggregationResult, run_aggregation
 from .topology import (
     TOPOLOGIES,
     MergeSchedule,
@@ -49,7 +55,6 @@ __all__ = [
     "TOPOLOGIES",
     "AggregationResult",
     "run_aggregation",
-    "plan_merge_waves",
     "ContinuousAggregation",
     "EpochReport",
     "FaultModel",

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..core import Summary, dumps, loads
 from ..core.exceptions import ParameterError, SerializationError
-from .faults import FaultModel, FaultStats, MergeLedger, RetryPolicy
+from ..engine.faults import FaultModel, FaultStats, MergeLedger, RetryPolicy
 from .recovery import Checkpoint, CheckpointStore, CoordinatorCrash
 
 __all__ = ["EpochReport", "ContinuousAggregation"]
@@ -79,13 +79,13 @@ class ContinuousAggregation:
         Ship deltas through the JSON wire format (default True: the
         realistic mode).
     fault_model:
-        Optional :class:`~repro.distributed.faults.FaultModel`; deltas
+        Optional :class:`~repro.engine.faults.FaultModel`; deltas
         then traverse a lossy fabric with retry + exponential backoff,
         the coordinator dedups redeliveries through its merge ledger,
         and each :class:`EpochReport` carries coverage accounting.
     retry_policy:
         Delivery retry loop used when ``fault_model`` is set (defaults
-        to :class:`~repro.distributed.faults.RetryPolicy`).
+        to :class:`~repro.engine.faults.RetryPolicy`).
     exactly_once:
         Keep a merge ledger at the coordinator (default).  Disable to
         study what duplicate deliveries do to additive summaries.

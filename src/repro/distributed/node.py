@@ -7,7 +7,7 @@ real deployment works and doubles as a continuous integration test of
 the wire format; it can be disabled for speed.
 
 Under fault injection a node also acts as a *parent* in the
-exactly-once protocol: give it a :class:`~repro.distributed.faults.MergeLedger`
+exactly-once protocol: give it a :class:`~repro.engine.faults.MergeLedger`
 and every absorb carries a delivery ID; redeliveries of an
 already-merged summary (the at-least-once retry hazard) are witnessed
 in the ledger and skipped instead of double-counted.
@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core import Summary
 from ..core.codecs import DEFAULT_CODEC, decode_summary, encode_summary
-from .faults import MergeLedger
+from ..engine.faults import MergeLedger
 
 __all__ = ["Node"]
 

@@ -37,15 +37,14 @@ import numpy as np
 from ..core import Summary
 from ..core.exceptions import ParameterError
 from ..core.parallel import ExecutorLike
-from ..core.rng import RngLike
-from ..engine import MergeLedger, execute_plan, plan_merge_waves
+from ..engine import MergeLedger, execute_plan
 from ..engine.compilers import compile_aggregation
-from .faults import FaultModel, FaultStats, RetryPolicy
+from ..engine.faults import FaultModel, FaultStats, RetryPolicy
 from .node import Node
 from .partition import Partitioner
 from .topology import MergeSchedule
 
-__all__ = ["AggregationResult", "run_aggregation", "plan_merge_waves"]
+__all__ = ["AggregationResult", "run_aggregation"]
 
 
 @dataclass
@@ -64,7 +63,8 @@ class AggregationResult:
     bytes_shipped: int
     build_seconds: float
     merge_seconds: float
-    #: merge steps delivered more than once (at-least-once fault injection)
+    #: duplicate deliveries the fault model injected
+    #: (:attr:`FaultStats.duplicates_delivered`; 0 without a fault model)
     duplicated_deliveries: int = 0
     #: leaf indices whose data is actually covered by the root summary
     delivered_leaves: List[int] = field(default_factory=list)
@@ -112,8 +112,6 @@ def run_aggregation(
     summary_factory: Callable[[], Summary],
     schedule: MergeSchedule,
     serialize: bool = False,
-    duplicate_probability: float = 0.0,
-    rng: RngLike = None,
     fault_model: Optional[FaultModel] = None,
     retry_policy: Optional[RetryPolicy] = None,
     exactly_once: bool = True,
@@ -132,32 +130,29 @@ def run_aggregation(
     :class:`~repro.core.parallel.ParallelExecutor`) opts into the
     parallel merge runtime: leaf builds fan out across workers, and the
     schedule is planned into waves of disjoint k-way fan-ins
-    (:func:`plan_merge_waves`) that merge concurrently via
-    ``merge_many``.  Results are deterministic for any worker count —
-    each build/merge task sees only its own operands — and identical to
-    ``executor=1``.  ``executor=None`` (the default) keeps the original
-    step-by-step scalar path.  Fault injection forces the scalar merge
-    path (retries are inherently sequential), but leaf builds still
-    parallelize; the legacy ``duplicate_probability`` knob does the
-    same.
+    (:func:`~repro.engine.waves.plan_step_waves`) that merge
+    concurrently via ``merge_many``.  Results are deterministic for any
+    worker count — each build/merge task sees only its own operands —
+    and identical to ``executor=1``.  ``executor=None`` (the default)
+    keeps the original step-by-step scalar path.  Fault injection and
+    ``serialize=True`` keep the merges in the calling process (retries
+    and wire-byte accounting are inherently sequential), but leaf
+    builds still parallelize.
 
-    ``duplicate_probability`` injects bare *at-least-once delivery*:
-    each merge step is, with that probability, delivered (and merged)
-    twice — the classic retry-without-dedup fault.  Additive summaries
-    (MG, CountMin, quantiles) double-count the duplicated subtree;
-    lattice summaries (KMV, HyperLogLog, Bloom, EpsKernel) are
-    idempotent and absorb it.  Benchmark E19 quantifies the difference.
-
-    ``fault_model`` enables the full fault-tolerant runtime instead:
-    message loss and corrupted payloads are retried per ``retry_policy``
-    (exponential backoff, accounted not slept), parents keep per-delivery
-    merge ledgers so retransmissions merge exactly once (disable with
-    ``exactly_once=False`` to study the damage), crashed nodes drop out
-    permanently, and the result reports which leaves made it
+    ``fault_model`` enables the fault-tolerant runtime: message loss
+    and corrupted payloads are retried per ``retry_policy`` (exponential
+    backoff, accounted not slept), parents keep per-delivery merge
+    ledgers so retransmissions merge exactly once, crashed nodes drop
+    out permanently, and the result reports which leaves made it
     (``delivered_leaves``, ``coverage``) plus a full
-    :class:`~repro.distributed.faults.FaultStats`.  Corruption injection
+    :class:`~repro.engine.faults.FaultStats`.  Corruption injection
     needs ``serialize=True`` (it garbles wire bytes that the envelope
-    checksum then catches).
+    checksum then catches).  ``exactly_once=False`` drops the ledgers,
+    so ``FaultModel(duplicate=p)`` injects bare *at-least-once
+    delivery*: additive summaries (MG, CountMin, quantiles)
+    double-count the duplicated subtree, while lattice summaries (KMV,
+    HyperLogLog, Bloom, EpsKernel) are idempotent and absorb it.
+    Benchmark E19 quantifies the difference.
     """
     shards = partitioner.split(np.asarray(data), schedule.leaves)
     if len(shards) != schedule.leaves:
@@ -177,8 +172,6 @@ def run_aggregation(
         {i: node for i, node in enumerate(nodes)},
         executor=executor,
         serialize=serialize,
-        duplicate_probability=duplicate_probability,
-        rng=rng,
         fault_model=fault_model,
         retry_policy=retry_policy,
         ledger_factory=MergeLedger if use_ledger else None,
@@ -225,7 +218,6 @@ def run_aggregation(
         bytes_shipped=report.bytes_shipped,
         build_seconds=report.build_seconds,
         merge_seconds=report.merge_seconds,
-        duplicated_deliveries=report.duplicated_deliveries,
         delivered_leaves=list(range(schedule.leaves)),
         delivered_records=total_records,
         coverage=1.0,

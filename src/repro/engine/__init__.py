@@ -20,7 +20,7 @@ compaction without any code of its own.
 Fault primitives (:class:`FaultModel`, :class:`RetryPolicy`,
 :class:`MergeLedger`, :class:`FaultStats`) live here too, because the
 engine's executor is the one place that runs the retry/ledger loop;
-:mod:`repro.distributed.faults` re-exports them for compatibility.
+:mod:`repro.distributed` exports them as well.
 """
 
 from .agents import SegmentSlot, SummarySlot, wrap_slot
@@ -34,7 +34,7 @@ from .compilers import (
 from .executor import ExecutionReport, ExecutionResult, execute_plan
 from .faults import FaultModel, FaultStats, MergeLedger, RetryPolicy, corrupt_payload
 from .plan import MergePlan, MergeStep
-from .waves import plan_merge_waves, plan_step_waves
+from .waves import plan_step_waves
 
 __all__ = [
     "MergePlan",
@@ -47,7 +47,6 @@ __all__ = [
     "compile_fold",
     "compile_aggregation",
     "fold_slots",
-    "plan_merge_waves",
     "plan_step_waves",
     "SummarySlot",
     "SegmentSlot",

@@ -7,24 +7,27 @@ all compile to :class:`~repro.engine.plan.MergePlan` and run here.
 Three execution regimes cover the plan space:
 
 - **scalar** — steps run one by one in plan order, each source emitted
-  and absorbed by its destination (the legacy step-by-step semantics;
-  also carries the bare ``duplicate_probability`` at-least-once knob);
-- **wave** — with a parallel executor and a ``groupable`` plan,
-  consecutive merges are grouped into k-way fan-ins, packed into
-  slot-disjoint waves (:mod:`repro.engine.waves`), and dispatched
-  through :class:`~repro.core.parallel.ParallelExecutor`; emission and
-  counter updates stay in the calling process so worker forks never
-  double-account;
+  and absorbed by its destination (the legacy step-by-step semantics);
+- **wave** — with an executor and a ``groupable`` plan, consecutive
+  merges are grouped into k-way fan-ins and packed into slot-disjoint
+  waves (:mod:`repro.engine.waves`).  A parallel executor runs each
+  wave on the persistent :class:`~repro.core.parallel.WorkerRuntime`
+  in one IPC round-trip; otherwise (``serialize=True``, a serial or
+  degraded executor, or once every worker has crashed) the same groups
+  run in the calling process, one by one;
 - **fault** — with a :class:`~repro.engine.faults.FaultModel`, every
   delivery runs a retry-with-backoff loop against injected loss,
   corruption, crashes and duplicates, parents dedup via per-slot
   :class:`~repro.engine.faults.MergeLedger` (exactly-once merges), and
   the report carries coverage/degradation accounting.
 
-Build steps fan out across the executor in all three regimes (leaf
-ingestion is embarrassingly parallel even on an unreliable fabric);
-only the merge phase is forced scalar under faults, because retries are
-inherently sequential.
+Whenever the executor is parallel, the runtime runs the build steps in
+all three regimes (leaf ingestion is embarrassingly parallel even on an
+unreliable fabric).  Before a merge run the runtime cannot serve — a
+fault model, ``serialize=True`` or an ungroupable plan — the coordinator
+drains it: every worker-held value is materialized locally and the
+workers exit, because retries, wire-byte accounting and the step-by-step
+loop are inherently sequential.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from ..core.parallel import (
     RuntimeUnavailable,
     resolve_executor,
 )
-from ..core.rng import RngLike, resolve_rng
 from ..core.shared_state import export_value
 from .agents import (
     is_segment,
@@ -84,8 +86,6 @@ class ExecutionReport:
     bytes_shipped: int = 0
     #: bytes re-sent for already-serialized generations (retry overhead)
     bytes_retransmitted: int = 0
-    #: merge steps delivered twice by the legacy at-least-once knob
-    duplicated_deliveries: int = 0
     build_seconds: float = 0.0
     merge_seconds: float = 0.0
     #: merge-step index -> "done" | "failed" | "skipped"
@@ -98,8 +98,9 @@ class ExecutionReport:
     fault_stats: Optional[FaultStats] = None
     #: True when parallelism was *requested* (executor with >1 workers)
     #: but some or all of the run actually executed serially — platform
-    #: without fork, pool failures, runtime worker crashes.  Callers
-    #: must surface this instead of reporting serial numbers as parallel.
+    #: without fork, runtime start failures, runtime worker crashes.
+    #: Callers must surface this instead of reporting serial numbers as
+    #: parallel.
     degraded_to_serial: bool = False
     #: human-readable record of every degradation the executor saw
     degradation_events: List[str] = field(default_factory=list)
@@ -146,8 +147,8 @@ class ExecutionResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker functions (run inside ParallelExecutor forks — must not touch
-# agent counters, which live in the calling process)
+# Value-level work shared by the coordinator and the runtime workers (must
+# not touch agent counters, which live in the calling process)
 # ---------------------------------------------------------------------------
 
 
@@ -257,8 +258,6 @@ class _Run:
         inputs: Mapping[Hashable, Any],
         pool: Optional[ParallelExecutor],
         serialize: bool,
-        duplicate_probability: float,
-        rng: RngLike,
         fault_model: Optional[FaultModel],
         retry_policy: Optional[RetryPolicy],
         ledger_factory: Optional[Callable[[], Any]],
@@ -268,9 +267,6 @@ class _Run:
         self.plan = plan
         self.pool = pool
         self.serialize = serialize
-        self.duplicate_probability = duplicate_probability
-        # entropy is only drawn when the duplicate knob is actually live
-        self.dup_rng = resolve_rng(rng) if duplicate_probability else None
         self.faults = fault_model
         self.policy = retry_policy or RetryPolicy()
         self.ledger_factory = ledger_factory
@@ -284,18 +280,17 @@ class _Run:
         self.outputs: Dict[Hashable, Any] = {}
         for slot, value in inputs.items():
             self._install(slot, wrap_slot(value))
-        #: wave path applies only to fault-free, knob-free groupable runs
+        #: wave path applies only to fault-free groupable runs
         self.use_waves = (
-            pool is not None
-            and plan.groupable
-            and fault_model is None
-            and not duplicate_probability
+            pool is not None and plan.groupable and fault_model is None
         )
-        #: the persistent runtime additionally requires serialize=False:
-        #: wire-format byte accounting must run in the coordinator, so
-        #: serialized runs keep the legacy per-wave pool
-        self.use_resident = self.use_waves and not serialize
+        #: merge waves may additionally run on the runtime only when
+        #: serialize=False: wire-format byte accounting must run in the
+        #: coordinator
+        self.resident_merges = self.use_waves and not serialize
         self._runtime = None
+        #: the pool refused or failed this plan's runtime start
+        self._start_refused = False
         #: slot -> worker ids holding its latest value; missing key means
         #: everyone does (the fork-time snapshot, or no runtime at all)
         self._fresh: Dict[Hashable, Set[int]] = {}
@@ -328,46 +323,21 @@ class _Run:
         if self.instrument is not None:
             self.instrument(event, info)
 
-    # -- build phase ------------------------------------------------------
-
-    def run_builds(self, steps: List[MergeStep]) -> None:
-        t0 = time.perf_counter()
-        agents = [self.slots.get(step.slot) for step in steps]
-        tasks = [(step.builder, agent) for step, agent in zip(steps, agents)]
-        if self.pool is not None:
-            values = self.pool.map(_run_build, tasks)
-        else:
-            values = [_run_build(builder, agent) for builder, agent in tasks]
-        for step, agent, value in zip(steps, agents, values):
-            if agent is None:
-                self._install(step.slot, wrap_slot(value))
-            elif self.accounting:
-                set_slot_value(agent, value)
-                self.report.covered.setdefault(step.slot, {step.slot})
-                self._observe_size(agent)
-            else:
-                set_slot_value(agent, value)
-        self.report.builds += len(steps)
-        self.report.build_waves += 1
-        self.report.build_seconds += time.perf_counter() - t0
-        self._emit_event("build_wave", builds=len(steps))
-
     # -- persistent (resident) runtime ------------------------------------
 
-    @property
-    def _resident_active(self) -> bool:
-        return self._runtime is not None and bool(self._runtime.live)
-
     def _maybe_start_runtime(self) -> None:
-        """Fork the persistent workers for this plan, if eligible.
+        """Fork the persistent workers for this plan, if work can use them.
 
-        A start failure records a degradation on the pool and leaves
-        ``self._runtime`` unset — every path below then falls back to
-        the legacy pool.map / scalar execution with identical results.
+        Builds always can; merges only when :attr:`resident_merges`.  A
+        refused or failed start (recorded on the pool) leaves
+        ``self._runtime`` unset, and the plan runs in the calling
+        process with identical results.
         """
-        if not self.use_resident or not self.pool.is_parallel:
+        if self.pool is None or self.pool.max_workers <= 1:
             return
-        work = len(self.plan.merge_steps) + len(self.plan.build_steps)
+        work = len(self.plan.build_steps)
+        if self.resident_merges:
+            work += len(self.plan.merge_steps)
         if work < 2:
             return  # nothing to overlap; forking workers is pure overhead
         try:
@@ -375,7 +345,7 @@ class _Run:
                 _ResidentSession, (self.plan, self.slots)
             )
         except RuntimeUnavailable:
-            self._runtime = None
+            self._start_refused = True
 
     def _freshness(self, slot: Hashable) -> Optional[Set[int]]:
         return self._fresh.get(slot)
@@ -417,7 +387,10 @@ class _Run:
 
     def _coordinator_owns(self, slot: Hashable) -> None:
         """Record that the coordinator's value for ``slot`` is now the
-        only fresh copy (after a serial re-execution or local build)."""
+        only fresh copy (after a serial re-execution while the runtime
+        is live)."""
+        if self._runtime is None:
+            return
         self._fresh[slot] = set()
         self._desc.pop(slot, None)
         self._coord_fresh.add(slot)
@@ -434,9 +407,10 @@ class _Run:
     def _deactivate_runtime(self) -> None:
         """Materialize every pending worker value, then drop the runtime.
 
-        Called at normal completion, and mid-plan when the last worker
-        dies — after it, coordinator state is fully current and the
-        legacy paths continue the plan seamlessly.
+        Called at normal completion, before a merge run the runtime
+        cannot serve, and mid-plan when the last worker dies — after
+        it, coordinator state is fully current and the in-process paths
+        continue the plan seamlessly.
         """
         for slot in list(self._desc):
             self._materialize(slot)
@@ -447,20 +421,56 @@ class _Run:
         self._desc.clear()
         self._coord_fresh.clear()
 
-    def _finish_resident_build(
-        self, slot: Hashable, worker_id: int, descriptor: Dict[str, Any], size: int
-    ) -> None:
+    def _dispatch(
+        self,
+        kind: str,
+        per_worker: Dict[int, List[Any]],
+        item: Callable[[Any], Any],
+        needed: Callable[[Any], List[Hashable]],
+    ) -> Tuple[Dict[int, List[Any]], List[int]]:
+        """One IPC round-trip: each worker gets the ``item(work)`` ids of
+        its assigned work plus a sync of every ``needed(work)`` slot that
+        is stale there; crashed workers are recorded as degradations."""
+        assignments: Dict[int, Tuple[str, List[Any], List[Any]]] = {}
+        for worker_id, assigned in per_worker.items():
+            if not assigned:
+                continue
+            sync: List[Any] = []
+            synced: Set[Hashable] = set()
+            for work in assigned:
+                for slot in needed(work):
+                    self._pack_sync(worker_id, slot, sync, synced)
+            assignments[worker_id] = (kind, [item(work) for work in assigned], sync)
+        results, crashed = self._runtime.dispatch(assignments)
+        for worker_id in crashed:
+            self._handle_crash(worker_id)
+        return results, crashed
+
+    def _publish(self, slot: Hashable, worker_id: int, descriptor: Dict[str, Any]) -> None:
         self._fresh[slot] = {worker_id}
         self._desc[slot] = descriptor
         self._coord_fresh.discard(slot)
-        if self.accounting:
-            self.report.covered.setdefault(slot, {slot})
-            self.report.max_size = max(self.report.max_size, size)
+
+    # -- build phase ------------------------------------------------------
+
+    def run_builds(self, steps: List[MergeStep]) -> None:
+        t0 = time.perf_counter()
+        if self._runtime is not None:
+            self._builds_resident(steps)
+        else:
+            for step in steps:
+                self._local_build(step)
+        self.report.builds += len(steps)
+        self.report.build_waves += 1
+        self.report.build_seconds += time.perf_counter() - t0
+        self._emit_event("build_wave", builds=len(steps))
 
     def _local_build(self, step: MergeStep) -> None:
-        """Serial re-execution of one build whose worker died before
-        acking — its partial work was never published anywhere, so this
-        runs exactly once from the coordinator's (fork-equal) state."""
+        """Run one build in the calling process: every build when no
+        runtime is live, and exactly the builds of a worker that died
+        before acking — its partial work was never published anywhere,
+        so the build runs once from the coordinator's (fork-equal)
+        state."""
         agent = self.slots.get(step.slot)
         value = _run_build(step.builder, agent)
         if agent is None:
@@ -472,56 +482,44 @@ class _Run:
                 self._observe_size(agent)
         self._coordinator_owns(step.slot)
 
-    def run_builds_resident(self, steps: List[MergeStep]) -> None:
+    def _builds_resident(self, steps: List[MergeStep]) -> None:
         """One IPC round-trip builds every leaf: workers get contiguous
         slot ranges (so later merge waves stay worker-local as long as
         possible) and ship back only descriptors and sizes."""
-        t0 = time.perf_counter()
         workers = sorted(self._runtime.live)
         per_worker: Dict[int, List[MergeStep]] = {w: [] for w in workers}
         for index, step in enumerate(steps):
             per_worker[workers[index * len(workers) // len(steps)]].append(step)
-        assignments: Dict[int, Tuple[str, List[Any], List[Any]]] = {}
-        for worker_id, assigned in per_worker.items():
-            if not assigned:
-                continue
-            items: List[Any] = []
-            sync: List[Any] = []
-            synced: Set[Hashable] = set()
-            for step in assigned:
-                self._pack_sync(worker_id, step.slot, sync, synced)
-                items.append(step.slot)
-            assignments[worker_id] = ("build", items, sync)
-        results, crashed = self._runtime.dispatch(assignments)
+        results, crashed = self._dispatch(
+            "build", per_worker, lambda step: step.slot, lambda step: [step.slot]
+        )
         for worker_id, rows in results.items():
             for (slot, descriptor, size) in rows:
-                self._finish_resident_build(slot, worker_id, descriptor, size)
-        for worker_id in crashed:
-            self._handle_crash(worker_id)
+                self._publish(slot, worker_id, descriptor)
+                if self.accounting:
+                    self.report.covered.setdefault(slot, {slot})
+                    self.report.max_size = max(self.report.max_size, size)
         for worker_id in crashed:
             for step in per_worker[worker_id]:
                 self._local_build(step)
-        if self._runtime is not None and not self._runtime.live:
+        if not self._runtime.live:
             self._deactivate_runtime()
-        self.report.builds += len(steps)
-        self.report.build_waves += 1
-        self.report.build_seconds += time.perf_counter() - t0
-        self._emit_event("build_wave", builds=len(steps))
 
-    def _finish_resident_group(
-        self,
-        group: StepGroup,
-        worker_id: int,
-        descriptor: Dict[str, Any],
-        size: int,
-    ) -> None:
-        self._fresh[group.dst] = {worker_id}
-        self._desc[group.dst] = descriptor
-        self._coord_fresh.discard(group.dst)
-        agent = self.slots.get(group.dst)
-        if agent is not None and hasattr(agent, "merges_performed"):
-            agent.merges_performed += len(group.srcs)
-        self._account_group(group, size)
+    # -- wave merge path --------------------------------------------------
+
+    def run_waves(self, steps: List[MergeStep], first_index: int) -> None:
+        waves = plan_step_waves(steps, first_index, fuse=self.plan.fuse_fanin)
+        for wave in waves:
+            # a runtime can die mid-run (all workers crashed); remaining
+            # waves continue in the calling process transparently
+            if self._runtime is not None:
+                self._wave_resident(wave)
+            else:
+                for group in wave:
+                    self._local_group(group)
+            self.report.waves += 1
+            self.report.groups += len(wave)
+            self._emit_event("wave", groups=len(wave))
 
     def _account_group(self, group: StepGroup, size: int) -> None:
         if self.accounting:
@@ -534,13 +532,18 @@ class _Run:
         self.report.merges += len(group.srcs)
 
     def _local_group(self, group: StepGroup) -> None:
-        """Serial re-execution of one merge group whose worker died
+        """Run one merge group in the calling process: every group when
+        no runtime is live, and exactly the groups of a worker that died
         before acking.  Operand state is recovered from acked exports
         (append-only arenas survive their producer), so the group runs
         exactly once — never zero times, never one-and-a-half."""
-        payloads = [self._materialize(src) for src in group.srcs]
+        serialize = self.serialize  # True only when no runtime is live
+        if serialize:
+            payloads = [self.slots[src].emit(serialize=True) for src in group.srcs]
+        else:
+            payloads = [self._materialize(src) for src in group.srcs]
         if group.builder is not None:
-            value = _execute_group(group.builder, payloads, False, True)
+            value = _execute_group(group.builder, payloads, serialize, True)
             agent = self.slots.get(group.dst)
             if agent is None:
                 self._install(group.dst, wrap_slot(value))
@@ -549,13 +552,13 @@ class _Run:
                 set_slot_value(agent, value)
         else:
             target = self._materialize(group.dst)
-            value = _execute_group(target, payloads, False, False)
+            value = _execute_group(target, payloads, serialize, False)
             agent = self.slots[group.dst]
             set_slot_value(agent, value)
         if hasattr(agent, "merges_performed"):
             agent.merges_performed += len(group.srcs)
         self._coordinator_owns(group.dst)
-        self._account_group(group, _value_size(value))
+        self._account_group(group, _value_size(value) if self.accounting else 0)
 
     def _wave_resident(self, wave: List[StepGroup]) -> None:
         """One merge wave, one IPC round-trip: groups are assigned to the
@@ -564,38 +567,32 @@ class _Run:
         travel on the pipes."""
         workers = sorted(self._runtime.live)
         by_worker = assign_groups(wave, workers, self._freshness)
-        assignments: Dict[int, Tuple[str, List[Any], List[Any]]] = {}
-        for worker_id, groups in by_worker.items():
-            if not groups:
-                continue
-            items: List[Any] = []
-            sync: List[Any] = []
-            synced: Set[Hashable] = set()
-            for group in groups:
-                needed = (
-                    list(group.srcs)
-                    if group.builder is not None
-                    else [group.dst, *group.srcs]
-                )
-                for slot in needed:
-                    self._pack_sync(worker_id, slot, sync, synced)
-                ordinal = group.indices[0] if group.builder is not None else None
-                items.append((group.dst, list(group.srcs), ordinal))
-            assignments[worker_id] = ("merge", items, sync)
-        results, crashed = self._runtime.dispatch(assignments)
+        results, crashed = self._dispatch(
+            "merge",
+            by_worker,
+            lambda group: (
+                group.dst,
+                list(group.srcs),
+                group.indices[0] if group.builder is not None else None,
+            ),
+            lambda group: (
+                list(group.srcs)
+                if group.builder is not None
+                else [group.dst, *group.srcs]
+            ),
+        )
         for worker_id, rows in results.items():
             for group, (slot, descriptor, size) in zip(by_worker[worker_id], rows):
-                self._finish_resident_group(group, worker_id, descriptor, size)
-        for worker_id in crashed:
-            self._handle_crash(worker_id)
+                self._publish(group.dst, worker_id, descriptor)
+                agent = self.slots.get(group.dst)
+                if agent is not None and hasattr(agent, "merges_performed"):
+                    agent.merges_performed += len(group.srcs)
+                self._account_group(group, size)
         for worker_id in crashed:
             for group in by_worker[worker_id]:
                 self._local_group(group)
-        if self._runtime is not None and not self._runtime.live:
+        if not self._runtime.live:
             self._deactivate_runtime()
-        self.report.waves += 1
-        self.report.groups += len(wave)
-        self._emit_event("wave", groups=len(wave))
 
     # -- scalar merge path ------------------------------------------------
 
@@ -604,7 +601,6 @@ class _Run:
         # loop, so frequently-read attributes are hoisted to locals
         slots = self.slots
         serialize = self.serialize
-        dup_p = self.duplicate_probability
         accounting = self.accounting
         report = self.report
         status = report.step_status
@@ -638,12 +634,6 @@ class _Run:
                 agent = wrap_slot(step.builder(first))
                 agent.absorb_many(payloads[1:], serialized=serialize)
                 self._install(step.slot, agent)
-            if dup_p:
-                for src in srcs:
-                    if float(self.dup_rng.random()) < dup_p:
-                        dup = slots[src].emit(serialize=serialize)
-                        agent.absorb(dup, serialized=serialize)
-                        report.duplicated_deliveries += 1
             if accounting:
                 for src in srcs:
                     report.covered[step.slot] |= report.covered[src]
@@ -654,54 +644,6 @@ class _Run:
                 self._emit_event(
                     "step", index=index, dst=step.slot, fan_in=len(srcs)
                 )
-
-    # -- wave merge path --------------------------------------------------
-
-    def run_waves(self, steps: List[MergeStep], first_index: int) -> None:
-        waves = plan_step_waves(steps, first_index, fuse=self.plan.fuse_fanin)
-        for wave in waves:
-            # a runtime can die mid-run (all workers crashed); remaining
-            # waves continue on the legacy per-wave pool transparently
-            if self._resident_active:
-                self._wave_resident(wave)
-            else:
-                self._wave_legacy(wave)
-
-    def _wave_legacy(self, wave: List[StepGroup]) -> None:
-        tasks: List[Tuple[Any, List[Any], bool, bool]] = []
-        for group in wave:
-            payloads = [
-                self.slots[src].emit(serialize=self.serialize)
-                for src in group.srcs
-            ]
-            if group.builder is not None:
-                tasks.append((group.builder, payloads, self.serialize, True))
-            else:
-                target = slot_value(self.slots[group.dst])
-                tasks.append((target, payloads, self.serialize, False))
-        merged = self.pool.map(_execute_group, tasks)
-        for group, value in zip(wave, merged):
-            self._finish_group(group, value)
-        self.report.waves += 1
-        self.report.groups += len(wave)
-        self._emit_event("wave", groups=len(wave))
-
-    def _finish_group(self, group: StepGroup, value: Any) -> None:
-        if group.builder is not None:
-            agent = wrap_slot(value)
-            self._install(group.dst, agent)
-        else:
-            agent = self.slots[group.dst]
-            set_slot_value(agent, value)
-        if hasattr(agent, "merges_performed"):
-            agent.merges_performed += len(group.srcs)
-        if self.accounting:
-            for src in group.srcs:
-                self.report.covered[group.dst] |= self.report.covered[src]
-            self._observe_size(agent)
-        for index in group.indices:
-            self.report.step_status[index] = STEP_DONE
-        self.report.merges += len(group.srcs)
 
     # -- fault merge path -------------------------------------------------
 
@@ -829,8 +771,7 @@ class _Run:
     def execute(self) -> ExecutionResult:
         steps = self.plan.steps
         merge_index = 0
-        if self.use_waves:
-            self._maybe_start_runtime()
+        self._maybe_start_runtime()
         try:
             i = 0
             while i < len(steps):
@@ -840,11 +781,10 @@ class _Run:
                     j += 1
                 run = list(steps[i:j])
                 if op == "build":
-                    if self._resident_active:
-                        self.run_builds_resident(run)
-                    else:
-                        self.run_builds(run)
+                    self.run_builds(run)
                 elif op == "merge":
+                    if self._runtime is not None and not self.resident_merges:
+                        self._deactivate_runtime()
                     t0 = time.perf_counter()
                     if self.faults is not None:
                         self.run_faulty(run, merge_index)
@@ -874,7 +814,9 @@ class _Run:
             events = self.pool.degradation_events
             self.report.degradation_events = list(events)
             self.report.degraded_to_serial = self.pool.max_workers > 1 and (
-                len(events) > self._events_baseline or self.pool.degraded
+                self._start_refused
+                or len(events) > self._events_baseline
+                or self.pool.degraded
             )
         if self.accounting:
             self.report.bytes_shipped = sum(
@@ -898,8 +840,6 @@ def execute_plan(
     *,
     executor: ExecutorLike = None,
     serialize: bool = False,
-    duplicate_probability: float = 0.0,
-    rng: RngLike = None,
     fault_model: Optional[FaultModel] = None,
     retry_policy: Optional[RetryPolicy] = None,
     ledger_factory: Optional[Callable[[], Any]] = None,
@@ -910,18 +850,18 @@ def execute_plan(
 
     ``inputs`` maps slot names to values (summaries, store segments) or
     ready-made agents (the simulator's ``Node`` objects).  ``executor``
-    opts into parallel dispatch (builds always; merges only for
-    ``groupable`` fault-free plans).  ``serialize`` round-trips every
-    emitted summary through the wire codec.  ``duplicate_probability``
-    is the legacy bare at-least-once knob (each delivery is, with that
-    probability, merged twice); ``rng`` seeds its draws.
+    opts into parallel dispatch on the persistent worker runtime
+    (builds always; merges only for ``groupable`` fault-free plans with
+    ``serialize=False``).  ``serialize`` round-trips every emitted
+    summary through the wire codec.
 
     ``fault_model`` switches the merge phase to the retry runtime:
     deliveries retry per ``retry_policy`` against injected loss,
     corruption, crashes and duplicates; when ``ledger_factory`` is also
     given, every destination gets a merge ledger and redeliveries merge
-    exactly once.  The report's ``covered``/``crashed``/``fault_stats``
-    then carry the degradation accounting.
+    exactly once (without it, injected duplicates merge twice: bare
+    at-least-once delivery).  The report's ``covered``/``crashed``/
+    ``fault_stats`` then carry the degradation accounting.
 
     ``instrument`` is called as ``instrument(event, info)`` at build
     waves, merge waves or steps, and completion — a hook for benchmarks
@@ -934,15 +874,6 @@ def execute_plan(
     given, because the fault runtime's degradation accounting *is* the
     product there.
     """
-    if not 0.0 <= duplicate_probability <= 1.0:
-        raise ParameterError(
-            f"duplicate_probability must be in [0, 1], got {duplicate_probability!r}"
-        )
-    if fault_model is not None and duplicate_probability:
-        raise ParameterError(
-            "pass duplicates via FaultModel(duplicate=...) when fault_model "
-            "is given; duplicate_probability is the legacy knob"
-        )
     if fault_model is not None and fault_model.corruption and not serialize:
         raise ParameterError(
             "corruption injection garbles wire payloads; it requires serialize=True"
@@ -953,8 +884,6 @@ def execute_plan(
         inputs,
         resolve_executor(executor),
         serialize,
-        duplicate_probability,
-        rng,
         fault_model,
         retry_policy,
         ledger_factory,

@@ -24,8 +24,7 @@ These primitives live in :mod:`repro.engine` because the merge engine's
 :func:`~repro.engine.execute_plan` is the one place that runs the
 retry/ledger loop — any compiled plan (a ``merge_all`` fold, a
 simulator schedule, a store compaction) can be executed over the same
-unreliable fabric.  :mod:`repro.distributed.faults` re-exports them for
-backward compatibility.
+unreliable fabric.  :mod:`repro.distributed` exports them as well.
 """
 
 from __future__ import annotations

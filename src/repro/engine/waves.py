@@ -13,57 +13,22 @@ them for parallel dispatch:
    may run concurrently; groups in later waves see every earlier wave's
    effects, preserving the sequential semantics of the input order.
 
-:func:`plan_merge_waves` is the historical public entry point over
-``(dst, src)`` schedule pairs (re-exported by
-:mod:`repro.distributed.simulator`); :func:`plan_step_waves` is the
-engine-internal variant over :class:`~repro.engine.plan.MergeStep` runs,
-which additionally understands multi-source steps, copy-on-write
-destinations, and plans that forbid fan-in fusion.
+:func:`plan_step_waves` does both over runs of
+:class:`~repro.engine.plan.MergeStep` (a distributed schedule's
+``(dst, src)`` pairs arrive as the merge steps of
+:func:`~repro.engine.compilers.compile_aggregation`), and additionally
+understands multi-source steps, copy-on-write destinations, and plans
+that forbid fan-in fusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set
 
 from .plan import MergeStep
 
-__all__ = ["plan_merge_waves", "plan_step_waves", "assign_groups", "StepGroup"]
-
-
-def plan_merge_waves(
-    steps: Sequence[Tuple[int, int]],
-) -> List[List[Tuple[int, List[int]]]]:
-    """Group schedule steps into parallel waves of k-way fan-ins.
-
-    Consecutive steps sharing a destination collapse into one
-    ``(dst, [srcs])`` group — a single ``merge_many`` fan-in.  Groups
-    are then packed greedily into *waves*: a wave takes groups in
-    schedule order until a group touches a node some earlier group in
-    the wave already used, at which point the wave is flushed.  Groups
-    within a wave touch disjoint node sets, so they commute and may run
-    concurrently; groups in later waves see every earlier wave's
-    effects, preserving the schedule's sequential semantics.
-    """
-    groups: List[Tuple[int, List[int]]] = []
-    for dst, src in steps:
-        if groups and groups[-1][0] == dst:
-            groups[-1][1].append(src)
-        else:
-            groups.append((dst, [src]))
-    waves: List[List[Tuple[int, List[int]]]] = []
-    wave: List[Tuple[int, List[int]]] = []
-    used: Set[int] = set()
-    for dst, srcs in groups:
-        touched = {dst, *srcs}
-        if wave and (touched & used):
-            waves.append(wave)
-            wave, used = [], set()
-        wave.append((dst, srcs))
-        used |= touched
-    if wave:
-        waves.append(wave)
-    return waves
+__all__ = ["plan_step_waves", "assign_groups", "StepGroup"]
 
 
 @dataclass
@@ -96,7 +61,7 @@ def plan_step_waves(
     ``first_index`` is the plan-wide index of ``steps[0]`` (used to
     label groups for status reporting).  With ``fuse=True`` consecutive
     in-place single-source steps sharing a destination collapse into one
-    k-way group, exactly like :func:`plan_merge_waves`; ``fuse=False``
+    k-way group; ``fuse=False``
     keeps every step its own group — required by plans whose
     step-by-step merge shape is the contract (the balanced-tree fold
     merges pairwise per level, never k-way).  Copy-on-write steps

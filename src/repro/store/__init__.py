@@ -20,17 +20,7 @@ format (:func:`save`/:func:`load`, with kind-generic
 from .chain import EpochChain
 from .common import StoreBase
 from .cube import CubePlan, CubeResult, CubeStore
-from .persistence import (
-    RecoveryReport,
-    load,
-    load_cube,
-    load_store,
-    recover_store,
-    save,
-    save_cube,
-    save_store,
-    verify_store,
-)
+from .persistence import RecoveryReport, load, recover_store, save, verify_store
 from .planner import QueryPlan, fan_in_bound, plan_range
 from .segment import (
     MemberSpec,
@@ -53,10 +43,6 @@ __all__ = [
     "StoreBase",
     "save",
     "load",
-    "save_cube",
-    "load_cube",
-    "save_store",
-    "load_store",
     "build_members",
     "QueryPlan",
     "plan_range",

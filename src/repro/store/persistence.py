@@ -91,10 +91,6 @@ from .wal import WalScan, scan_wal, wal_files
 __all__ = [
     "save",
     "load",
-    "save_store",
-    "load_store",
-    "save_cube",
-    "load_cube",
     "recover_store",
     "verify_store",
     "write_segment",
@@ -479,20 +475,6 @@ def save(store: Any, path: str, fs: Optional[Filesystem] = None) -> Dict[str, in
     }
 
 
-def save_store(
-    store: Any, path: str, fs: Optional[Filesystem] = None
-) -> Dict[str, int]:
-    """Persist a :class:`~repro.store.store.SegmentStore` (see :func:`save`)."""
-    return save(store, path, fs=fs)
-
-
-def save_cube(
-    cube: Any, path: str, fs: Optional[Filesystem] = None
-) -> Dict[str, int]:
-    """Persist a :class:`~repro.store.cube.CubeStore` (see :func:`save`)."""
-    return save(cube, path, fs=fs)
-
-
 # ---------------------------------------------------------------------------
 # Strict load (StoreBase.open)
 # ---------------------------------------------------------------------------
@@ -583,12 +565,12 @@ def load(
     if expect_kind == "store" and kind == "cube":
         raise SerializationError(
             f"{path}: this directory holds a dimension cube; open it with "
-            "CubeStore.open (repro.store.load_cube)"
+            "CubeStore.open"
         )
     if expect_kind == "cube" and kind != "cube":
         raise SerializationError(
             f"{path}: this directory holds a flat segment store; open it "
-            "with SegmentStore.open (repro.store.load_store)"
+            "with SegmentStore.open"
         )
     store = _store_from_manifest(manifest, path, fs)
     for wal_path in wal_files(_wal_dir(path), fs):
@@ -604,16 +586,6 @@ def load(
                 continue
             store._replay_wal(record)
     return store
-
-
-def load_store(path: str, fs: Optional[Filesystem] = None) -> Any:
-    """Load a flat segment store (see :func:`load`)."""
-    return load(path, fs=fs, expect_kind="store")
-
-
-def load_cube(path: str, fs: Optional[Filesystem] = None) -> Any:
-    """Load a dimension cube (see :func:`load`)."""
-    return load(path, fs=fs, expect_kind="cube")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import SerializationError, dumps, loads, registered_names
-from repro.core.serialization import from_envelope, state_checksum, to_envelope
+from repro.core import SerializationError, registered_names
+from repro.core.codecs import dumps, from_envelope, loads, state_checksum, to_envelope
 from repro.frequency import CountMin, ExactCounter, MisraGries
 from repro.kernels import EpsKernel
 from repro.quantiles import MergeableQuantiles

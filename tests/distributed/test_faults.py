@@ -131,12 +131,23 @@ class TestScheduleValidation:
 
 class TestFaultRuntimeInvariants:
     def test_fault_model_excludes_legacy_duplicate_knob(self):
+        # the fault model is the only duplicate injector: the bare
+        # at-least-once knob is gone, and FaultModel without the ledger
+        # reproduces it
         data = zipf_stream(500, rng=1)
-        with pytest.raises(ParameterError, match="legacy"):
+        with pytest.raises(TypeError):
             run_aggregation(
                 data, ContiguousPartitioner(), lambda: MisraGries(8),
-                chain(4), duplicate_probability=0.5, fault_model=FaultModel(),
+                chain(4), duplicate_probability=0.5,
             )
+        result = run_aggregation(
+            data, ContiguousPartitioner(), lambda: MisraGries(8), chain(4),
+            fault_model=FaultModel(duplicate=1.0, rng=4), exactly_once=False,
+        )
+        stats = result.fault_stats
+        assert result.duplicated_deliveries == stats.duplicates_delivered == 3
+        assert stats.duplicates_merged == 3
+        assert result.summary.n > len(data)
 
     def test_fault_free_model_matches_plain_run(self):
         data = zipf_stream(4_000, alpha=1.2, rng=2)

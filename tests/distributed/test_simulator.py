@@ -9,6 +9,7 @@ import pytest
 
 from repro.distributed import (
     ContiguousPartitioner,
+    FaultModel,
     Node,
     SortedPartitioner,
     balanced_tree,
@@ -99,8 +100,8 @@ class TestRunAggregation:
             ContiguousPartitioner(),
             lambda: MisraGries(16),
             chain(8),
-            duplicate_probability=1.0,
-            rng=1,
+            fault_model=FaultModel(duplicate=1.0, rng=1),
+            exactly_once=False,
         )
         assert result.duplicated_deliveries == 7
         assert result.summary.n > len(stream)
@@ -115,8 +116,9 @@ class TestRunAggregation:
         faulty = run_aggregation(
             stream, ContiguousPartitioner(),
             lambda: HyperLogLog(p=10, seed=1), chain(8),
-            duplicate_probability=1.0, rng=2,
+            fault_model=FaultModel(duplicate=1.0, rng=2), exactly_once=False,
         )
+        assert faulty.duplicated_deliveries == 7
         assert faulty.summary.distinct() == clean.summary.distinct()
 
     def test_invalid_duplicate_probability(self, stream):
@@ -125,7 +127,7 @@ class TestRunAggregation:
         with pytest.raises(ParameterError):
             run_aggregation(
                 stream, ContiguousPartitioner(), lambda: MisraGries(8),
-                chain(4), duplicate_probability=1.5,
+                chain(4), fault_model=FaultModel(duplicate=1.5),
             )
 
     def test_timings_populated(self, stream):

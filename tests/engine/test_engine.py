@@ -14,7 +14,7 @@ refactor's contract:
   sequence, so even randomized summaries must match bit-for-bit);
 - a simulator run equals a manual replay of its schedule;
 - the executor's wave/scalar/fault regimes account correctly
-  (waves, step status, instrument events, duplicate knob, ledgers);
+  (waves, step status, instrument events, duplicate injection, ledgers);
 - fault-injected store compaction is exactly-once or nothing: retries
   converge to byte-identical roll-ups, total loss installs nothing and
   a later plain ``compact()`` fully recovers.
@@ -249,12 +249,7 @@ class TestExecutorAccounting:
         plan = compile_fold("chain", 2)
         inputs = _counters(2)
         with pytest.raises(ParameterError, match="must be in"):
-            execute_plan(plan, inputs, duplicate_probability=1.5)
-        with pytest.raises(ParameterError, match="legacy knob"):
-            execute_plan(
-                plan, inputs, fault_model=FaultModel(rng=1),
-                duplicate_probability=0.5,
-            )
+            FaultModel(duplicate=1.5)
         with pytest.raises(ParameterError, match="requires serialize"):
             execute_plan(
                 plan, inputs, fault_model=FaultModel(corruption=0.5, rng=1)
@@ -301,11 +296,12 @@ class TestExecutorAccounting:
             inputs[f"s{i}"].n for i in range(1, 4)
         )
         clean = sum(s.n for s in inputs.values())
+        # no ledger: bare at-least-once delivery, every duplicate lands
         result = execute_plan(
             compile_fold("chain", 4), _counters(4),
-            duplicate_probability=1.0, rng=5,
+            fault_model=FaultModel(duplicate=1.0, rng=5),
         )
-        assert result.report.duplicated_deliveries == 3
+        assert result.report.fault_stats.duplicates_delivered == 3
         assert result.value.n == clean + expected_extra
 
     def test_total_loss_marks_steps_failed_but_keeps_inputs(self):

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import ParameterError, QueryError, SerializationError
 from repro.engine import FaultModel, RetryPolicy
-from repro.store import CubeStore, SegmentStore, load_cube
+from repro.store import CubeStore, SegmentStore
 
 from tests.test_merge_runtime import MERGE_SPECS
 
@@ -499,7 +499,7 @@ class TestPersistence:
         store.ingest([{"v": i} for i in range(20)])
         store.save(tmp_path / "flat")
         with pytest.raises(SerializationError, match="SegmentStore.open"):
-            load_cube(tmp_path / "flat")
+            CubeStore.open(tmp_path / "flat")
 
     def test_view_capacity_survives_restart(self, tmp_path):
         cube = CubeStore(width=4.0, dims=("region",), view_capacity=3)

@@ -32,15 +32,16 @@ import pytest
 
 from repro.core import MergeError, Summary, dumps, loads, registered_names
 from repro.core.merge import merge_all, merge_chain, merge_kway
-from repro.core.parallel import ParallelExecutor, resolve_executor
+from repro.core.parallel import ParallelExecutor, RuntimeUnavailable, resolve_executor
 from repro.distributed import (
     ContiguousPartitioner,
+    MergeSchedule,
     Node,
     balanced_tree,
     build_topology,
-    plan_merge_waves,
     run_aggregation,
 )
+from repro.engine import compile_aggregation, compile_fold, execute_plan, plan_step_waves
 
 # ---------------------------------------------------------------------------
 # Per-type specifications
@@ -545,20 +546,56 @@ def test_parallel_build_with_faults_keeps_serial_merge_semantics():
     assert pooled.bytes_retransmitted == plain.bytes_retransmitted
 
 
+def test_fault_model_builds_run_on_the_runtime():
+    # builds go through the resident runtime in every regime; the retry
+    # loop then runs in the coordinator over the drained leaf values
+    from repro.distributed import FaultModel, RetryPolicy
+    from repro.frequency import MisraGries
+
+    if not ParallelExecutor(max_workers=2).is_parallel:
+        pytest.skip("no process pool on this platform")
+    data = AGGREGATION_DATA["ints"]()
+
+    def run(executor):
+        return run_aggregation(
+            data, ContiguousPartitioner(), lambda: MisraGries(16),
+            balanced_tree(8), serialize=True,
+            fault_model=FaultModel(loss=0.3, duplicate=0.2, rng=5),
+            retry_policy=RetryPolicy(max_attempts=12), executor=executor,
+        )
+
+    plain, pooled = run(None), run(2)
+    assert plain.runtime_stats is None
+    assert pooled.runtime_stats is not None
+    assert pooled.runtime_stats["dispatch_rounds"] == 1  # the build wave
+    assert not pooled.degraded_to_serial
+    assert dumps(pooled.summary) == dumps(plain.summary)
+    assert pooled.fault_stats.retries == plain.fault_stats.retries
+    assert pooled.bytes_shipped == plain.bytes_shipped
+
+
 # ---------------------------------------------------------------------------
 # wave planning
 # ---------------------------------------------------------------------------
 
 
+def _schedule_waves(schedule: MergeSchedule) -> list:
+    """A schedule's wave plan as ``(dst, [srcs])`` groups."""
+    return [
+        [(group.dst, group.srcs) for group in wave]
+        for wave in plan_step_waves(compile_aggregation(schedule).merge_steps)
+    ]
+
+
 class TestPlanMergeWaves:
     def test_star_collapses_to_one_kway_group(self):
         schedule = build_topology("star", 9)
-        waves = plan_merge_waves(schedule.steps)
+        waves = _schedule_waves(schedule)
         assert waves == [[(schedule.root, [s for _d, s in schedule.steps])]]
 
     def test_waves_never_reuse_a_node(self):
         schedule = balanced_tree(16)
-        for wave in plan_merge_waves(schedule.steps):
+        for wave in _schedule_waves(schedule):
             touched = [n for dst, srcs in wave for n in (dst, *srcs)]
             assert len(touched) == len(set(touched))
 
@@ -566,7 +603,7 @@ class TestPlanMergeWaves:
         schedule = balanced_tree(16)
         flattened = [
             (dst, src)
-            for wave in plan_merge_waves(schedule.steps)
+            for wave in _schedule_waves(schedule)
             for dst, srcs in wave
             for src in srcs
         ]
@@ -581,13 +618,13 @@ class TestPlanMergeWaves:
         # this repo's chain has a single destination absorbing everyone,
         # so it groups exactly like a star
         schedule = build_topology("chain", 5)
-        assert plan_merge_waves(schedule.steps) == [[(0, [1, 2, 3, 4])]]
+        assert _schedule_waves(schedule) == [[(0, [1, 2, 3, 4])]]
 
     def test_dependent_steps_stay_fully_sequential(self):
         # each destination was a source of the previous step: no two
         # groups may share a wave
-        steps = [(2, 3), (1, 2), (0, 1)]
-        assert plan_merge_waves(steps) == [[(2, [3])], [(1, [2])], [(0, [1])]]
+        schedule = MergeSchedule("dependent", 4, [(2, 3), (1, 2), (0, 1)])
+        assert _schedule_waves(schedule) == [[(2, [3])], [(1, [2])], [(0, [1])]]
 
 
 # ---------------------------------------------------------------------------
@@ -595,26 +632,36 @@ class TestPlanMergeWaves:
 # ---------------------------------------------------------------------------
 
 
-class TestParallelExecutor:
-    def test_map_preserves_order(self):
-        pool = ParallelExecutor(max_workers=3)
-        results = pool.map(lambda a, b: a * 10 + b, [(i, i + 1) for i in range(20)])
-        assert results == [i * 10 + i + 1 for i in range(20)]
+def _raising_factory():
+    raise ValueError("task boom")
 
+
+class TestParallelExecutor:
     def test_serial_executor_never_forks(self):
         pool = ParallelExecutor(max_workers=1)
         assert not pool.is_parallel
-        assert pool.map(lambda x: x + 1, [(1,), (2,)]) == [2, 3]
+        with pytest.raises(RuntimeUnavailable):
+            pool.start_runtime(lambda *args: None, None)
 
     def test_lambdas_cross_the_pool_boundary(self):
-        # closures are not picklable; the fork-payload path must still
-        # ship them (single-worker boxes degrade to the serial map,
-        # which trivially supports them)
+        # closures are not picklable; runtime workers inherit the plan's
+        # builder closures at fork time (single-worker boxes run them
+        # in-process, which trivially supports them)
+        from repro.frequency import ExactCounter
+
         offset = 17
-        pool = ParallelExecutor(max_workers=2)
-        assert pool.map(lambda x: x + offset, [(i,) for i in range(8)]) == [
-            i + 17 for i in range(8)
-        ]
+        data = AGGREGATION_DATA["ints"]()
+
+        def run(executor):
+            return run_aggregation(
+                data, ContiguousPartitioner(),
+                lambda: ExactCounter().extend([offset]), balanced_tree(8),
+                executor=executor,
+            )
+
+        pooled = run(2)
+        assert pooled.summary.counters() == run(None).summary.counters()
+        assert pooled.summary.estimate(offset) >= 8
 
     def test_rejects_negative_workers(self):
         from repro.core import ParameterError
@@ -631,55 +678,29 @@ class TestParallelExecutor:
         assert resolve_executor(pool) is pool
 
     def test_task_exceptions_propagate(self):
-        pool = ParallelExecutor(max_workers=2)
-
-        def boom(x):
-            raise ValueError(f"task {x}")
-
+        # a builder raising inside a runtime worker re-raises, unchanged,
+        # in the coordinator
         with pytest.raises(ValueError, match="task"):
-            pool.map(boom, [(1,), (2,)])
-
-    def test_fork_payload_is_released_after_map(self):
-        from repro.core import parallel
-
-        pool = ParallelExecutor(max_workers=2)
-        pool.map(lambda x: x * 2, [(i,) for i in range(6)])
-        assert parallel._FORK_PAYLOAD is None
+            run_aggregation(
+                AGGREGATION_DATA["ints"](), ContiguousPartitioner(),
+                _raising_factory, balanced_tree(4), executor=2,
+            )
 
     def test_fork_payload_is_released_when_tasks_raise(self):
         from repro.core import parallel
 
-        pool = ParallelExecutor(max_workers=2)
-
-        def boom(x):
-            raise ValueError("boom")
-
         with pytest.raises(ValueError):
-            pool.map(boom, [(1,), (2,)])
-        assert parallel._FORK_PAYLOAD is None
-
-    def test_map_payload_does_not_pin_task_objects(self):
-        # the fork-payload slot must not keep the last map's tasks (and
-        # whatever summaries their closures capture) alive afterwards
-        import gc
-        import weakref
-
-        class Token:
-            pass
-
-        token = Token()
-        ref = weakref.ref(token)
-        pool = ParallelExecutor(max_workers=2)
-        pool.map(lambda t: type(t).__name__, [(token,)])
-        del token
-        gc.collect()
-        assert ref() is None
+            run_aggregation(
+                AGGREGATION_DATA["ints"](), ContiguousPartitioner(),
+                _raising_factory, balanced_tree(4), executor=2,
+            )
+        assert parallel._RUNTIME_PAYLOAD is None
 
 
 class TestRecoverableDegradation:
-    """Pool failures must degrade *visibly* and heal after a cooldown —
-    the legacy sticky ``_broken`` flag turned one transient fault into
-    serial-forever, silently."""
+    """Runtime start failures must degrade *visibly* and heal after a
+    cooldown of refused starts: one transient fault must not turn into
+    serial-forever."""
 
     def _broken_context(self, monkeypatch):
         import multiprocessing
@@ -689,51 +710,58 @@ class TestRecoverableDegradation:
 
         monkeypatch.setattr(multiprocessing, "get_context", refuse)
 
+    def _aggregate(self, executor):
+        from repro.frequency import CountMin
+
+        return run_aggregation(
+            AGGREGATION_DATA["ints"](), ContiguousPartitioner(),
+            lambda: CountMin(64, 3, seed=2), balanced_tree(8),
+            executor=executor,
+        )
+
+    def _parallel_pool(self):
+        pool = ParallelExecutor(max_workers=2)
+        if not pool.is_parallel:
+            pytest.skip("no process pool on this platform")
+        return pool
+
     def test_pool_failure_degrades_then_reprobes(self, monkeypatch):
         import multiprocessing
 
         real = multiprocessing.get_context
-        pool = ParallelExecutor(max_workers=2, reprobe_after=2)
-        tasks = [(i,) for i in range(4)]
+        pool = self._parallel_pool()
+        serial = dumps(self._aggregate(1).summary)
         self._broken_context(monkeypatch)
-        assert pool.map(lambda x: x * 2, tasks) == [0, 2, 4, 6]
+        failed = self._aggregate(pool)
+        assert dumps(failed.summary) == serial
+        assert failed.degraded_to_serial and failed.runtime_stats is None
         assert pool.fallbacks == 1
         assert pool.degraded and not pool.is_parallel
-        assert any("re-probing after 2" in e for e in pool.degradation_events)
+        assert any("re-probing after 8" in e for e in pool.degradation_events)
         monkeypatch.setattr(multiprocessing, "get_context", real)
-        # cooldown calls serve serial (correct results throughout) ...
-        assert pool.map(lambda x: x * 2, tasks) == [0, 2, 4, 6]
-        assert pool.map(lambda x: x * 2, tasks) == [0, 2, 4, 6]
-        # ... then the pool is re-probed and parallelism recovers
+        # every refused start ticks the cooldown and serves serial,
+        # visibly and with correct results ...
+        for _ in range(8):
+            cooling = self._aggregate(pool)
+            assert dumps(cooling.summary) == serial
+            assert cooling.degraded_to_serial and cooling.runtime_stats is None
+        # ... then the runtime is re-probed and parallelism recovers
         assert pool.is_parallel
-        assert pool.map(lambda x: x * 2, tasks) == [0, 2, 4, 6]
+        healed = self._aggregate(pool)
+        assert dumps(healed.summary) == serial
+        assert healed.runtime_stats is not None
+        assert not healed.degraded_to_serial
         assert pool.fallbacks == 1  # healthy again: no new fallbacks
 
     def test_consecutive_failures_back_off_exponentially(self, monkeypatch):
-        pool = ParallelExecutor(max_workers=2, reprobe_after=2)
+        pool = self._parallel_pool()
         self._broken_context(monkeypatch)
-        tasks = [(i,) for i in range(4)]
         cooldowns = []
-        for _ in range(4):
-            pool.map(lambda x: x, tasks)  # fails, sets the cooldown
+        for _ in range(5):
+            self._aggregate(pool)  # the runtime start fails, sets the cooldown
             cooldowns.append(pool._cooldown)
             pool._cooldown = 0  # fast-forward to the next re-probe
-        assert cooldowns == [2, 4, 8, 16]
-
-    def test_reprobe_zero_restores_permanent_degradation(self, monkeypatch):
-        import multiprocessing
-
-        real = multiprocessing.get_context
-        pool = ParallelExecutor(max_workers=2, reprobe_after=0)
-        tasks = [(i,) for i in range(4)]
-        self._broken_context(monkeypatch)
-        pool.map(lambda x: x, tasks)
-        monkeypatch.setattr(multiprocessing, "get_context", real)
-        for _ in range(5):
-            pool.map(lambda x: x, tasks)
-        assert pool.degraded and not pool.is_parallel
-        assert pool.fallbacks == 1
-        assert any("re-probing disabled" in e for e in pool.degradation_events)
+        assert cooldowns == [8, 16, 32, 64, 64]
 
 
 class TestWorkerRuntime:
@@ -785,7 +813,21 @@ class TestWorkerRuntime:
 
         self._count_min_aggregation(3)
         assert parallel._RUNTIME_PAYLOAD is None
-        assert parallel._FORK_PAYLOAD is None
+
+    def test_runtime_payload_does_not_pin_plan_inputs(self):
+        # workers inherit the plan's slots at fork; the coordinator must
+        # not keep them (or the summaries they hold) alive afterwards
+        import gc
+        import weakref
+
+        from repro.frequency import ExactCounter
+
+        inputs = {f"s{i}": ExactCounter().extend([i, i + 1]) for i in range(4)}
+        ref = weakref.ref(inputs["s1"])
+        execute_plan(compile_fold("tree", 4), inputs, executor=2)
+        del inputs
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("skip_runs", [0, 1])
     def test_worker_crash_mid_wave_is_exactly_once(self, skip_runs):

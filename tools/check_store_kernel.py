@@ -10,9 +10,11 @@ creeps back in:
 
 * ``_CubeGroup`` — the cube's private chain type that the kernel's
   :class:`~repro.store.chain.EpochChain` replaced;
-* cube-local persistence (``def save_cube`` / ``def load_cube`` /
-  ``def _cube_from_manifest`` outside ``persistence.py``) — both kinds
-  go through the one kind-tagged container format;
+* per-kind persistence entry points (``def save_store`` /
+  ``def load_store`` / ``def save_cube`` / ``def load_cube`` /
+  ``def _cube_from_manifest``, anywhere) — both kinds go through the
+  one kind-tagged container format behind ``save``/``load`` and
+  ``StoreBase.open``;
 * per-store roll-up compilers (``def _compile_rollup`` /
   ``def _rollup_steps`` outside ``chain.py``) — dyadic roll-up plans
   come from :func:`~repro.store.chain.compile_rollup_steps`;
@@ -37,10 +39,10 @@ STORE_PKG = pathlib.Path("src/repro/store")
 # None means the name must not appear as a definition anywhere
 BANNED_DEFINITIONS = {
     r"class _CubeGroup\b": None,
-    r"def save_cube\b": "persistence.py",
-    r"def load_cube\b": "persistence.py",
-    r"def save_store\b": "persistence.py",
-    r"def load_store\b": "persistence.py",
+    r"def save_cube\b": None,
+    r"def load_cube\b": None,
+    r"def save_store\b": None,
+    r"def load_store\b": None,
     r"def _cube_from_manifest\b": None,
     r"def _store_from_manifest\b": "persistence.py",
     r"def _compile_rollup\w*\b": None,
