@@ -169,7 +169,8 @@ def _legacy_compact(store: SegmentStore) -> int:
     bookkeeping — so the comparison charges both sides the full cost
     of a real compaction.
     """
-    lo, hi = min(store._base), max(store._base)
+    chain = store._chain
+    lo, hi = min(chain.base), max(chain.base)
     span = hi - lo + 1
     levels = max(1, math.ceil(math.log2(span))) if span > 1 else 1
     built = 0
@@ -178,21 +179,21 @@ def _legacy_compact(store: SegmentStore) -> int:
         half = block >> 1
         first = (lo // block) * block
         for start in range(first, hi + 1, block):
-            if (level, start) in store._rollups:
+            if (level, start) in chain.rollups:
                 continue
             parts = [
                 child
                 for child_start in (start, start + half)
-                for child in (store._child_node(level - 1, child_start),)
+                for child in (chain.node(level - 1, child_start),)
                 if child is not None
             ]
             if not parts:
                 continue
-            store._rollups[(level, start)] = merged_segment(
+            chain.rollups[(level, start)] = merged_segment(
                 store._new_segment_id(level, start), level, start, parts
             )
             built += 1
-    store._max_level = max(store._max_level, levels)
+    chain.max_level = max(chain.max_level, levels)
     if built:
         store._generation += 1
     return built
@@ -205,7 +206,7 @@ def _rollup_state(store: SegmentStore) -> dict:
             segment.count,
             {name: dumps(summary) for name, summary in segment.members.items()},
         )
-        for key, segment in store._rollups.items()
+        for key, segment in store._chain.rollups.items()
     }
 
 

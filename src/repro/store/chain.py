@@ -16,10 +16,11 @@ precomputed-summary object; here they literally are:
 
 Everything layered on top — query planning
 (:func:`~repro.store.planner.plan_range` via :meth:`EpochChain.plan`,
-including the PR 9 ``window=``/``window_eps`` slack rule resolved by
+including the ``window=``/``window_eps`` slack rule resolved by
 :func:`resolve_window`), invalidation
-(:meth:`EpochChain.drop_covering_rollups`), roll-up compilation
-(:func:`compile_rollup_steps`), and fault-tolerant plan execution
+(:meth:`EpochChain.drop_covering_rollups`), time roll-up compaction of
+any set of chains as one plan (:func:`compact_chains` over
+:func:`compile_rollup_steps`), and fault-tolerant plan execution
 (:func:`run_store_plan`) — lives here exactly once, so every future
 store feature lands once instead of twice.
 """
@@ -27,7 +28,7 @@ store feature lands once instead of twice.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.exceptions import ParameterError, QueryError
 from ..engine import MergeLedger, MergePlan, MergeStep, execute_plan
@@ -38,6 +39,7 @@ __all__ = [
     "EpochChain",
     "seed_segment",
     "compile_rollup_steps",
+    "compact_chains",
     "dyadic_levels",
     "resolve_window",
     "check_compaction_fault_model",
@@ -164,11 +166,11 @@ def compile_rollup_steps(
     rediscovers the per-level barriers from the slot conflicts).
 
     ``slot_of`` maps a ``(level, start)`` block to the caller's plan
-    slot (the flat store uses the block itself; the cube prefixes its
-    chain id so many chains share one plan).  Merge steps are appended
-    to ``steps`` and their source segments to ``inputs``; the caller
-    appends the ``emit`` steps so it controls their ordering.  Returns
-    the set of planned blocks.
+    slot (:func:`compact_chains` prefixes the chain id so many chains
+    share one plan).  Merge steps are appended to ``steps`` and their
+    source segments to ``inputs``; the caller appends the ``emit``
+    steps so it controls their ordering.  Returns the set of planned
+    blocks.
     """
     lo, hi = min(chain.base), max(chain.base)
     planned: Set[Block] = set()
@@ -214,23 +216,22 @@ def resolve_window(
     width: float,
     span: Optional[Tuple[float, float]],
     noun: str = "store",
-    eps_name: str = "eps",
-) -> Tuple[int, int, int, int]:
+) -> Tuple[int, int, int]:
     """Resolve a trailing window to epoch coordinates and its slack.
 
-    The single implementation of the PR 9 window rule shared by both
-    store kinds: ``end`` defaults to the end of the ingested key span
-    (the store's "now"), the window is rounded outward to whole epochs,
-    and ``eps`` buys the planner ``floor(eps * window_epochs)`` epochs
-    of left-edge slack — the exponential histogram's oldest-bucket
-    budget, spent by :func:`~repro.store.planner.plan_range` when a
+    The single implementation of the window rule shared by both store
+    kinds: ``end`` defaults to the end of the ingested key span (the
+    store's "now"), the window is rounded outward to whole epochs, and
+    ``eps`` buys the planner ``floor(eps * window_epochs)`` epochs of
+    left-edge slack — the exponential histogram's oldest-bucket budget,
+    spent by :func:`~repro.store.planner.plan_range` when a
     materialized roll-up straddles the window start.  Returns
-    ``(lo_epoch, hi_epoch, window_epochs, slack_lo)``.
+    ``(lo_epoch, hi_epoch, slack_lo)``.
     """
     if not window > 0:
         raise ParameterError(f"window must be positive, got {window!r}")
     if not 0.0 <= eps <= 1.0:
-        raise ParameterError(f"{eps_name} must be in [0, 1], got {eps!r}")
+        raise ParameterError(f"window_eps must be in [0, 1], got {eps!r}")
     if end is None:
         if span is None:
             raise QueryError(
@@ -241,7 +242,7 @@ def resolve_window(
     hi_epoch = int(math.ceil(float(end) / width))
     window_epochs = max(1, int(math.ceil(float(window) / width)))
     slack_lo = int(math.floor(eps * window_epochs))
-    return hi_epoch - window_epochs, hi_epoch, window_epochs, slack_lo
+    return hi_epoch - window_epochs, hi_epoch, slack_lo
 
 
 def check_compaction_fault_model(fault_model: Any) -> None:
@@ -283,3 +284,75 @@ def run_store_plan(
         ledger_factory=MergeLedger if use_ledger else None,
         accounting=False,
     )
+
+
+def compact_chains(
+    chains: Sequence[Tuple[Tuple[Any, ...], EpochChain]],
+    new_segment_id: Callable[[int, int], str],
+    *,
+    name: str,
+    executor: Any = None,
+    fault_model: Any = None,
+    retry_policy: Any = None,
+    exactly_once: bool = True,
+) -> Dict[str, int]:
+    """Build the missing dyadic roll-ups of every chain as one merge plan.
+
+    The time-axis compaction of both store kinds.  Each non-empty
+    chain's incremental tree is compiled by :func:`compile_rollup_steps`
+    under slots ``chain_id + (level, start)`` — the flat store's one
+    chain has id ``()``, so its slots are bare blocks — and the whole
+    plan runs once through :func:`run_store_plan`.  A roll-up whose
+    merge is lost to injected faults is not installed, so queries
+    degrade to its children; every chain's ``max_level`` still rises to
+    the attempted height, so the next compaction retries the block.
+
+    Returns ``levels`` (the tallest tree compiled), ``built``,
+    ``merge_inputs`` (summaries consumed by the new roll-ups),
+    ``failed`` and ``retries``.
+    """
+    steps: List[MergeStep] = []
+    inputs: Dict[Any, Segment] = {}
+    heights: Dict[Tuple[Any, ...], Tuple[EpochChain, int]] = {}
+    for chain_id, chain in chains:
+        if not chain.base:
+            continue
+        levels = dyadic_levels(chain)
+        heights[chain_id] = (chain, levels)
+        planned = compile_rollup_steps(
+            chain,
+            levels,
+            slot_of=lambda block, chain_id=chain_id: chain_id + block,
+            new_segment_id=new_segment_id,
+            steps=steps,
+            inputs=inputs,
+        )
+        steps.extend(MergeStep("emit", chain_id + block) for block in sorted(planned))
+    counters = {
+        "levels": max((levels for _chain, levels in heights.values()), default=0),
+        "built": 0,
+        "merge_inputs": 0,
+        "failed": 0,
+        "retries": 0,
+    }
+    if steps:
+        plan = MergePlan(name=name, steps=steps, groupable=True, fuse_fanin=False)
+        result = run_store_plan(
+            plan,
+            inputs,
+            executor=executor,
+            fault_model=fault_model,
+            retry_policy=retry_policy,
+            exactly_once=exactly_once,
+        )
+        fan_in = {step.slot: len(step.srcs) for step in plan.merge_steps}
+        for slot, segment in result.outputs.items():
+            heights[slot[:-2]][0].rollups[slot[-2:]] = segment
+            counters["merge_inputs"] += fan_in[slot]
+        counters["built"] = len(result.outputs)
+        counters["failed"] = len(fan_in) - len(result.outputs)
+        if result.report.fault_stats is not None:
+            counters["retries"] = result.report.fault_stats.retries
+    for chain, levels in heights.values():
+        chain.max_level = max(chain.max_level, levels)
+    return counters

@@ -1,45 +1,53 @@
-"""Shared store scaffolding: schema, ingest validation, WAL, stats.
+"""Shared store scaffolding: schema, ingest, WAL, query resolution, stats.
 
 :class:`StoreBase` is everything the flat
 :class:`~repro.store.store.SegmentStore` and the dimension
 :class:`~repro.store.cube.CubeStore` have in common once their chains
 live in :mod:`repro.store.chain`: member schema management, batch
-validation, the write-ahead-log ingest template (append durably, then
-apply — so a crash at any later instant is recoverable by replay),
-fingerprinting, the unified ``stats()`` schema, and the persistence
-entry points (one :func:`~repro.store.persistence.save`/``load`` pair,
-kind-generic recovery and verification).
+validation, the one ingest path (route every record to a
+(chain key, epoch) cell, build each cell, append the batch to the
+write-ahead log, then install the cells — so a batch that cannot
+apply is never logged, and a crash at any later instant is recoverable
+by replay), query range/window resolution, fingerprinting, the unified
+``stats()`` schema, and the persistence entry points (one
+:func:`~repro.store.persistence.save`/``load`` pair, kind-generic
+recovery and verification).
 
 Subclasses provide the kind-specific surface through a small hook set:
 
-======================== ==================================================
-``_has_data()``          any segments exist (freezes the schema)
-``_apply_ingest(...)``   partition one validated batch into segments
-``_epoch_span()``        (lo, hi) epochs covered, or ``None``
-``_chain_index()``       ordered ``(chain_id, EpochChain)`` pairs
-``_attach_chain(...)``   adopt one loaded chain (persistence)
-``_manifest_extra()``    kind-specific manifest fields
-``_fingerprint_extra()`` kind-specific fingerprint state
-``_stats_extra()``       kind-specific ``stats()`` fields
-======================== ==================================================
+========================= =================================================
+``_chain_keys(records)``  chain key of every record (flat: all ``()``)
+``_chain_for(key)``       the chain a cell installs into (created on demand)
+``_after_put(key, e)``    bookkeeping after a base cell lands; returns
+                          extra roll-ups invalidated (cube: mask cells)
+``_epoch_span()``         (lo, hi) epochs covered, or ``None``
+``_chain_index()``        ordered ``(chain_id, EpochChain)`` pairs
+``_attach_chain(...)``    adopt one loaded chain (persistence)
+``_manifest_extra()``     kind-specific manifest fields
+``_stats_extra()``        kind-specific ``stats()`` fields
+========================= =================================================
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.base import normalize_batch
+from ..core.base import Summary, normalize_batch
 from ..core.codecs import DEFAULT_CODEC, get_codec
 from ..core.exceptions import ParameterError
-from .chain import EpochChain
-from .segment import MemberSpec
+from .chain import EpochChain, resolve_window
+from .segment import MemberSpec, Segment, build_members, merged_segment
 from .views import ViewCache
 
 __all__ = ["StoreBase"]
+
+#: one built ingest cell: (chain key, epoch, record count, member summaries)
+Cell = Tuple[Any, int, int, Dict[str, Summary]]
 
 
 class StoreBase:
@@ -81,9 +89,6 @@ class StoreBase:
     # Schema
     # ------------------------------------------------------------------
 
-    def _has_data(self) -> bool:
-        raise NotImplementedError
-
     def _check_member_field(self, field: Optional[str]) -> None:
         """Kind-specific member-field validation hook (cube: no dims)."""
 
@@ -103,7 +108,7 @@ class StoreBase:
             raise ParameterError(
                 f"{self.kind_noun} already has a member named {name!r}"
             )
-        if self._has_data():
+        if self._epoch_span() is not None:
             raise ParameterError(
                 "cannot add members after ingest has begun; the schema is "
                 f"fixed once {self.unit_noun} exist"
@@ -148,20 +153,78 @@ class StoreBase:
         return (span[0] * self.width, (span[1] + 1) * self.width)
 
     # ------------------------------------------------------------------
-    # Ingest (the WAL template)
+    # Ingest: route and build, log, install
     # ------------------------------------------------------------------
 
     def _new_segment_id(self, level: int, start: int) -> str:
         self._next_segment_id += 1
         return f"{self._id_prefix}{self._next_segment_id:06d}-L{level}-e{start}"
 
-    def _apply_ingest(
+    def _chain_keys(self, records: List[Mapping[str, Any]]) -> Iterable[Any]:
+        """Chain key of every record, validated (one call per batch)."""
+        return itertools.repeat(())
+
+    def _chain_for(self, key: Any) -> EpochChain:
+        raise NotImplementedError
+
+    def _after_put(self, key: Any, epoch: int) -> int:
+        """Bookkeeping after a base cell lands; returns extra invalidations."""
+        return 0
+
+    def _build_cells(
         self,
         records: List[Mapping[str, Any]],
-        keys: List[float],
+        keys: Sequence[float],
         weights,
-    ) -> Dict[str, int]:
-        raise NotImplementedError
+    ) -> List[Cell]:
+        """Route a batch into (chain key, epoch) cells and build each one.
+
+        Touches no store state, so a batch that a dimension check or a
+        member rejects raises here and leaves nothing behind.
+        """
+        # epoch_of, hoisted out of the per-record loop (keys are floats here)
+        width = self.width
+        epochs = [math.floor(key / width) for key in keys]
+        by_cell: Dict[Tuple[Any, int], List[int]] = {}
+        for index, cell in enumerate(zip(self._chain_keys(records), epochs)):
+            by_cell.setdefault(cell, []).append(index)
+        weight_list = None if weights is None else weights.tolist()
+        cells: List[Cell] = []
+        for chain_key, epoch in sorted(by_cell, key=lambda c: (repr(c[0]), c[1])):
+            idx = by_cell[(chain_key, epoch)]
+            batch = [records[i] for i in idx]
+            batch_weights = (
+                None if weight_list is None else [weight_list[i] for i in idx]
+            )
+            members = build_members(self._schema, batch, batch_weights)
+            cells.append((chain_key, epoch, len(batch), members))
+        return cells
+
+    def _install_cells(self, cells: List[Cell], n_records: int) -> Dict[str, int]:
+        """Install built cells in order; segment ids are allocated here."""
+        created = replaced = invalidated = 0
+        for chain_key, epoch, count, members in cells:
+            chain = self._chain_for(chain_key)
+            fresh = Segment(self._new_segment_id(0, epoch), 0, epoch, count, members)
+            old = chain.base.get(epoch)
+            if old is None:
+                chain.base[epoch] = fresh
+                created += 1
+            else:
+                chain.base[epoch] = merged_segment(
+                    self._new_segment_id(0, epoch), 0, epoch, [old, fresh]
+                )
+                replaced += 1
+            invalidated += chain.drop_covering_rollups(epoch)
+            invalidated += self._after_put(chain_key, epoch)
+        self._records += n_records
+        self._generation += 1
+        return {
+            f"{self.unit_noun}_created": created,
+            f"{self.unit_noun}_replaced": replaced,
+            "rollups_invalidated": invalidated,
+            "records": n_records,
+        }
 
     def ingest(
         self,
@@ -169,18 +232,33 @@ class StoreBase:
         keys: Optional[Sequence[float]] = None,
         weights: Optional[Sequence[int]] = None,
     ) -> Dict[str, int]:
-        """Partition ``records`` by key into immutable segments.
+        """Partition ``records`` by key into immutable base segments.
 
         ``keys`` is a parallel sequence of numeric partition keys
         (timestamps); when omitted, the running record index is used, so
         epochs become fixed-size arrival batches.  ``weights`` is an
         optional parallel sequence of positive integer multiplicities,
-        forwarded to each member's batched ingestion.
+        forwarded to each member's batched ingestion.  A cube routes
+        each record to the cell chain of its dimension tags.
 
-        With a write-ahead log attached (:meth:`enable_wal`) the batch
-        is appended — and, per the log's fsync policy, made durable —
-        *before* the in-memory state changes, so a crash at any later
-        instant is recoverable by replay.
+        Re-ingesting into an epoch that already has a segment does not
+        mutate it: a fresh segment is built from the batch and *merged*
+        with the old one into a replacement, and every roll-up covering
+        that epoch is invalidated — the chain's time roll-ups and, in a
+        cube, the covering cell of every materialized mask, which is
+        also marked stale so queries fall back to base cells until the
+        next ``compact()``.
+
+        The whole batch is validated and built before anything changes:
+        a batch that cannot apply raises and leaves the store — and its
+        write-ahead log (:meth:`enable_wal`) — untouched.  A batch that
+        can apply is appended to the log (durably, per the log's fsync
+        policy) before it is installed, so a crash at any later instant
+        is recoverable by replay.
+
+        Returns counters: ``segments_created`` and ``segments_replaced``
+        (``cells_created``/``cells_replaced`` for a cube),
+        ``rollups_invalidated``, ``records``.
         """
         if not self._schema:
             raise ParameterError(
@@ -200,18 +278,19 @@ class StoreBase:
         for key in keys:
             if not math.isfinite(key):
                 raise ParameterError(f"partition keys must be finite, got {key!r}")
-        if self._wal is not None:
-            seq = self._wal_seq + 1
-            self._wal.append(
-                seq,
-                records,
-                keys,
-                None if weights is None else [int(w) for w in weights],
-            )
-            counters = self._apply_ingest(records, keys, weights)
-            self._wal_seq = seq
-            return counters
-        return self._apply_ingest(records, keys, weights)
+        cells = self._build_cells(records, keys, weights)
+        if self._wal is None:
+            return self._install_cells(cells, len(records))
+        seq = self._wal_seq + 1
+        self._wal.append(
+            seq,
+            records,
+            keys,
+            None if weights is None else [int(w) for w in weights],
+        )
+        counters = self._install_cells(cells, len(records))
+        self._wal_seq = seq
+        return counters
 
     # ------------------------------------------------------------------
     # Durability: the write-ahead log and replay
@@ -259,17 +338,21 @@ class StoreBase:
     def _replay_wal(self, record) -> None:
         """Re-apply one logged ingest batch (recovery path; no re-logging)."""
         records, weights, _total = normalize_batch(record.records, record.weights)
-        self._apply_ingest(list(records), record.keys, weights)
+        records = list(records)
+        self._install_cells(
+            self._build_cells(records, record.keys, weights), len(records)
+        )
         self._wal_seq = record.seq
 
     def fingerprint(self) -> str:
         """Digest of the logical store state, for crash-safety proofs.
 
         Covers everything a snapshot persists and a query can observe —
-        schema, counters, every segment's metadata and member states —
-        but not administrative counters (snapshot generation, cache
-        stats).  Two stores with equal fingerprints give byte-identical
-        answers to every query.
+        schema, counters, every chain's segments (metadata and member
+        states) and the kind's manifest fields — but not administrative
+        counters (snapshot generation, cache stats).  Two stores with
+        equal fingerprints give byte-identical answers to every query.
+        Digests are compared within one build of the code, never stored.
         """
         state = {
             "width": self.width,
@@ -279,13 +362,67 @@ class StoreBase:
             },
             "records": self._records,
             "wal_seq": self._wal_seq,
+            "chains": [
+                {
+                    "id": repr(chain_id),
+                    "max_level": chain.max_level,
+                    "segments": [segment.fingerprint() for segment in chain.segments()],
+                }
+                for chain_id, chain in self._chain_index()
+            ],
         }
-        state.update(self._fingerprint_extra())
+        state.update(self._manifest_extra())
         canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    def _fingerprint_extra(self) -> Dict[str, Any]:
-        raise NotImplementedError
+    # ------------------------------------------------------------------
+    # Query resolution (one rule for both kinds)
+    # ------------------------------------------------------------------
+
+    def _query_epochs(
+        self,
+        lo: Optional[float],
+        hi: Optional[float],
+        window: Optional[float],
+        window_eps: float,
+    ) -> Tuple[int, int, int]:
+        """Resolve a query to ``(lo_epoch, hi_epoch, slack_lo)``.
+
+        Either an explicit ``[lo, hi)`` range rounded outward to whole
+        epochs, or the trailing ``window`` ending at ``hi`` (default:
+        the end of the ingested span) with ``window_eps`` left-edge
+        slack, resolved by :func:`~repro.store.chain.resolve_window`.
+        """
+        if window is not None:
+            if lo is not None:
+                raise ParameterError(
+                    "pass either an explicit [lo, hi) range or window=, "
+                    "not both"
+                )
+            return resolve_window(
+                window,
+                hi,
+                window_eps,
+                width=self.width,
+                span=self.key_span(),
+                noun=self.kind_noun,
+            )
+        if lo is None or hi is None:
+            raise ParameterError(
+                "query needs an explicit [lo, hi) range or window="
+            )
+        if not hi > lo:
+            raise ParameterError(
+                f"query range must satisfy lo < hi, got [{lo!r}, {hi!r})"
+            )
+        return self.epoch_of(lo), int(math.ceil(float(hi) / self.width)), 0
+
+    def _count_plan(self, plan: Any, window: Optional[float]) -> None:
+        """Add one freshly planned query to the ``stats()`` planner block."""
+        self._degraded_blocks_total += plan.degraded_blocks
+        if window is not None:
+            self._window_queries += 1
+            self._window_slack_total += plan.window_slack_used
 
     # ------------------------------------------------------------------
     # Introspection (one stats schema for both kinds)

@@ -37,11 +37,12 @@ cells for exactly those epochs (counted in
 :attr:`CubePlan.degraded_blocks`), so roll-ups never serve stale data.
 
 All cube maintenance — building roll-up cells across the dimension
-lattice and the dyadic time tree within every chain — compiles into one
-:class:`~repro.engine.plan.MergePlan` executed through the shared
-:func:`~repro.store.chain.run_store_plan`, so cube compaction inherits
-the engine's parallel runtime and exactly-once fault tolerance
-unchanged.
+lattice, then the dyadic time tree within every chain through the same
+:func:`~repro.store.chain.compact_chains` the flat store calls —
+compiles into :class:`~repro.engine.plan.MergePlan` objects executed
+by the shared :func:`~repro.store.chain.run_store_plan`, so cube
+compaction inherits the engine's parallel runtime and exactly-once
+fault tolerance unchanged.
 
 Which masks to materialize is the Storyboard question:
 :meth:`CubeStore.compact` takes a cell ``budget`` and a ``workload``
@@ -57,7 +58,6 @@ over the last atomic snapshot exactly as the flat store does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import (
@@ -80,14 +80,12 @@ from ..engine import FaultModel, MergePlan, MergeStep, RetryPolicy
 from .chain import (
     EpochChain,
     check_compaction_fault_model,
-    compile_rollup_steps,
-    dyadic_levels,
-    resolve_window,
+    compact_chains,
     run_store_plan,
     seed_segment,
 )
 from .common import StoreBase
-from .segment import Segment, build_members, copy_summary, merged_segment
+from .segment import Segment, copy_summary
 
 __all__ = ["CubeStore", "CubePlan", "CubeResult"]
 
@@ -262,19 +260,12 @@ class CubeStore(StoreBase):
     # Schema
     # ------------------------------------------------------------------
 
-    def _has_data(self) -> bool:
-        return bool(self._groups)
-
     def _check_member_field(self, field: Optional[str]) -> None:
         if field in self._dim_pos:
             raise ParameterError(
                 f"member field {field!r} is a cube dimension; members "
                 "summarize measure fields, dimensions partition them"
             )
-
-    @property
-    def members(self) -> Dict[str, Any]:
-        return dict(self._schema)
 
     @property
     def num_groups(self) -> int:
@@ -327,86 +318,23 @@ class CubeStore(StoreBase):
             key.append(value)
         return tuple(key)
 
-    def ingest(self, records, keys=None, weights=None) -> Dict[str, int]:
-        """Partition ``records`` into immutable (dimension x epoch) cells.
+    def _chain_keys(self, records: List[Mapping[str, Any]]) -> List[Key]:
+        return [self._dim_key(record, index) for index, record in enumerate(records)]
 
-        ``keys``/``weights`` behave as in
-        :meth:`~repro.store.store.SegmentStore.ingest` — including the
-        write-ahead-log path when one is attached
-        (:meth:`~repro.store.common.StoreBase.enable_wal`): the batch,
-        dimension tags and all, is logged durably before the cube
-        mutates.  Re-ingesting into an existing cell replaces it with
-        the merge of old and new (cells are immutable), and every
-        covering roll-up — the time roll-ups of that chain *and* the
-        dimension roll-up cells of every materialized mask — is
-        invalidated: dropped where materialized, marked stale so queries
-        transparently fall back to base cells until the next
-        :meth:`compact`.
+    def _chain_for(self, key: Key) -> EpochChain:
+        return self._groups.setdefault(key, EpochChain())
 
-        Returns counters: ``cells_created``, ``cells_replaced``,
-        ``rollups_invalidated``, ``records``.
-        """
-        return super().ingest(records, keys, weights)
-
-    def _apply_ingest(
-        self,
-        records: List[Mapping[str, Any]],
-        keys: List[float],
-        weights,
-    ) -> Dict[str, int]:
-        """Partition a validated batch into cells (the WAL replay path)."""
-        by_cell: Dict[Tuple[Key, int], List[int]] = {}
-        for index, record in enumerate(records):
-            cell = (self._dim_key(record, index), self.epoch_of(keys[index]))
-            by_cell.setdefault(cell, []).append(index)
-
-        created = replaced = invalidated = 0
-        weight_list = None if weights is None else weights.tolist()
-        for dim_key, epoch in sorted(by_cell, key=lambda c: (repr(c[0]), c[1])):
-            idx = by_cell[(dim_key, epoch)]
-            batch = [records[i] for i in idx]
-            batch_weights = (
-                None if weight_list is None else [weight_list[i] for i in idx]
-            )
-            fresh = Segment(
-                segment_id=self._new_segment_id(0, epoch),
-                level=0,
-                start=epoch,
-                count=len(batch),
-                members=build_members(self._schema, batch, batch_weights),
-            )
-            group = self._groups.setdefault(dim_key, EpochChain())
-            old = group.base.get(epoch)
-            if old is None:
-                group.base[epoch] = fresh
-                created += 1
-            else:
-                group.base[epoch] = merged_segment(
-                    self._new_segment_id(0, epoch), 0, epoch, [old, fresh]
-                )
-                replaced += 1
-            self._epoch_keys.setdefault(epoch, set()).add(dim_key)
-            invalidated += group.drop_covering_rollups(epoch)
-            invalidated += self._invalidate_mask_cells(dim_key, epoch)
-        self._records += len(records)
-        self._generation += 1
-        return {
-            "cells_created": created,
-            "cells_replaced": replaced,
-            "rollups_invalidated": invalidated,
-            "records": len(records),
-        }
-
-    def _invalidate_mask_cells(self, dim_key: Key, epoch: int) -> int:
-        """Mark every materialized mask's covering cell stale for ``epoch``."""
+    def _after_put(self, key: Key, epoch: int) -> int:
+        """Index the new base cell; drop and mark stale every mask cell over it."""
+        self._epoch_keys.setdefault(epoch, set()).add(key)
         dropped = 0
-        for mask, groups in self._masks.items():
-            coarse = self._project(dim_key, mask)
-            group = groups.get(coarse)
-            if group is not None:
-                if group.base.pop(epoch, None) is not None:
+        for mask, chains in self._masks.items():
+            coarse = self._project(key, mask)
+            chain = chains.get(coarse)
+            if chain is not None:
+                if chain.base.pop(epoch, None) is not None:
                     dropped += 1
-                dropped += group.drop_covering_rollups(epoch)
+                dropped += chain.drop_covering_rollups(epoch)
             self._stale.setdefault(mask, {}).setdefault(coarse, set()).add(epoch)
         return dropped
 
@@ -548,10 +476,10 @@ class CubeStore(StoreBase):
         1. **dimension cells** — for every chosen mask, each missing or
            stale (coarse key, epoch) cell is rebuilt as the k-way merge
            of its matching base cells;
-        2. **time roll-ups** — every chain (base and roll-up) with more
-           than one epoch gets its incremental dyadic tree, compiled by
-           the same :func:`~repro.store.chain.compile_rollup_steps` the
-           flat store uses.
+        2. **time roll-ups** — every non-empty chain (base and roll-up)
+           gets its incremental dyadic tree from the same
+           :func:`~repro.store.chain.compact_chains` the flat store
+           uses.
 
         Mask choice is workload-aware (see :meth:`_choose_masks`):
         ``budget`` caps total materialized roll-up cells, ``workload``
@@ -579,16 +507,6 @@ class CubeStore(StoreBase):
             counters["cells_failed"] = 0
         if not self._groups:
             return counters
-
-        def run(plan: MergePlan, inputs: Dict[Any, Any]):
-            return run_store_plan(
-                plan,
-                inputs,
-                executor=executor,
-                fault_model=fault_model,
-                retry_policy=retry_policy,
-                exactly_once=exactly_once,
-            )
 
         chosen, choice_stats = self._choose_masks(workload, budget)
         counters["masks"] = len(chosen)
@@ -640,7 +558,14 @@ class CubeStore(StoreBase):
                 groupable=True,
                 fuse_fanin=False,
             )
-            result = run(plan, inputs)
+            result = run_store_plan(
+                plan,
+                inputs,
+                executor=executor,
+                fault_model=fault_model,
+                retry_policy=retry_policy,
+                exactly_once=exactly_once,
+            )
             for slot, segment in result.outputs.items():
                 _tag, mask, coarse, epoch = slot
                 chain = self._masks.setdefault(mask, {}).setdefault(
@@ -663,60 +588,22 @@ class CubeStore(StoreBase):
             for mask in chosen:
                 self._masks.setdefault(mask, {})
 
-        # phase 2: dyadic time trees inside every chain with > 1 epoch
-        steps = []
-        inputs = {}
-        chains: List[Tuple[Any, EpochChain]] = [
-            (("g", key), group) for key, group in self._groups.items()
-        ]
-        for mask, groups in self._masks.items():
-            chains.extend(
-                (("m", mask, coarse), group)
-                for coarse, group in groups.items()
-            )
-        chain_levels: Dict[Any, Tuple[EpochChain, int]] = {}
-        for chain_id, group in chains:
-            if len(group.base) < 2:
-                continue
-            levels = dyadic_levels(group)
-            chain_levels[chain_id] = (group, levels)
-            planned = compile_rollup_steps(
-                group,
-                levels,
-                slot_of=lambda block, chain_id=chain_id: chain_id + block,
-                new_segment_id=self._new_segment_id,
-                steps=steps,
-                inputs=inputs,
-            )
-            steps.extend(
-                MergeStep("emit", chain_id + slot) for slot in sorted(planned)
-            )
-        if steps:
-            plan = MergePlan(
-                name=f"cube-time[{len(chain_levels)} chains]",
-                steps=steps,
-                groupable=True,
-                fuse_fanin=False,
-            )
-            result = run(plan, inputs)
-            fan_in = {
-                step.slot: len(step.srcs) for step in plan.merge_steps
-            }
-            for slot, segment in result.outputs.items():
-                chain_id, block = slot[:-2], slot[-2:]
-                group, levels = chain_levels[chain_id]
-                group.rollups[block] = segment
-                group.max_level = max(group.max_level, levels)
-                counters["time_rollups_built"] += 1
-                counters["merge_inputs"] += fan_in[slot]
-            if fault_model is not None:
-                counters["cells_failed"] += len(fan_in) - len(result.outputs)
-                if result.report.fault_stats is not None:
-                    counters["retries"] += result.report.fault_stats.retries
-            # even on partial failure the attempted levels are recorded so
-            # future planners try the blocks again
-            for chain_id, (group, levels) in chain_levels.items():
-                group.max_level = max(group.max_level, levels)
+        # phase 2: dyadic time trees inside every chain
+        chains = self._chain_index()
+        trees = compact_chains(
+            chains,
+            self._new_segment_id,
+            name=f"cube-time[{len(chains)} chains]",
+            executor=executor,
+            fault_model=fault_model,
+            retry_policy=retry_policy,
+            exactly_once=exactly_once,
+        )
+        counters["time_rollups_built"] = trees["built"]
+        counters["merge_inputs"] += trees["merge_inputs"]
+        if fault_model is not None:
+            counters["cells_failed"] += trees["failed"]
+            counters["retries"] += trees["retries"]
 
         if counters["dim_cells_built"] or counters["time_rollups_built"]:
             self._generation += 1
@@ -775,33 +662,7 @@ class CubeStore(StoreBase):
         """
         if not self._schema:
             raise QueryError("cube has no members; add_member() first")
-        slack_lo = 0
-        if window is not None:
-            if lo is not None:
-                raise ParameterError(
-                    "pass either an explicit [lo, hi) range or window=, "
-                    "not both"
-                )
-            lo_epoch, hi_epoch, _window_epochs, slack_lo = resolve_window(
-                window,
-                hi,
-                window_eps,
-                width=self.width,
-                span=self.key_span(),
-                noun=self.kind_noun,
-                eps_name="window_eps",
-            )
-        else:
-            if lo is None or hi is None:
-                raise ParameterError(
-                    "query needs an explicit [lo, hi) range or window="
-                )
-            if not hi > lo:
-                raise ParameterError(
-                    f"query range must satisfy lo < hi, got [{lo!r}, {hi!r})"
-                )
-            lo_epoch = self.epoch_of(lo)
-            hi_epoch = int(math.ceil(float(hi) / self.width))
+        lo_epoch, hi_epoch, slack_lo = self._query_epochs(lo, hi, window, window_eps)
         where_items = self._check_where(where)
         group_mask = self._as_mask(group_by or ())
         overlap = {d for d, _ in where_items} & set(group_mask)
@@ -859,23 +720,22 @@ class CubeStore(StoreBase):
             return tuple(key[i] for i in group_idx)
 
         chosen: Dict[Key, List[Segment]] = {}
-
+        chains = self._groups if serving is None else self._masks[serving]
+        for key, chain in chains.items():
+            if not matches(key) or not chain.base:
+                continue
+            sub = chain.plan(
+                lo_epoch, hi_epoch, use_rollups=use_rollups, slack_lo=slack_lo
+            )
+            if not sub.segments:
+                continue
+            chosen.setdefault(out_key_of(key), []).extend(sub.segments)
+            plan.rollup_nodes += sub.rollup_nodes
+            plan.degraded_blocks += sub.degraded_blocks
+            plan.window_slack_used = max(
+                plan.window_slack_used, sub.window_slack_used
+            )
         if serving is not None:
-            for coarse, chain in self._masks[serving].items():
-                if not matches(coarse) or not chain.base:
-                    continue
-                sub = chain.plan(
-                    lo_epoch, hi_epoch, use_rollups=True, slack_lo=slack_lo
-                )
-                if not sub.segments:
-                    continue
-                out = chosen.setdefault(out_key_of(coarse), [])
-                out.extend(sub.segments)
-                plan.rollup_nodes += sub.rollup_nodes
-                plan.degraded_blocks += sub.degraded_blocks
-                plan.window_slack_used = max(
-                    plan.window_slack_used, sub.window_slack_used
-                )
             # stale epochs: transparently re-read the base cells
             for coarse, epochs in self._stale.get(serving, {}).items():
                 if not matches(coarse):
@@ -900,23 +760,6 @@ class CubeStore(StoreBase):
                     if out is not None:
                         plan.stale_epochs += 1
                         plan.degraded_blocks += 1
-        else:
-            for key, chain in self._groups.items():
-                if not matches(key):
-                    continue
-                sub = chain.plan(
-                    lo_epoch, hi_epoch, use_rollups=use_rollups, slack_lo=slack_lo
-                )
-                if not sub.segments:
-                    continue
-                out = chosen.setdefault(out_key_of(key), [])
-                out.extend(sub.segments)
-                plan.rollup_nodes += sub.rollup_nodes
-                if use_rollups:
-                    plan.degraded_blocks += sub.degraded_blocks
-                plan.window_slack_used = max(
-                    plan.window_slack_used, sub.window_slack_used
-                )
 
         groups: Dict[Key, Dict[str, Summary]] = {}
         for out_key in sorted(chosen, key=repr):
@@ -936,10 +779,7 @@ class CubeStore(StoreBase):
                 name: spec.build() for name, spec in self._schema.items()
             }
         plan.groups = len(groups)
-        self._degraded_blocks_total += plan.degraded_blocks
-        if window is not None:
-            self._window_queries += 1
-            self._window_slack_total += plan.window_slack_used
+        self._count_plan(plan, window)
         result = CubeResult(
             groups,
             plan,
@@ -985,52 +825,6 @@ class CubeStore(StoreBase):
                 _mask_label(mask): count
                 for mask, count in sorted(self._query_log.items())
             },
-        }
-
-    def _chains(self) -> List[Tuple[Any, EpochChain]]:
-        """Every chain with a stable sort key (fingerprint ordering)."""
-        chains: List[Tuple[Any, EpochChain]] = [
-            (("g", key), group) for key, group in self._groups.items()
-        ]
-        for mask, groups in self._masks.items():
-            chains.extend(
-                (("m", mask, coarse), group)
-                for coarse, group in groups.items()
-            )
-        return sorted(chains, key=lambda item: repr(item[0]))
-
-    def _fingerprint_extra(self) -> Dict[str, Any]:
-        return {
-            "dims": list(self.dims),
-            "chains": [
-                {
-                    "id": repr(chain_id),
-                    "max_level": group.max_level,
-                    "cells": [
-                        {
-                            "meta": segment.meta(),
-                            "members": {
-                                name: summary.to_dict()
-                                for name, summary in sorted(
-                                    segment.members.items()
-                                )
-                            },
-                        }
-                        for _slot, segment in sorted(
-                            list(group.base.items())
-                            + list(group.rollups.items()),
-                            key=lambda item: repr(item[0]),
-                        )
-                    ],
-                }
-                for chain_id, group in self._chains()
-            ],
-            "stale_marks": sorted(
-                (repr(mask), repr(coarse), sorted(epochs))
-                for mask, per_key in self._stale.items()
-                for coarse, epochs in per_key.items()
-                if epochs
-            ),
         }
 
     # ------------------------------------------------------------------

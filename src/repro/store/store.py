@@ -33,25 +33,17 @@ pre-crash answers by replaying the WAL tail over the last snapshot.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC
 from ..core.exceptions import ParameterError, QueryError
 from ..core.parallel import ExecutorLike
-from ..engine import FaultModel, MergePlan, MergeStep, RetryPolicy
-from .chain import (
-    EpochChain,
-    check_compaction_fault_model,
-    compile_rollup_steps,
-    dyadic_levels,
-    resolve_window,
-    run_store_plan,
-)
+from ..engine import FaultModel, RetryPolicy
+from .chain import EpochChain, check_compaction_fault_model, compact_chains
 from .common import StoreBase
 from .planner import QueryPlan
-from .segment import Segment, build_members, copy_summary, merged_segment
+from .segment import Segment, copy_summary
 
 __all__ = ["SegmentStore", "QueryResult"]
 
@@ -133,31 +125,6 @@ class SegmentStore(StoreBase):
         super().__init__(width, codec=codec, view_capacity=view_capacity)
         self._chain = EpochChain()
 
-    # ------------------------------------------------------------------
-    # The chain kernel, exposed under the historical attribute names
-    # ------------------------------------------------------------------
-
-    @property
-    def _base(self) -> Dict[int, Segment]:
-        """Live epoch -> level-0 segment mapping (the chain's, shared)."""
-        return self._chain.base
-
-    @property
-    def _rollups(self) -> Dict[Tuple[int, int], Segment]:
-        """Live (level, start) -> roll-up mapping (the chain's, shared)."""
-        return self._chain.rollups
-
-    @property
-    def _max_level(self) -> int:
-        return self._chain.max_level
-
-    @_max_level.setter
-    def _max_level(self, value: int) -> None:
-        self._chain.max_level = value
-
-    def _has_data(self) -> bool:
-        return bool(self._chain.base)
-
     @property
     def num_segments(self) -> int:
         """Live level-0 segments."""
@@ -173,125 +140,12 @@ class SegmentStore(StoreBase):
             return None
         return (min(self._chain.base), max(self._chain.base))
 
-    # ------------------------------------------------------------------
-    # Ingest
-    # ------------------------------------------------------------------
-
-    def _build_base_segment(
-        self,
-        epoch: int,
-        records: Sequence[Mapping[str, Any]],
-        weights: Optional[Sequence[int]],
-    ) -> Segment:
-        return Segment(
-            segment_id=self._new_segment_id(0, epoch),
-            level=0,
-            start=epoch,
-            count=len(records),
-            members=build_members(self._schema, records, weights),
-        )
-
-    def ingest(self, records, keys=None, weights=None) -> Dict[str, int]:
-        """Partition ``records`` by key into immutable base segments.
-
-        ``keys``/``weights`` behave as documented on
-        :meth:`~repro.store.common.StoreBase.ingest`.  Re-ingesting into
-        an epoch that already has a segment does not mutate it: a fresh
-        segment is built from the batch and *merged* with the old one
-        into a replacement, and every roll-up covering that epoch is
-        invalidated (rebuilt on the next :meth:`compact`).  Returns
-        counters: ``segments_created``, ``segments_replaced``,
-        ``rollups_invalidated``, ``records``.
-        """
-        return super().ingest(records, keys, weights)
-
-    def _apply_ingest(
-        self,
-        records: List[Mapping[str, Any]],
-        keys: List[float],
-        weights,
-    ) -> Dict[str, int]:
-        """Partition a validated batch into segments (the WAL replay path)."""
-        by_epoch: Dict[int, List[int]] = {}
-        for index, key in enumerate(keys):
-            by_epoch.setdefault(self.epoch_of(key), []).append(index)
-
-        created = replaced = invalidated = 0
-        weight_list = None if weights is None else weights.tolist()
-        for epoch in sorted(by_epoch):
-            idx = by_epoch[epoch]
-            batch = [records[i] for i in idx]
-            batch_weights = (
-                None if weight_list is None else [weight_list[i] for i in idx]
-            )
-            fresh = self._build_base_segment(epoch, batch, batch_weights)
-            old = self._chain.base.get(epoch)
-            if old is None:
-                self._chain.base[epoch] = fresh
-                created += 1
-            else:
-                self._chain.base[epoch] = merged_segment(
-                    self._new_segment_id(0, epoch), 0, epoch, [old, fresh]
-                )
-                replaced += 1
-            invalidated += self._chain.drop_covering_rollups(epoch)
-        self._records += len(records)
-        self._generation += 1
-        return {
-            "segments_created": created,
-            "segments_replaced": replaced,
-            "rollups_invalidated": invalidated,
-            "records": len(records),
-        }
-
-    def _fingerprint_extra(self) -> Dict[str, Any]:
-        return {
-            "max_level": self._max_level,
-            "segments": [
-                {
-                    "meta": segment.meta(),
-                    "members": {
-                        name: summary.to_dict()
-                        for name, summary in sorted(segment.members.items())
-                    },
-                }
-                for segment in self.segments()
-            ],
-        }
+    def _chain_for(self, key: Any) -> EpochChain:
+        return self._chain
 
     # ------------------------------------------------------------------
     # Compaction: the dyadic roll-up tree
     # ------------------------------------------------------------------
-
-    def _compile_compaction(
-        self, lo: int, hi: int, levels: int
-    ) -> Tuple[MergePlan, Dict[Tuple[int, int], Segment]]:
-        """Compile the incremental dyadic roll-up into a merge plan.
-
-        Job discovery, slot layout, and segment-id allocation live in
-        :func:`~repro.store.chain.compile_rollup_steps` (shared with the
-        cube); slots are ``(level, start)`` block coordinates and every
-        planned block gets an ``emit`` step in block order.
-        """
-        steps: List[MergeStep] = []
-        inputs: Dict[Tuple[int, int], Segment] = {}
-        planned = compile_rollup_steps(
-            self._chain,
-            levels,
-            slot_of=lambda block: block,
-            new_segment_id=self._new_segment_id,
-            steps=steps,
-            inputs=inputs,
-        )
-        for slot in sorted(planned):
-            steps.append(MergeStep("emit", slot))
-        plan = MergePlan(
-            name=f"compact[{len(self._chain.base)} segments, {levels} levels]",
-            steps=steps,
-            groupable=True,
-            fuse_fanin=False,
-        )
-        return plan, inputs
 
     def compact(
         self,
@@ -310,7 +164,7 @@ class SegmentStore(StoreBase):
         skipped, so repeated compactions are incremental.  The roll-up
         is compiled into a :class:`~repro.engine.plan.MergePlan` and run
         by :func:`repro.engine.execute_plan` (via the shared
-        :func:`~repro.store.chain.run_store_plan`); with an ``executor``
+        :func:`~repro.store.chain.compact_chains`); with an ``executor``
         (int worker count or
         :class:`~repro.core.parallel.ParallelExecutor`) the independent
         merges of each level fan out across workers.
@@ -331,51 +185,43 @@ class SegmentStore(StoreBase):
         a fault model also ``retries`` and ``rollups_failed``.
         """
         check_compaction_fault_model(fault_model)
-        if len(self._chain.base) == 0:
-            return {"levels": 0, "rollups_built": 0, "merge_inputs": 0}
-        levels = dyadic_levels(self._chain)
-        lo, hi = min(self._chain.base), max(self._chain.base)
-        plan, inputs = self._compile_compaction(lo, hi, levels)
-        built = merge_inputs = retries = failed = 0
-        if plan.merge_steps:
-            result = run_store_plan(
-                plan,
-                inputs,
-                executor=executor,
-                fault_model=fault_model,
-                retry_policy=retry_policy,
-                exactly_once=exactly_once,
-            )
-            fan_in = {
-                step.slot: len(step.srcs) for step in plan.merge_steps
-            }
-            for slot, segment in result.outputs.items():
-                self._chain.rollups[slot] = segment
-                built += 1
-                merge_inputs += fan_in[slot]
-            failed = len(fan_in) - built
-            if result.report.fault_stats is not None:
-                retries = result.report.fault_stats.retries
-        self._max_level = max(self._max_level, levels)
-        if built:
+        result = compact_chains(
+            [((), self._chain)],
+            self._new_segment_id,
+            name=f"compact[{len(self._chain.base)} segments]",
+            executor=executor,
+            fault_model=fault_model,
+            retry_policy=retry_policy,
+            exactly_once=exactly_once,
+        )
+        if result["built"]:
             self._generation += 1
         counters = {
-            "levels": levels,
-            "rollups_built": built,
-            "merge_inputs": merge_inputs,
+            "levels": result["levels"],
+            "rollups_built": result["built"],
+            "merge_inputs": result["merge_inputs"],
         }
         if fault_model is not None:
-            counters["retries"] = retries
-            counters["rollups_failed"] = failed
+            counters["retries"] = result["retries"]
+            counters["rollups_failed"] = result["failed"]
         return counters
-
-    def _child_node(self, level: int, start: int) -> Optional[Segment]:
-        """The materialized node covering block ``(level, start)``, if any."""
-        return self._chain.node(level, start)
 
     # ------------------------------------------------------------------
     # Query
     # ------------------------------------------------------------------
+
+    def _plan_epochs(
+        self,
+        epochs: Tuple[int, int, int],
+        use_rollups: bool,
+        window: Optional[float],
+    ) -> QueryPlan:
+        lo_epoch, hi_epoch, slack_lo = epochs
+        plan = self._chain.plan(
+            lo_epoch, hi_epoch, use_rollups=use_rollups, slack_lo=slack_lo
+        )
+        self._count_plan(plan, window)
+        return plan
 
     def plan(self, lo: float, hi: float, use_rollups: bool = True) -> QueryPlan:
         """Compile key range ``[lo, hi)`` into a segment cover.
@@ -384,34 +230,8 @@ class SegmentStore(StoreBase):
         store's resolution); see :mod:`repro.store.planner` for the
         O(log S) decomposition.
         """
-        if not hi > lo:
-            raise ParameterError(
-                f"query range must satisfy lo < hi, got [{lo!r}, {hi!r})"
-            )
-        lo_epoch = self.epoch_of(lo)
-        hi_epoch = int(math.ceil(float(hi) / self.width))
-        plan = self._chain.plan(lo_epoch, hi_epoch, use_rollups=use_rollups)
-        self._degraded_blocks_total += plan.degraded_blocks
-        return plan
-
-    def _window_range(
-        self, window: float, end: Optional[float]
-    ) -> Tuple[int, int, int]:
-        """Resolve a trailing window to ``(lo_epoch, hi_epoch, window_epochs)``.
-
-        ``end`` defaults to the end of the ingested key span (the
-        store's "now"); the window is rounded outward to whole epochs
-        (see :func:`~repro.store.chain.resolve_window`).
-        """
-        lo_epoch, hi_epoch, window_epochs, _slack = resolve_window(
-            window,
-            end,
-            0.0,
-            width=self.width,
-            span=self.key_span(),
-            noun=self.kind_noun,
-        )
-        return lo_epoch, hi_epoch, window_epochs
+        epochs = self._query_epochs(lo, hi, None, 0.0)
+        return self._plan_epochs(epochs, use_rollups, None)
 
     def plan_window(
         self,
@@ -430,21 +250,8 @@ class SegmentStore(StoreBase):
         the answer's mass is within a ``(1 + eps)`` factor of the exact
         window while reusing the largest materialized blocks available.
         """
-        lo_epoch, hi_epoch, _window_epochs, slack_lo = resolve_window(
-            window,
-            end,
-            eps,
-            width=self.width,
-            span=self.key_span(),
-            noun=self.kind_noun,
-        )
-        plan = self._chain.plan(
-            lo_epoch, hi_epoch, use_rollups=use_rollups, slack_lo=slack_lo
-        )
-        self._degraded_blocks_total += plan.degraded_blocks
-        self._window_queries += 1
-        self._window_slack_total += plan.window_slack_used
-        return plan
+        epochs = self._query_epochs(None, end, window, eps)
+        return self._plan_epochs(epochs, use_rollups, window)
 
     def query(
         self,
@@ -474,46 +281,14 @@ class SegmentStore(StoreBase):
         """
         if not self._schema:
             raise QueryError("store has no members; add_member() first")
+        epochs = self._query_epochs(lo, hi, window, window_eps)
+        cache_key = (self._generation, epochs[0], epochs[1], use_rollups)
         if window is not None:
-            if lo is not None:
-                raise ParameterError(
-                    "pass either an explicit [lo, hi) range or window=, "
-                    "not both"
-                )
-            lo_epoch, hi_epoch, window_epochs = self._window_range(window, hi)
-            cache_key = (
-                self._generation,
-                "window",
-                lo_epoch,
-                hi_epoch,
-                window_epochs,
-                float(window_eps),
-                use_rollups,
-            )
-            cached = self._views.get(cache_key)
-            if cached is not None:
-                return cached
-            plan = self.plan_window(
-                window,
-                end=hi,
-                eps=window_eps,
-                use_rollups=use_rollups,
-            )
-        else:
-            if lo is None or hi is None:
-                raise ParameterError(
-                    "query needs an explicit [lo, hi) range or window="
-                )
-            cache_key = (
-                self._generation,
-                self.epoch_of(lo),
-                int(math.ceil(float(hi) / self.width)),
-                use_rollups,
-            )
-            cached = self._views.get(cache_key)
-            if cached is not None:
-                return cached
-            plan = self.plan(lo, hi, use_rollups=use_rollups)
+            cache_key += ("window", float(window_eps))
+        cached = self._views.get(cache_key)
+        if cached is not None:
+            return cached
+        plan = self._plan_epochs(epochs, use_rollups, window)
         members: Dict[str, Summary] = {}
         for name, spec in self._schema.items():
             parts = [segment.members[name] for segment in plan.segments]

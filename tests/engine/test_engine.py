@@ -380,7 +380,7 @@ def _rollup_state(store: SegmentStore, with_ids: bool = True) -> dict:
             segment.count,
             {name: s.to_dict() for name, s in segment.members.items()},
         )
-        for key, segment in store._rollups.items()
+        for key, segment in store._chain.rollups.items()
     }
 
 
@@ -431,12 +431,11 @@ class TestFaultInjectedCompaction:
             fault_model=FaultModel(loss=0.55, rng=13),
             retry_policy=RetryPolicy(max_attempts=2),
         )
-        for (level, start), segment in store._rollups.items():
+        base = store._chain.base
+        for (level, start), segment in store._chain.rollups.items():
             span = 1 << level
             expected = sum(
-                store._base[e].count
-                for e in range(start, start + span)
-                if e in store._base
+                base[e].count for e in range(start, start + span) if e in base
             )
             assert segment.count == expected
             assert segment.members["count"].n == expected

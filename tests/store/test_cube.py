@@ -289,6 +289,32 @@ class TestStaleness:
         label_stats = cube.stats()["masks"]["()"]
         assert label_stats["stale_epochs"] > 0
 
+    def test_ingest_counters(self):
+        cube = CubeStore(width=1.0, dims=("region",))
+        cube.add_member("count", "exact_counter", field="v")
+        first = cube.ingest(
+            [{"region": "eu", "v": 1}, {"region": "eu", "v": 2},
+             {"region": "us", "v": 3}],
+            keys=[0.0, 1.0, 1.0],
+        )
+        assert first == {
+            "cells_created": 3,
+            "cells_replaced": 0,
+            "rollups_invalidated": 0,
+            "records": 3,
+        }
+        cube.compact()  # grand-total mask () plus every chain's time tree
+        assert cube.materialized_masks() == [()]
+        again = cube.ingest([{"region": "eu", "v": 4}], keys=[1.0])
+        # eu's time roll-up (1, 0), the () mask's cell at epoch 1 and
+        # the () mask's time roll-up (1, 0)
+        assert again == {
+            "cells_created": 0,
+            "cells_replaced": 1,
+            "rollups_invalidated": 3,
+            "records": 1,
+        }
+
     def test_recompaction_clears_stale_marks(self):
         cube = _small_cube(width=4.0)
         cube.ingest(_records(200, seed=3))
@@ -375,6 +401,22 @@ class TestObservability:
         assert result.plan.degraded_blocks >= result.plan.stale_epochs
         assert "stale" in result.plan.describe()
         assert cube.stats()["planner"]["degraded_blocks_total"] > 0
+
+    def test_full_compaction_leaves_no_degraded_blocks(self):
+        # one group holds a single epoch, the other two
+        cube = CubeStore(width=1.0, dims=("region",))
+        cube.add_member("count", "exact_counter", field="v")
+        cube.ingest(
+            [{"region": "eu", "v": 1}, {"region": "us", "v": 2},
+             {"region": "us", "v": 3}],
+            keys=[0.0, 0.0, 1.0],
+        )
+        cube.compact()
+        result = cube.query(0.0, 2.0, group_by=("region",))
+        assert result["eu"]["count"].n == 1
+        assert result["us"]["count"].n == 2
+        assert result.plan.degraded_blocks == 0
+        assert cube.stats()["planner"]["degraded_blocks_total"] == 0
 
     def test_view_cache_hits(self):
         cube = _small_cube(width=4.0, view_capacity=4)

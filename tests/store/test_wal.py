@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import SerializationError
-from repro.store import WriteAheadLog, scan_wal, wal_files
+from repro.store import CubeStore, SegmentStore, WriteAheadLog, scan_wal, wal_files
 
 
 def _read(path):
@@ -169,3 +169,32 @@ def test_retire_spares_the_active_file_with_newer_records(tmp_path):
     wal.append(3, [{"v": 3}], [2.0])  # still appendable
     wal.close()
     assert scan_wal(wal_files(tmp_path)[0]).last_seq == 3
+
+
+@pytest.mark.parametrize(
+    "kind, bad",
+    [
+        ("store", {"lat": "abc"}),
+        ("cube", {"region": "eu", "lat": "abc"}),
+        ("cube", {"lat": 4.0}),
+    ],
+    ids=["store-rejected-value", "cube-rejected-value", "cube-missing-dimension"],
+)
+def test_rejected_batch_is_neither_applied_nor_logged(tmp_path, kind, bad):
+    path = str(tmp_path / "db")
+    if kind == "cube":
+        store, tag = CubeStore(width=1.0, dims=("region",)), {"region": "eu"}
+    else:
+        store, tag = SegmentStore(width=1.0), {}
+    store.add_member("lat", "exact_quantiles")
+    store.save(path)
+    store.enable_wal(os.path.join(path, "wal"))
+    store.ingest([{"lat": 1.0, **tag}, {"lat": 2.0, **tag}], keys=[0.0, 1.0])
+    before = (store.fingerprint(), store.records, store.generation, store.wal_seq)
+    # the good record's cell comes first: a partial apply would replace it
+    with pytest.raises(ValueError):
+        store.ingest([{"lat": 3.0, **tag}, bad], keys=[0.0, 1.0])
+    after = (store.fingerprint(), store.records, store.generation, store.wal_seq)
+    assert after == before
+    store.wal.close()
+    assert type(store).open(path).fingerprint() == before[0]

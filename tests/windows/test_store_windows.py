@@ -133,7 +133,7 @@ class TestSegmentStoreWindows:
     def test_window_validation(self, store):
         with pytest.raises(ParameterError, match="window must be positive"):
             store.query(window=0.0)
-        with pytest.raises(ParameterError, match="eps must be in"):
+        with pytest.raises(ParameterError, match="window_eps must be in"):
             store.query(window=8.0, window_eps=1.5)
         with pytest.raises(ParameterError, match="eps must be in"):
             store.plan_window(8.0, eps=-0.1)

@@ -3,10 +3,10 @@
 
 The storage kernel (``repro.store.chain`` + ``repro.store.common`` +
 the kind-generic ``repro.store.persistence``) exists so that the flat
-store and the cube share ONE implementation of epoch chains, dyadic
-roll-up compilation, window/slack resolution, and the snapshot/WAL
-lifecycle.  This script fails CI if a known pre-refactor duplicate
-creeps back in:
+store and the cube share ONE implementation of epoch chains, ingest,
+dyadic roll-up compaction, query range/window resolution,
+fingerprinting, and the snapshot/WAL lifecycle.  This script fails CI
+if a known pre-refactor duplicate creeps back in:
 
 * ``_CubeGroup`` — the cube's private chain type that the kernel's
   :class:`~repro.store.chain.EpochChain` replaced;
@@ -15,12 +15,25 @@ creeps back in:
   ``def _cube_from_manifest``, anywhere) — both kinds go through the
   one kind-tagged container format behind ``save``/``load`` and
   ``StoreBase.open``;
-* per-store roll-up compilers (``def _compile_rollup`` /
-  ``def _rollup_steps`` outside ``chain.py``) — dyadic roll-up plans
-  come from :func:`~repro.store.chain.compile_rollup_steps`;
-* per-store window/slack arithmetic (``def _resolve_window`` outside
-  ``chain.py``) — the PR 9 slack rule lives only in
-  :func:`~repro.store.chain.resolve_window`.
+* per-kind ingest (``def _build_cells`` / ``def _install_cells``
+  outside ``common.py``; ``def _build_base_segment`` and
+  ``def _invalidate_mask_cells`` anywhere) — batches are routed,
+  built, logged and installed by ``StoreBase``, with the cube's mask
+  invalidation behind its ``_after_put`` hook;
+* per-store roll-up compilers and compaction loops
+  (``def _compile_rollup`` / ``def _rollup_steps`` /
+  ``def _compile_compaction`` anywhere; ``def compile_rollup_steps``
+  and ``def compact_chains`` outside ``chain.py``) — time roll-ups of
+  any set of chains are built by
+  :func:`~repro.store.chain.compact_chains`;
+* per-store window/slack arithmetic (``def _resolve_window`` and
+  ``def _window_range`` anywhere; ``def resolve_window`` outside
+  ``chain.py``) — the slack rule lives only in
+  :func:`~repro.store.chain.resolve_window`, reached through
+  ``StoreBase._query_epochs``;
+* per-kind fingerprints and chain aliases (``def _fingerprint_extra``
+  / ``def _child_node`` anywhere) — ``StoreBase.fingerprint`` digests
+  ``_chain_index()`` and ``_manifest_extra()`` for both kinds.
 
 Run from the repo root: ``python tools/check_store_kernel.py``.
 Exit status 0 = clean, 1 = duplicates found (each printed as
@@ -45,11 +58,20 @@ BANNED_DEFINITIONS = {
     r"def load_store\b": None,
     r"def _cube_from_manifest\b": None,
     r"def _store_from_manifest\b": "persistence.py",
+    r"def _build_cells\b": "common.py",
+    r"def _install_cells\b": "common.py",
+    r"def _build_base_segment\b": None,
+    r"def _invalidate_mask_cells\b": None,
     r"def _compile_rollup\w*\b": None,
     r"def _rollup_steps\b": None,
+    r"def _compile_compaction\b": None,
     r"def compile_rollup_steps\b": "chain.py",
+    r"def compact_chains\b": "chain.py",
     r"def _resolve_window\b": None,
+    r"def _window_range\b": None,
     r"def resolve_window\b": "chain.py",
+    r"def _fingerprint_extra\b": None,
+    r"def _child_node\b": None,
 }
 
 
@@ -73,7 +95,7 @@ def main() -> int:
         print(
             f"\n{len(violations)} duplication(s): the chain kernel "
             "(chain.py/common.py/persistence.py) is the single home for "
-            "roll-up compilation, window slack, and store persistence."
+            "ingest, roll-up compaction, window slack, and store persistence."
         )
         return 1
     print("store kernel clean: no duplicated chain/persistence surface")
