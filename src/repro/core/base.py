@@ -77,9 +77,10 @@ class Summary(abc.ABC):
 
     Subclasses must implement :meth:`update`, :meth:`_merge_same_type`,
     :meth:`size`, :meth:`to_dict` and :meth:`from_dict`, and must keep
-    the item count :attr:`n` correct.  The public :meth:`merge` performs
-    the type/compatibility checks common to all summaries and then
-    delegates to ``_merge_same_type``.
+    the item count :attr:`n` correct (overriding :meth:`copy` is
+    optional).  The public :meth:`merge` performs the type/compatibility
+    checks common to all summaries and then delegates to
+    ``_merge_same_type``.
     """
 
     #: total weight (number of item occurrences) summarized so far.
@@ -196,6 +197,15 @@ class Summary(abc.ABC):
     @abc.abstractmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Summary":
         """Reconstruct a summary from :meth:`to_dict` output."""
+
+    def copy(self) -> "Summary":
+        """Return an independent copy: ``type(self).from_dict(self.to_dict())``.
+
+        The generic fallback is that state round-trip.  Subclasses may
+        override it with a native copy that yields the same state,
+        including any RNG draw ``to_dict`` makes, without serializing.
+        """
+        return type(self).from_dict(self.to_dict())
 
     # ------------------------------------------------------------------
     # Merge protocol

@@ -28,7 +28,8 @@ subtracting the decrement from every counter (``O(k)`` per decrement
 event), a global decrement accumulator ``D`` is kept and counters store
 ``value + D_at_insert``.  A min-heap with lazy deletion finds the
 minimum surviving counter in ``O(log k)`` amortized time, so updates are
-``O(log k)`` amortized instead of ``O(k)``.
+``O(log k)`` amortized instead of ``O(k)``.  The heap is built on first
+use: merges, copies and decodes never read it, so they do not build it.
 """
 
 from __future__ import annotations
@@ -80,8 +81,10 @@ class MisraGries(Summary):
         self._deduction = 0
         # min-heap of (adjusted_value, seq, item); the monotonic ``seq``
         # breaks value ties so heterogeneous item types never compare.
-        # Entries go stale on updates (lazy deletion).
-        self._heap: List[Tuple[int, int, Any]] = []
+        # Entries go stale on updates (lazy deletion).  ``None`` means
+        # not built yet: only updates on a full summary read the heap,
+        # so merges, copies and decodes leave it to :meth:`_live_heap`.
+        self._heap: Optional[List[Tuple[int, int, Any]]] = []
         self._heap_seq = 0
 
     # ------------------------------------------------------------------
@@ -141,12 +144,25 @@ class MisraGries(Summary):
             self.update(item, weight)
 
     def _heap_push(self, item: Any) -> None:
+        if self._heap is None:
+            return  # unbuilt: _live_heap will read the counter from _adjusted
         self._heap_seq += 1
         heapq.heappush(self._heap, (self._adjusted[item], self._heap_seq, item))
 
+    def _live_heap(self) -> List[Tuple[int, int, Any]]:
+        """The heap, built from ``_adjusted`` first if it is unbuilt."""
+        if self._heap is None:
+            self._heap = [
+                (value, seq, item)
+                for seq, (item, value) in enumerate(self._adjusted.items())
+            ]
+            self._heap_seq = len(self._heap)
+            heapq.heapify(self._heap)
+        return self._heap
+
     def _current_min(self) -> int:
         """Actual value of the minimum live counter (summary full)."""
-        heap, adjusted = self._heap, self._adjusted
+        heap, adjusted = self._live_heap(), self._adjusted
         while heap:
             value, _seq, item = heap[0]
             if adjusted.get(item) == value:
@@ -156,7 +172,7 @@ class MisraGries(Summary):
 
     def _evict_dead(self) -> None:
         """Drop counters whose actual value reached zero."""
-        heap, adjusted, offset = self._heap, self._adjusted, self._offset
+        heap, adjusted, offset = self._live_heap(), self._adjusted, self._offset
         while heap:
             value, _seq, item = heap[0]
             if adjusted.get(item) != value:
@@ -175,13 +191,9 @@ class MisraGries(Summary):
         small multiple of ``k`` keeps memory ``O(k)`` without changing
         the amortized update cost.
         """
-        if len(self._heap) > 8 * self.k + 16:
-            self._heap = [
-                (value, seq, item)
-                for seq, (item, value) in enumerate(self._adjusted.items())
-            ]
-            self._heap_seq = len(self._heap)
-            heapq.heapify(self._heap)
+        if self._heap is not None and len(self._heap) > 8 * self.k + 16:
+            self._heap = None
+            self._live_heap()
 
     # ------------------------------------------------------------------
     # Queries
@@ -215,6 +227,8 @@ class MisraGries(Summary):
     def counters(self) -> Dict[Any, int]:
         """Snapshot of the monitored items and their estimates."""
         offset = self._offset
+        if offset == 0:
+            return dict(self._adjusted)
         return {item: value - offset for item, value in self._adjusted.items()}
 
     def __contains__(self, item: Any) -> bool:
@@ -254,8 +268,9 @@ class MisraGries(Summary):
         total_deduction = self._deduction
         for other in others:
             assert isinstance(other, MisraGries)
-            for item, value in other.counters().items():
-                combined[item] = combined.get(item, 0) + value
+            offset = other._offset
+            for item, value in other._adjusted.items():
+                combined[item] = combined.get(item, 0) + value - offset
             total_n += other._n
             total_deduction += other._deduction
         pruned, cut = self._prune(combined, self.k)
@@ -268,11 +283,16 @@ class MisraGries(Summary):
         self._offset = 0
         self._deduction = deduction
         self._n = n
-        self._heap = [
-            (value, seq, item) for seq, (item, value) in enumerate(counters.items())
-        ]
-        self._heap_seq = len(self._heap)
-        heapq.heapify(self._heap)
+        self._heap = None
+
+    def copy(self) -> "MisraGries":
+        clone = type(self)(self.k, self.prune_rule)
+        clone._adjusted = dict(self._adjusted)
+        clone._offset = self._offset
+        clone._deduction = self._deduction
+        clone._n = self._n
+        clone._heap = None
+        return clone
 
     # ------------------------------------------------------------------
     # Heavy hitters

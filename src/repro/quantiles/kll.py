@@ -225,6 +225,14 @@ class KLLQuantiles(QuantileSummary):
     # Serialization
     # ------------------------------------------------------------------
 
+    def copy(self) -> "KLLQuantiles":
+        # the one draw to_dict makes, seeding the clone as from_dict
+        # does: both coin streams continue exactly as after a round trip
+        clone = type(self)(k=self.k, rng=int(self._rng.integers(0, 2**63 - 1)))
+        clone._levels = [list(buffer) for buffer in self._levels]
+        clone._n = self._n
+        return clone
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "k": self.k,

@@ -142,6 +142,12 @@ class HyperLogLog(Summary):
         )
         self._n += sum(o._n for o in others)
 
+    def copy(self) -> "HyperLogLog":
+        clone = type(self)(p=self.p, seed=self.seed)
+        clone._registers = self._registers.copy()
+        clone._n = self._n
+        return clone
+
     def to_dict(self) -> Dict[str, Any]:
         # registers travel as base64 of the raw uint8 buffer — a p=18
         # sketch is ~350 KB as a JSON int list but 350 KB/3*4 as base64

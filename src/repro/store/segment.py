@@ -34,14 +34,16 @@ __all__ = [
 
 
 def copy_summary(summary: Summary) -> Summary:
-    """Deep-copy a summary via its own state round-trip.
+    """An independent copy of ``summary``: the left operand of a store merge.
 
-    ``to_dict``/``from_dict`` is the library's canonical full-state
-    contract, so this is always a faithful copy — and it is what keeps
-    segments immutable: every merge the store performs receives a copy
-    as its mutable left operand, never a stored segment's summary.
+    Every merge the store performs (ingest replacement, roll-up,
+    query) folds into such a copy, never into a stored segment's
+    summary, and that is what keeps segments immutable.  It is
+    :meth:`Summary.copy`, whose state always equals
+    ``from_dict(to_dict())``; the types the store serves most override
+    it natively, so the copy runs without serializing.
     """
-    return type(summary).from_dict(summary.to_dict())
+    return summary.copy()
 
 
 @dataclass(frozen=True)

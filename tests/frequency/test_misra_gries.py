@@ -99,6 +99,37 @@ class TestStreaming:
             mg.update(i % 3)  # constant touches of monitored items
         assert len(mg._heap) <= 8 * mg.k + 17
 
+    @pytest.mark.parametrize("origin", ["from_dict", "merge_many", "copy"])
+    def test_lazily_built_heap_matches_eager_twin(self, origin):
+        # decodes, merges and copies leave the heap unbuilt; the twin
+        # builds it straight away, as every state replacement once did
+        k = 8
+        parts = [
+            MisraGries(k).extend(zipf_stream(400, 1.1, universe=300, rng=seed))
+            for seed in (1, 2, 3)
+        ]
+        lazy = {
+            "from_dict": lambda: MisraGries.from_dict(parts[0].to_dict()),
+            "merge_many": lambda: MisraGries(k).merge_many(parts),
+            "copy": lambda: parts[0].copy(),
+        }[origin]()
+        eager = MisraGries.from_dict(lazy.to_dict())
+        eager._live_heap()
+        assert lazy._heap is None
+        # touch one stored counter while the heap is unbuilt, then evict
+        # the rest with items the summary has never seen
+        stored = next(iter(lazy.counters()))
+        stream = (zipf_stream(600, 0.8, universe=200, rng=9) + 1000).tolist()
+        weights = [1 + i % 4 for i in range(300)]
+        for mg in (lazy, eager):
+            mg.update(stored, 3)
+            for item in stream[:300]:
+                mg.update(item)
+            mg.update_batch(stream[300:], weights)
+        assert lazy.to_dict() == eager.to_dict()
+        assert lazy.deduction == eager.deduction
+        assert (k + 1) * lazy.deduction <= lazy.n - sum(lazy.counters().values())
+
 
 class TestMerge:
     def test_merge_small_summaries_exact(self):

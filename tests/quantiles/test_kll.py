@@ -115,3 +115,16 @@ class TestMergeEdge:
         restored = loads(dumps(kll))
         assert restored.rank(0.5) == kll.rank(0.5)
         assert restored.size() == kll.size()
+
+    def test_copy_draws_the_round_trip_seed(self):
+        # copy() makes the one RNG draw to_dict() makes and seeds the
+        # clone as from_dict() does, so a copied segment's coin stream
+        # (and the source's) is the one a state round trip leaves
+        values = value_stream(2_000, "uniform", rng=5)
+        a = KLLQuantiles(64, rng=7).extend(values)
+        b = KLLQuantiles(64, rng=7).extend(values)
+        operand = KLLQuantiles(64, rng=8).extend(value_stream(1_000, "normal", rng=6))
+        copied = a.copy().merge(operand)
+        round_tripped = KLLQuantiles.from_dict(b.to_dict()).merge(operand)
+        assert copied.to_dict() == round_tripped.to_dict()
+        assert a.to_dict() == b.to_dict()

@@ -106,20 +106,38 @@ class TestIngest:
         with pytest.raises(ParameterError, match="finite"):
             store.ingest([{"value": 1}], keys=[float("nan")])
 
-    def test_reingest_replaces_without_mutating_old_segment(self):
-        store = _counter_store()
-        store.ingest([{"value": 1}], [0.0])
+    @pytest.mark.parametrize("operation", ["ingest", "query", "compact"])
+    @pytest.mark.parametrize(
+        "type_name, kwargs",
+        [
+            ("exact_counter", {}),
+            ("misra_gries", {"k": 4}),
+            ("kll_quantiles", {"k": 16, "rng": 1}),
+            ("hyperloglog", {"p": 4, "seed": 1}),
+        ],
+        ids=["ec", "mg", "kll", "hll"],
+    )
+    def test_reingest_replaces_without_mutating_old_segment(
+        self, type_name, kwargs, operation
+    ):
+        # every store merge folds into a copy of its first operand; the
+        # old segment is that operand at all three copy sites
+        store = SegmentStore(width=1.0)
+        store.add_member("m", type_name, field="value", **kwargs)
+        store.ingest([{"value": v % 13} for v in range(60)], [0.0] * 60)
+        store.ingest([{"value": v % 17} for v in range(60)], [1.0] * 60)
         old = store.segments()[0]
-        old_state = json.dumps(old.members["count"].to_dict(), sort_keys=True)
-        store.ingest([{"value": 2}], [0.0])
-        new = store.segments()[0]
-        assert new.segment_id != old.segment_id
-        assert new.count == 2
-        # the replaced segment object is untouched (immutability)
-        assert (
-            json.dumps(old.members["count"].to_dict(), sort_keys=True)
-            == old_state
-        )
+        old_state = _canon(old.members["m"])
+        if operation == "ingest":
+            store.ingest([{"value": v % 7} for v in range(60)], [0.0] * 60)
+            new = store.segments()[0]
+            assert new.segment_id != old.segment_id
+            assert new.count == 120
+        elif operation == "query":
+            assert store.query(0.0, 2.0)["m"].n == 120
+        else:
+            assert store.compact()["rollups_built"] == 1
+        assert _canon(old.members["m"]) == old_state
 
     def test_weighted_ingest(self):
         store = SegmentStore(width=1.0)

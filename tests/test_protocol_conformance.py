@@ -8,6 +8,8 @@ library-wide invariants that make summaries interchangeable behind the
 - `merge` adds `n` exactly and leaves the other operand untouched;
 - `merge` accepts a wire-round-tripped operand;
 - serialization preserves `n` and `size`;
+- `copy` equals the `from_dict(to_dict())` round trip and shares no
+  state with its source;
 - `compatible_with` accepts an identically configured twin;
 - `update` rejects non-positive weights.
 
@@ -24,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import ParameterError, Summary, dumps, loads, registered_names
+from tests.store.test_store import _canon
 
 # ---------------------------------------------------------------------------
 # Per-type specifications
@@ -267,3 +270,22 @@ class TestProtocolConformance:
     def test_len_matches_size(self, spec):
         summary = spec.factory().extend(spec.feed_a())
         assert len(summary) == summary.size()
+
+    def test_copy_is_an_independent_round_trip(self, spec):
+        # half feeds keep equal-weight bases able to merge and update
+        feed_a, feed_b = spec.feed_a(), spec.feed_b()
+        half = len(feed_a) // 2
+        summary = spec.factory().extend(feed_a[:half])
+        copy = summary.copy()
+        restored = type(summary).from_dict(summary.to_dict())
+        assert type(copy) is type(summary)
+        assert (copy.n, copy.size()) == (restored.n, restored.size())
+        assert _canon(copy) == _canon(restored)
+        # neither side may share mutable state with the other
+        original = _canon(summary)
+        copy.merge(spec.factory().extend(feed_b[:half]))
+        assert _canon(summary) == original
+        copy = summary.copy()  # a merge may have replaced shared state
+        copied = _canon(copy)
+        summary.extend(feed_a[half:])
+        assert _canon(copy) == copied

@@ -33,7 +33,12 @@ if a known pre-refactor duplicate creeps back in:
   ``StoreBase._query_epochs``;
 * per-kind fingerprints and chain aliases (``def _fingerprint_extra``
   / ``def _child_node`` anywhere) — ``StoreBase.fingerprint`` digests
-  ``_chain_index()`` and ``_manifest_extra()`` for both kinds.
+  ``_chain_index()`` and ``_manifest_extra()`` for both kinds;
+* a second summary copier (``def copy_summary`` outside ``segment.py``)
+  or a serialization copy (a ``from_dict(`` … ``.to_dict())`` round trip
+  on one line, anywhere) — every merge operand the store copies goes
+  through :func:`~repro.store.segment.copy_summary`, which is
+  ``Summary.copy()``; persistence decodes through ``repro.core.codecs``.
 
 Run from the repo root: ``python tools/check_store_kernel.py``.
 Exit status 0 = clean, 1 = duplicates found (each printed as
@@ -72,7 +77,11 @@ BANNED_DEFINITIONS = {
     r"def resolve_window\b": "chain.py",
     r"def _fingerprint_extra\b": None,
     r"def _child_node\b": None,
+    r"def copy_summary\b": "segment.py",
 }
+
+# patterns banned anywhere in a line, in every module
+BANNED_EXPRESSIONS = [r"from_dict\(.*\.to_dict\(\)\)"]
 
 
 def main() -> int:
@@ -88,6 +97,9 @@ def main() -> int:
             for pattern, allowed in BANNED_DEFINITIONS.items():
                 if re.match(r"\s*" + pattern, line) and rel != allowed:
                     violations.append((path.as_posix(), lineno, pattern, allowed))
+            for pattern in BANNED_EXPRESSIONS:
+                if re.search(pattern, line):
+                    violations.append((path.as_posix(), lineno, pattern, None))
     for path, lineno, pattern, allowed in violations:
         where = f"only {allowed} may define this" if allowed else "kernel owns this"
         print(f"{path}:{lineno}: duplicated kernel surface {pattern!r} ({where})")
