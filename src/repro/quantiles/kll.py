@@ -19,6 +19,7 @@ concatenation + re-compaction for merges.
 from __future__ import annotations
 
 import math
+import secrets
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -50,7 +51,17 @@ class KLLQuantiles(QuantileSummary):
         if k < 8:
             raise ParameterError(f"k must be >= 8, got {k!r}")
         self.k = int(k)
-        self._rng = resolve_rng(rng)
+        # validate as resolve_rng would, so a bad seed fails here (and so
+        # at decode), not at the first coin flip
+        if isinstance(rng, (int, np.integer)):
+            rng = int(rng)
+            if rng < 0:
+                np.random.SeedSequence(rng)  # raises numpy's ValueError
+        elif rng is not None:
+            resolve_rng(rng)  # a Generator passes; other types raise TypeError
+        #: int seed or ``None`` (OS entropy) until :attr:`_rng` builds the
+        #: generator; a generator passed in is kept (shared, not copied)
+        self._seed_or_rng = rng
         self._levels: List[List[float]] = [[]]
         #: level-scan iterations performed by :meth:`_compress` (the
         #: micro-benchmark guard for the linear-scan compaction)
@@ -69,6 +80,29 @@ class KLLQuantiles(QuantileSummary):
         return cls(k=max(8, k), rng=rng)
 
     # ------------------------------------------------------------------
+    # Randomness
+    # ------------------------------------------------------------------
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The coin generator, built on first use: most store cells never
+        compact, so most sketches never need one."""
+        rng = self._seed_or_rng
+        if not isinstance(rng, np.random.Generator):
+            rng = self._seed_or_rng = np.random.default_rng(rng)
+        return rng
+
+    def _draw_seed(self) -> int:
+        """One draw from the coin stream, seeding a copy or a snapshot.
+
+        A fresh sketch (unseeded, no draw yet) has no stream anyone can
+        reproduce, so it takes OS entropy from the same range instead.
+        """
+        if self._seed_or_rng is None:
+            return secrets.randbelow(2**63 - 1)
+        return int(self._rng.integers(0, 2**63 - 1))
+
+    # ------------------------------------------------------------------
     # Structure maintenance
     # ------------------------------------------------------------------
 
@@ -82,15 +116,16 @@ class KLLQuantiles(QuantileSummary):
         buffer = sorted(self._levels[level])
         if len(buffer) < 2:
             return
+        rng = self._rng
         leftover: List[float] = []
         if len(buffer) % 2 == 1:
             # the unpaired element stays behind (keep head or tail at random
             # so no rank region is systematically favoured)
-            if self._rng.integers(0, 2):
+            if rng.integers(0, 2):
                 leftover, buffer = [buffer[0]], buffer[1:]
             else:
                 leftover, buffer = [buffer[-1]], buffer[:-1]
-        offset = int(self._rng.integers(0, 2))
+        offset = int(rng.integers(0, 2))
         promoted = buffer[offset::2]
         self._levels[level] = leftover
         if level + 1 == len(self._levels):
@@ -226,9 +261,12 @@ class KLLQuantiles(QuantileSummary):
     # ------------------------------------------------------------------
 
     def copy(self) -> "KLLQuantiles":
-        # the one draw to_dict makes, seeding the clone as from_dict
-        # does: both coin streams continue exactly as after a round trip
-        clone = type(self)(k=self.k, rng=int(self._rng.integers(0, 2**63 - 1)))
+        # a fresh sketch has no coin stream to continue, so its clone is
+        # fresh too and nothing draws; any other sketch makes the one draw
+        # to_dict makes and seeds the clone as from_dict does, so both
+        # coin streams continue exactly as after a round trip
+        seed = None if self._seed_or_rng is None else self._draw_seed()
+        clone = type(self)(k=self.k, rng=seed)
         clone._levels = [list(buffer) for buffer in self._levels]
         clone._n = self._n
         return clone
@@ -238,7 +276,9 @@ class KLLQuantiles(QuantileSummary):
             "k": self.k,
             "n": self._n,
             "levels": [[float(v) for v in buffer] for buffer in self._levels],
-            "seed": int(self._rng.integers(0, 2**63 - 1)),
+            # always a concrete seed: two opens of one snapshot must flip
+            # the same coins
+            "seed": self._draw_seed(),
         }
 
     @classmethod

@@ -33,22 +33,13 @@ __all__ = ["HyperLogLog"]
 def _bit_length_u64(x: np.ndarray) -> np.ndarray:
     """Vectorized ``int.bit_length`` over a ``uint64`` array.
 
-    Smears the top set bit downward, then popcounts via the SWAR
-    reduction — exact for all 64-bit values, unlike a ``log2`` in
-    float64 which rounds near ``2**53``.
+    Each 32-bit half converts to float64 exactly, and the ``frexp``
+    exponent of a positive float is its bit length (0 for 0).  Converting
+    the whole word instead would round values near ``2**53`` and above.
     """
-    x = x.astype(np.uint64, copy=True)
-    for shift in (1, 2, 4, 8, 16, 32):
-        x |= x >> np.uint64(shift)
-    # SWAR popcount
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x -= (x >> np.uint64(1)) & m1
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return (x * h01) >> np.uint64(56)
+    hi = (x >> np.uint64(32)).astype(np.float64)
+    lo = (x & np.uint64(0xFFFFFFFF)).astype(np.float64)
+    return np.where(hi > 0, np.frexp(hi)[1] + 32, np.frexp(lo)[1])
 
 
 def _alpha(m: int) -> float:
@@ -98,9 +89,7 @@ class HyperLogLog(Summary):
         hashes = hash_batch(items, seed=self.seed)
         registers = (hashes & np.uint64(self.m - 1)).astype(np.int64)
         remaining = hashes >> np.uint64(self.p)
-        ranks = (
-            np.uint64(64 - self.p) - _bit_length_u64(remaining) + np.uint64(1)
-        ).astype(np.uint8)
+        ranks = (65 - self.p - _bit_length_u64(remaining)).astype(np.uint8)
         np.maximum.at(self._registers, registers, ranks)
         self._n += total
 
@@ -163,14 +152,22 @@ class HyperLogLog(Summary):
         sketch = cls(p=payload["p"], seed=payload["seed"])
         registers = payload["registers"]
         if isinstance(registers, str):
-            decoded = np.frombuffer(base64.b64decode(registers), dtype=np.uint8)
-            if len(decoded) != sketch.m:
-                raise ParameterError(
-                    f"register payload holds {len(decoded)} registers, "
-                    f"expected {sketch.m} for p={sketch.p}"
-                )
-            sketch._registers = decoded.copy()
+            registers = np.frombuffer(base64.b64decode(registers), dtype=np.uint8)
         else:  # legacy int-list wire form
-            sketch._registers = np.array(registers, dtype=np.uint8)
+            registers = np.asarray(registers)
+        if registers.shape != (sketch.m,):
+            raise ParameterError(
+                f"register payload holds {registers.size} registers, "
+                f"expected {sketch.m} for p={sketch.p}"
+            )
+        # a register holds 0 or a rank: leading zeros of 64 - p bits, + 1
+        max_rank = 65 - sketch.p
+        if registers.dtype.kind not in "iu" or not (
+            registers.min() >= 0 and registers.max() <= max_rank
+        ):
+            raise ParameterError(
+                f"registers must be integers in [0, {max_rank}] for p={sketch.p}"
+            )
+        sketch._registers = registers.astype(np.uint8)
         sketch._n = payload["n"]
         return sketch

@@ -128,3 +128,74 @@ class TestMergeEdge:
         round_tripped = KLLQuantiles.from_dict(b.to_dict()).merge(operand)
         assert copied.to_dict() == round_tripped.to_dict()
         assert a.to_dict() == b.to_dict()
+
+
+class TestLazyGenerator:
+    """The coin generator is built on first use; every seed contract holds."""
+
+    @staticmethod
+    def _drive(sketch):
+        # a batch, a compacting merge_many, then a copy and a snapshot
+        sketch.update_batch(value_stream(500, "uniform", rng=3))
+        operands = [
+            KLLQuantiles(64, rng=10 + i).extend(value_stream(300, "normal", rng=20 + i))
+            for i in range(3)
+        ]
+        steps = sketch._compress_steps
+        sketch.merge_many(operands)
+        assert sketch._compress_steps > steps and sketch.size() < sketch.n
+        copy = sketch.copy()
+        return sketch.to_dict(), copy.to_dict()
+
+    @pytest.mark.parametrize(
+        "seed, make_rng",
+        [
+            (7, lambda: np.random.default_rng(7)),
+            (7, lambda: np.int64(7)),
+            (1, lambda: True),
+        ],
+        ids=["generator", "numpy-int", "bool"],
+    )
+    def test_seed_forms_draw_the_int_seeds_coins(self, seed, make_rng):
+        expected = self._drive(KLLQuantiles(64, rng=seed))
+        assert self._drive(KLLQuantiles(64, rng=make_rng())) == expected
+
+    def test_copies_of_a_fresh_sketch_do_not_share_a_generator(self):
+        fresh = KLLQuantiles(64).extend(value_stream(16, "uniform", rng=1))
+        a, b = fresh.copy(), fresh.copy()
+        operand = KLLQuantiles(64, rng=2).extend(value_stream(1_000, "normal", rng=3))
+        a.merge(operand)
+        b.merge(operand)
+        assert a.size() < a.n and b.size() < b.n  # both flipped coins
+        assert a._rng is not b._rng
+
+    def test_fresh_copies_build_no_generator(self, monkeypatch):
+        fresh = KLLQuantiles(64).extend(value_stream(16, "uniform", rng=1))
+        built = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *args: built.append(args) or default_rng(*args)
+        )
+        clone = fresh.copy().copy()
+        assert clone.to_dict()["levels"] == fresh.to_dict()["levels"]
+        assert built == []  # a base cell that never compacts flips no coin
+
+    def test_fresh_snapshot_carries_a_replayable_seed(self):
+        payload = KLLQuantiles(64).extend(value_stream(16, "uniform", rng=1)).to_dict()
+        assert type(payload["seed"]) is int and 0 <= payload["seed"] < 2**63 - 1
+        values = value_stream(2_000, "uniform", rng=4)
+        first = KLLQuantiles.from_dict(payload).extend(values)
+        second = KLLQuantiles.from_dict(payload).extend(values)
+        assert first.to_dict() == second.to_dict()
+
+    def test_bad_seeds_fail_at_construction_and_decode(self):
+        with pytest.raises(ValueError):
+            KLLQuantiles(64, rng=-1)
+        with pytest.raises(TypeError):
+            KLLQuantiles(64, rng="x")
+        with pytest.raises(TypeError):
+            KLLQuantiles(64, rng=1.5)
+        payload = KLLQuantiles(64, rng=1).extend([1.0, 2.0]).to_dict()
+        payload["seed"] = -1
+        with pytest.raises(ValueError):
+            KLLQuantiles.from_dict(payload)

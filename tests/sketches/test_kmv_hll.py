@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core import MergeError, ParameterError, merge_all
+from repro.core.hashing import hash_batch
 from repro.sketches import HyperLogLog, KMinValues
+from repro.sketches.hyperloglog import _bit_length_u64
 
 
 @pytest.fixture(scope="module")
@@ -115,3 +119,42 @@ class TestHyperLogLog:
         hll.update("x", weight=100)
         assert hll.n == 100
         assert abs(hll.distinct() - 1) <= 1
+
+
+class TestRankKernel:
+    """The batch rank kernel is exact where float64 rounding would bite."""
+
+    def test_bit_length_matches_int_at_the_edges(self):
+        # float64 holds integers exactly only up to 2**53: converting the
+        # whole word rounds 2**64 - 1 up to 2**64, one bit too long
+        edges = [0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1]
+        lengths = _bit_length_u64(np.array(edges, dtype=np.uint64))
+        assert lengths.tolist() == [v.bit_length() for v in edges]
+
+    def test_bit_length_matches_int_at_every_width(self):
+        rng = random.Random(13)
+        values = [0] + [
+            (1 << (width - 1)) | rng.getrandbits(width - 1)
+            for width in range(1, 65)
+            for _ in range(32)
+        ]
+        lengths = _bit_length_u64(np.array(values, dtype=np.uint64))
+        assert lengths.tolist() == [v.bit_length() for v in values]
+
+    @pytest.mark.parametrize("p", [4, 18])
+    @pytest.mark.parametrize("kind", ["ints", "negative-ints", "strings"])
+    def test_batch_matches_per_item(self, p, kind):
+        raw = np.random.default_rng(17).integers(0, 2**62, size=40_000).tolist()
+        items = {
+            "ints": raw,
+            "negative-ints": [-v for v in raw],
+            "strings": [f"user-{v}" for v in raw],  # the BLAKE2b path
+        }[kind]
+        if p == 18:  # some ranks come from the low 32-bit half
+            assert (hash_batch(items, seed=9) >> np.uint64(p) < 2**32).any()
+        batched = HyperLogLog(p=p, seed=9)
+        batched.update_batch(items)
+        looped = HyperLogLog(p=p, seed=9)
+        for item in items:
+            looped.update(item)
+        assert np.array_equal(batched._registers, looped._registers)

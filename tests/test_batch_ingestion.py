@@ -484,6 +484,30 @@ class TestHllRegisterEncoding:
         restored = HyperLogLog.from_dict(legacy)
         assert restored.to_dict() == payload
 
+    @pytest.mark.parametrize(
+        "registers",
+        [
+            [1, 2, 3],  # 3 registers where p=4 has 16
+            [300] * 16,  # overflows a uint8 register
+            [62] * 16,  # above the largest rank, 65 - p = 61
+            __import__("base64").b64encode(bytes([200] * 16)).decode("ascii"),
+        ],
+        ids=["list-short", "list-overflow", "list-rank", "base64-rank"],
+    )
+    def test_bad_registers_rejected(self, registers):
+        import json
+
+        from repro.core.codecs import decode_summary
+
+        # a checksum-less json.v1 envelope, still accepted for legacy data
+        envelope = {
+            "format": 1,
+            "type": "hyperloglog",
+            "state": {"p": 4, "seed": 0, "n": 5, "registers": registers},
+        }
+        with pytest.raises(ParameterError):
+            decode_summary(json.dumps(envelope))
+
 
 # ---------------------------------------------------------------------------
 # Bundle-level batched ingestion
