@@ -1,28 +1,15 @@
-"""E23: merge-runtime benchmarks — parallel aggregation, k-way merges,
-cached query views, and the KLL compress-cost guard.
+"""E23: merge-runtime benchmarks — k-way merges, cached query views,
+and the KLL compress-cost guard.
 
 Times the layers added by the merge-runtime work:
 
-1. ``run_aggregation`` worker sweep over a 64-leaf balanced tree
-   (legacy scalar path vs ``executor=1/2/4``), with the run's
-   ``degraded_to_serial`` flag on every row — a "parallel" number that
-   silently ran serial is a lie;
-2. k-way ``merge_many`` vs the sequential pairwise fold at fan-ins
+1. k-way ``merge_many`` vs the sequential pairwise fold at fan-ins
    4/16/64 for one type per merge shape (stack-and-sum, register max,
    compaction concat, counter combine);
-3. cold vs warm batched ``quantiles(qs)`` against the cached sorted
+2. cold vs warm batched ``quantiles(qs)`` against the cached sorted
    view;
-4. the ``KLLQuantiles._compress`` scan-cost counter, normalized per
-   item — a deterministic, machine-independent linearity guard;
-5. ``wave_dispatch`` — the persistent runtime's IPC accounting: round
-   trips per wave, command bytes shipped per merge (plan-step ids, not
-   summaries), and how much bulk state moved through shared memory
-   instead of the pipes.  ``cmd_bytes_per_merge`` is machine-independent
-   and snapshot-gated;
-6. ``parallel_gate`` — the honesty gate: ``workers=4`` must beat serial
-   by >= 2x on the gate workload.  Enforced (with ``--check``) only on
-   boxes with >= 4 CPUs; smaller boxes print an explicit
-   ``PARALLEL-GATE SKIPPED`` marker instead of silently passing.
+3. the ``KLLQuantiles._compress`` scan-cost counter, normalized per
+   item — a deterministic, machine-independent linearity guard.
 
 Standalone (no pytest-benchmark), writes the JSON artifact for CI::
 
@@ -42,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import os
 import sys
 
 import numpy as np
@@ -56,57 +42,11 @@ from repro import (
     MisraGries,
 )
 from repro.core.merge import merge_chain
-from repro.core.parallel import ParallelExecutor
-from repro.distributed import ContiguousPartitioner, balanced_tree, run_aggregation
 from repro.workloads import value_stream, zipf_stream
 
 
 # ---------------------------------------------------------------------------
-# section 1: run_aggregation worker sweep
-# ---------------------------------------------------------------------------
-
-def bench_parallel_aggregation(n_items: int, repeats: int) -> list:
-    data = zipf_stream(n_items, alpha=1.2, universe=20_000, rng=1)
-    values = value_stream(n_items, "uniform", rng=2)
-    cases = {
-        "misra_gries": (data, lambda: MisraGries(256)),
-        "mergeable_quantiles": (values, lambda i: MergeableQuantiles(256, rng=i)),
-    }
-    rows = []
-    for name, (stream, factory) in cases.items():
-        serial = None
-        for workers in (None, 1, 2, 4):
-            last = {}
-
-            def once():
-                result = run_aggregation(
-                    stream,
-                    ContiguousPartitioner(),
-                    factory,
-                    balanced_tree(64),
-                    executor=workers,
-                )
-                last["degraded"] = result.degraded_to_serial
-                last["events"] = list(result.degradation_events)
-
-            seconds = best_of(once, repeats)
-            if workers is None:
-                serial = seconds
-            rows.append(
-                {
-                    "summary": name,
-                    "workers": workers,
-                    "seconds": seconds,
-                    "speedup_vs_legacy": serial / seconds,
-                    "degraded_to_serial": last["degraded"],
-                    "degradation_events": last["events"],
-                }
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# section 2: k-way merge_many vs sequential fold
+# section 1: k-way merge_many vs sequential fold
 # ---------------------------------------------------------------------------
 
 def _kway_cases(n_items: int):
@@ -152,7 +92,7 @@ def bench_kway_merge(n_items: int, fanins, repeats: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# section 3: cold vs warm cached-view queries
+# section 2: cold vs warm cached-view queries
 # ---------------------------------------------------------------------------
 
 def bench_query_cache(n_items: int, n_queries: int, repeats: int) -> list:
@@ -193,7 +133,7 @@ def bench_query_cache(n_items: int, n_queries: int, repeats: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# section 4: KLL compress scan-cost guard (deterministic)
+# section 3: KLL compress scan-cost guard (deterministic)
 # ---------------------------------------------------------------------------
 
 def bench_kll_compress(n_items: int) -> dict:
@@ -203,111 +143,6 @@ def bench_kll_compress(n_items: int) -> dict:
         "n_items": int(n_items),
         "compress_steps": int(sketch._compress_steps),
         "steps_per_item": sketch._compress_steps / n_items,
-    }
-
-
-# ---------------------------------------------------------------------------
-# section 5: persistent-runtime wave-dispatch overhead
-# ---------------------------------------------------------------------------
-
-def bench_wave_dispatch(n_items: int) -> dict:
-    """IPC accounting of one resident-runtime aggregation.
-
-    A 64-leaf CountMin(512, 4) tree: each summary's table alone is
-    512*4*8 = 16 KiB, so shipping summaries over the pipes would cost
-    ~1 MiB of command traffic for the 63 merges.  The runtime ships
-    plan-step ids instead; ``cmd_bytes_per_merge`` (machine-independent,
-    snapshot-gated) is the proof.
-    """
-    data = zipf_stream(n_items, alpha=1.2, universe=20_000, rng=10)
-    pool = ParallelExecutor(max_workers=4)
-    result = run_aggregation(
-        data,
-        ContiguousPartitioner(),
-        lambda i: CountMin(512, 4, seed=1),
-        balanced_tree(64),
-        executor=pool,
-    )
-    stats = result.runtime_stats
-    if stats is None:
-        return {
-            "available": False,
-            "degraded_to_serial": result.degraded_to_serial,
-            "degradation_events": list(result.degradation_events),
-        }
-    merges = result.merges
-    waves = stats["dispatch_rounds"]  # one round-trip per wave, builds included
-    summary_bytes = 512 * 4 * 8
-    return {
-        "available": True,
-        "degraded_to_serial": result.degraded_to_serial,
-        "merges": int(merges),
-        "dispatch_rounds": int(waves),
-        "round_trips_per_wave": 1,  # by construction: scatter + gather once
-        "messages_sent": int(stats["messages_sent"]),
-        "cmd_bytes": int(stats["cmd_bytes"]),
-        "cmd_bytes_per_merge": stats["cmd_bytes"] / merges,
-        "naive_pipe_bytes_per_merge": float(summary_bytes),
-        "pipe_savings_factor": summary_bytes / (stats["cmd_bytes"] / merges),
-        "ack_bytes": int(stats["ack_bytes"]),
-        "synced_slots": int(stats["synced_slots"]),
-        "sync_shm_bytes": int(stats["sync_shm_bytes"]),
-        "exported_bytes": int(stats["exported_bytes"]),
-        "worker_crashes": int(stats["worker_crashes"]),
-    }
-
-
-# ---------------------------------------------------------------------------
-# section 6: the workers=4 > 2x honesty gate
-# ---------------------------------------------------------------------------
-
-#: gate threshold: workers=4 must beat serial by at least this factor
-GATE_SPEEDUP = 2.0
-#: the gate only makes sense with real cores to spread over
-GATE_MIN_CPUS = 4
-
-
-def bench_parallel_gate(repeats: int) -> dict:
-    """Measure workers=4 vs serial on the gate workload.
-
-    The workload is fixed-size (never shrunk by ``--quick``): a 64-leaf
-    MisraGries(256) aggregation over 2**17 zipf items — enough build
-    and merge work that four real cores must win by >= 2x through the
-    persistent runtime.  On boxes with fewer than four CPUs the
-    measurement still runs (and is recorded) but the gate is *skipped
-    with an explicit marker*, never silently passed.
-    """
-    cpus = os.cpu_count() or 1
-    data = zipf_stream(2**17, alpha=1.2, universe=50_000, rng=12)
-
-    def run(workers):
-        return run_aggregation(
-            data,
-            ContiguousPartitioner(),
-            lambda: MisraGries(256),
-            balanced_tree(64),
-            executor=workers,
-        )
-
-    serial_seconds = best_of(lambda: run(1), repeats)
-    degraded = {}
-
-    def parallel_run():
-        result = run(4)
-        degraded["flag"] = result.degraded_to_serial
-        degraded["events"] = list(result.degradation_events)
-
-    parallel_seconds = best_of(parallel_run, repeats)
-    speedup = serial_seconds / parallel_seconds
-    return {
-        "cpus": int(cpus),
-        "enforced": cpus >= GATE_MIN_CPUS,
-        "required_speedup": GATE_SPEEDUP,
-        "serial_seconds": serial_seconds,
-        "workers4_seconds": parallel_seconds,
-        "speedup": speedup,
-        "degraded_to_serial": degraded["flag"],
-        "degradation_events": degraded["events"],
     }
 
 
@@ -322,22 +157,17 @@ def run_report(args) -> dict:
         "n_items": int(args.items),
         "repeats": int(args.repeats),
         "sections": {
-            "parallel_aggregation": bench_parallel_aggregation(
-                args.items, args.repeats
-            ),
             "kway_merge": bench_kway_merge(args.items, args.fanins, args.repeats),
             "query_cache": bench_query_cache(
                 args.items, args.queries, args.repeats
             ),
             "kll_compress": bench_kll_compress(args.items),
-            "wave_dispatch": bench_wave_dispatch(args.items),
-            "parallel_gate": bench_parallel_gate(args.repeats),
         },
     }
 
 
 #: smoke metrics gated lower-is-better; every other one is a speedup
-LOWER_IS_BETTER = ("kll_steps_per_item", "cmd_bytes_per_merge")
+LOWER_IS_BETTER = ("kll_steps_per_item",)
 
 
 def _smoke_metrics(report: dict) -> dict:
@@ -352,45 +182,7 @@ def _smoke_metrics(report: dict) -> dict:
     for row in sections["query_cache"]:
         metrics[f"query_cache_speedup:{row['summary']}"] = row["speedup"]
     metrics["kll_steps_per_item"] = sections["kll_compress"]["steps_per_item"]
-    dispatch = sections.get("wave_dispatch", {})
-    if dispatch.get("available"):
-        # lower is better: commands must stay plan-step-id sized
-        metrics["cmd_bytes_per_merge"] = dispatch["cmd_bytes_per_merge"]
     return metrics
-
-
-def check_parallel_gate(report: dict):
-    """Enforce workers=4 > 2x serial — only where four CPUs exist.
-
-    On smaller boxes the skip is loud (``PARALLEL-GATE SKIPPED``), so a
-    CI fleet quietly downgraded to 2-CPU runners cannot make the gate
-    evaporate unnoticed.
-    """
-    gate = report["sections"].get("parallel_gate")
-    if gate is None:
-        return ["parallel_gate section missing from the report"]
-    if not gate["enforced"]:
-        print(
-            f"PARALLEL-GATE SKIPPED: need >= {GATE_MIN_CPUS} CPUs to "
-            f"enforce workers=4 > {gate['required_speedup']:.0f}x, this box "
-            f"has {gate['cpus']} (measured {gate['speedup']:.2f}x anyway)",
-            file=sys.stderr,
-        )
-        return []
-    failures = []
-    if gate["degraded_to_serial"]:
-        failures.append(
-            "parallel_gate: the workers=4 run degraded to serial: "
-            + "; ".join(gate["degradation_events"])
-        )
-    if gate["speedup"] < gate["required_speedup"]:
-        failures.append(
-            f"parallel_gate: workers=4 speedup {gate['speedup']:.2f}x "
-            f"< required {gate['required_speedup']:.1f}x "
-            f"(serial {gate['serial_seconds']*1e3:.0f} ms, "
-            f"workers=4 {gate['workers4_seconds']*1e3:.0f} ms)"
-        )
-    return failures
 
 
 def main(argv=None) -> int:
@@ -412,13 +204,6 @@ def main(argv=None) -> int:
         args.items, args.repeats, args.queries = 2**13, 1, 128
 
     report = run_report(args)
-    for row in report["sections"]["parallel_aggregation"]:
-        label = "legacy" if row["workers"] is None else f"{row['workers']}w"
-        flag = "  DEGRADED-TO-SERIAL" if row["degraded_to_serial"] else ""
-        print(
-            f"aggregate {row['summary']:>22} {label:>7}: "
-            f"{row['seconds']*1e3:8.1f} ms  ({row['speedup_vs_legacy']:5.2f}x){flag}"
-        )
     for row in report["sections"]["kway_merge"]:
         print(
             f"kway {row['summary']:>22} fanin={row['fanin']:<3}: "
@@ -437,36 +222,7 @@ def main(argv=None) -> int:
         f"kll_compress: {kll['compress_steps']} level visits / "
         f"{kll['n_items']} items = {kll['steps_per_item']:.4f} per item"
     )
-    dispatch = report["sections"]["wave_dispatch"]
-    if dispatch["available"]:
-        print(
-            f"wave_dispatch: {dispatch['dispatch_rounds']} round-trips for "
-            f"{dispatch['merges']} merges "
-            f"(1 per wave, {dispatch['messages_sent']} messages); "
-            f"{dispatch['cmd_bytes_per_merge']:.0f} cmd bytes/merge vs "
-            f"{dispatch['naive_pipe_bytes_per_merge']:.0f} if summaries "
-            f"rode the pipes ({dispatch['pipe_savings_factor']:.0f}x less); "
-            f"{dispatch['sync_shm_bytes']} sync + "
-            f"{dispatch['exported_bytes']} exported bytes via shared memory"
-        )
-    else:
-        print(
-            "wave_dispatch: runtime unavailable on this box: "
-            + "; ".join(dispatch["degradation_events"])
-        )
-    gate = report["sections"]["parallel_gate"]
-    print(
-        f"parallel_gate: cpus={gate['cpus']} "
-        f"serial {gate['serial_seconds']*1e3:.0f} ms, "
-        f"workers=4 {gate['workers4_seconds']*1e3:.0f} ms "
-        f"({gate['speedup']:.2f}x; "
-        + ("enforced" if gate["enforced"] else "not enforced: <4 CPUs")
-        + ")"
-    )
-    return finish(
-        report, args, _smoke_metrics,
-        extra_check=check_parallel_gate, lower_is_better=LOWER_IS_BETTER,
-    )
+    return finish(report, args, _smoke_metrics, lower_is_better=LOWER_IS_BETTER)
 
 
 if __name__ == "__main__":  # pragma: no cover

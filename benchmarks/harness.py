@@ -137,14 +137,12 @@ def finish(
     report: dict,
     args,
     smoke_metrics: Callable[[dict], Metrics],
-    extra_check: Optional[Callable[[dict], List[str]]] = None,
     **gate,
 ) -> int:
     """Write ``report`` to ``args.out``; with ``--check``, gate it.
 
-    ``gate`` goes to :func:`check_ratios`; ``extra_check(report)`` adds
-    bench-specific failures (checked only with ``--check``).  Returns
-    the process exit status.
+    ``gate`` goes to :func:`check_ratios`.  Returns the process exit
+    status.
     """
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -154,8 +152,6 @@ def finish(
     with open(args.check) as handle:
         snapshot = json.load(handle)
     failures = check_ratios(smoke_metrics(report), smoke_metrics(snapshot), **gate)
-    if extra_check is not None:
-        failures.extend(extra_check(report))
     if failures:
         for failure in failures:
             print(f"REGRESSION: {failure}", file=sys.stderr)

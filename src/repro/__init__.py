@@ -42,7 +42,6 @@ from .core import (
     merge_kway,
     merge_random_tree,
     merge_tree,
-    ParallelExecutor,
     registered_names,
 )
 from .frequency import (
@@ -93,7 +92,6 @@ __all__ = [
     "merge_tree",
     "merge_random_tree",
     "merge_kway",
-    "ParallelExecutor",
     "dumps",
     "loads",
     "registered_names",

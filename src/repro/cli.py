@@ -213,7 +213,7 @@ def _cmd_types(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from .engine import compile_aggregation, compile_fold, plan_step_waves
+    from .engine import compile_aggregation, compile_fold
 
     if args.windowed:
         # bucket-aware fold over synthetic windowed operands: shows the
@@ -244,22 +244,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             )
         plan = compile_fold(strategy, args.count, rng=args.seed)
     print(plan.describe())
-    if args.waves:
-        if not plan.groupable:
-            print("waves: (plan is not groupable; it always runs step by step)")
-            return 0
-        waves = plan_step_waves(
-            plan.merge_steps,
-            first_index=len(plan.build_steps),
-            fuse=plan.fuse_fanin,
-        )
-        print(f"waves: {len(waves)} over {len(plan.merge_steps)} merge step(s)")
-        for number, wave in enumerate(waves):
-            rendered = ", ".join(
-                f"{group.dst!r}<-[{', '.join(repr(s) for s in group.srcs)}]"
-                for group in wave
-            )
-            print(f"  wave {number}: {rendered}")
     return 0
 
 
@@ -294,17 +278,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fault_model=fault_model,
         retry_policy=RetryPolicy(max_attempts=args.retries),
         exactly_once=not args.no_ledger,
-        executor=args.workers,
     )
     stats = result.fault_stats
     report = degradation_report(result)
-    if result.degraded_to_serial:
-        print(
-            "warning: --workers requested parallel execution but (part of) "
-            "the run degraded to serial:"
-        )
-        for event in result.degradation_events:
-            print(f"  - {event}")
     print(
         f"root: type={args.type} n={result.summary.n} size={result.summary.size()}"
     )
@@ -510,9 +486,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
     store = _open_store(args.dir)
     if isinstance(store, CubeStore):
         workload = _read_workload(args.workload) if args.workload else None
-        stats = store.compact(
-            executor=args.workers, budget=args.budget, workload=workload
-        )
+        stats = store.compact(budget=args.budget, workload=workload)
         store.save(args.dir)
         print(
             f"compacted cube: {stats['masks']} mask(s) over "
@@ -527,7 +501,7 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
             f"{args.dir} is a flat store; --budget/--workload only apply "
             f"to dimension cubes"
         )
-    stats = store.compact(executor=args.workers)
+    stats = store.compact()
     store.save(args.dir)
     print(
         f"compacted {store.num_segments} segments: "
@@ -778,8 +752,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="number of leaves (with --topology)")
     plan.add_argument("--seed", type=int, default=None,
                       help="RNG seed for random strategies/topologies")
-    plan.add_argument("--waves", action="store_true",
-                      help="also print the parallel wave packing")
     plan.set_defaults(func=_cmd_plan)
 
     simulate = sub.add_parser(
@@ -805,9 +777,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--duplicate", type=float, default=0.0)
     simulate.add_argument("--corruption", type=float, default=0.0)
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--workers", type=int, default=None,
-                          help="parallel merge runtime worker count "
-                               "(default: legacy scalar path)")
     simulate.add_argument("--retries", type=int, default=4,
                           help="delivery attempts per merge step")
     simulate.add_argument("--no-ledger", action="store_true",
@@ -878,8 +847,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "compact", help="build the dyadic roll-up tree over current segments"
     )
     compact.add_argument("--dir", required=True)
-    compact.add_argument("--workers", type=int, default=None,
-                         help="merge roll-up levels on a process pool")
     compact.add_argument(
         "--budget", type=int, default=None, metavar="CELLS",
         help="dimension cubes: cap on materialized lattice cells across "

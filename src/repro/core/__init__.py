@@ -31,7 +31,6 @@ from .merge import (
     merge_random_tree,
     merge_tree,
 )
-from .parallel import ParallelExecutor, resolve_executor
 from .registry import (
     add_registration_hook,
     get_summary_class,
@@ -57,8 +56,6 @@ __all__ = [
     "merge_tree",
     "merge_random_tree",
     "merge_kway",
-    "ParallelExecutor",
-    "resolve_executor",
     "register_summary",
     "add_registration_hook",
     "get_summary_class",

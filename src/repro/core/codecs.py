@@ -47,7 +47,7 @@ import zlib
 from typing import Any, Dict, Union
 
 from .base import Summary
-from .exceptions import SerializationError
+from .exceptions import ReproError, SerializationError
 from .registry import get_summary_class
 
 __all__ = [
@@ -101,6 +101,31 @@ def _registered_state(summary: Summary) -> tuple:
     return name, summary.to_dict()
 
 
+def _restore(name: Any, state: Any) -> Summary:
+    """Rebuild a summary from a decoded ``(type name, state)`` pair.
+
+    Both decode paths end here, so a well-framed payload whose state
+    does not fit its type fails the same way in every codec: a
+    non-string type name, or any untyped exception ``from_dict`` raises
+    on a missing key or a wrongly shaped value, becomes
+    :class:`SerializationError`.  A :class:`ReproError` that
+    ``from_dict`` raises on purpose (a validation ``ParameterError``)
+    passes through unchanged.
+    """
+    if not isinstance(name, str):
+        raise SerializationError(
+            f"summary type name must be a string, got {type(name).__name__}"
+        )
+    cls = get_summary_class(name)
+    try:
+        return cls.from_dict(state)
+    except ReproError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError,
+            OverflowError) as exc:
+        raise SerializationError(f"malformed {name!r} state: {exc!r}") from exc
+
+
 def to_envelope(summary: Summary, version: int = 2) -> Dict[str, Any]:
     """Wrap a summary's state in the versioned JSON transport envelope."""
     name, state = _registered_state(summary)
@@ -131,8 +156,7 @@ def from_envelope(envelope: Dict[str, Any]) -> Summary:
                 f"payload checksum mismatch (stored {expected!r}, computed "
                 f"{actual}): summary state corrupted in transit or at rest"
             )
-    cls = get_summary_class(name)
-    return cls.from_dict(state)
+    return _restore(name, state)
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +343,21 @@ class BinaryCodecV1(Codec):
             raise SerializationError(
                 "malformed binary payload: truncated or trailing bytes"
             )
-        type_name = payload[prefix_len : prefix_len + name_len].decode("utf-8")
         try:
+            type_name = payload[prefix_len : prefix_len + name_len].decode("utf-8")
             raw = zlib.decompress(payload[prefix_len + name_len :])
-        except zlib.error as exc:
-            raise SerializationError(f"corrupt binary body: {exc}") from exc
+        except (UnicodeDecodeError, zlib.error) as exc:
+            raise SerializationError(f"corrupt binary payload: {exc}") from exc
         if len(raw) != raw_len or (zlib.crc32(raw) & 0xFFFFFFFF) != checksum:
             raise SerializationError(
                 "payload checksum mismatch: summary state corrupted in "
                 "transit or at rest"
             )
-        state = json.loads(raw.decode("utf-8"))
-        return get_summary_class(type_name).from_dict(state)
+        try:
+            state = json.loads(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise SerializationError(f"invalid binary state JSON: {exc}") from exc
+        return _restore(type_name, state)
 
 
 register_codec(JsonCodecV1())

@@ -21,16 +21,12 @@ the distributed simulator and the store's compaction:
 All strategies mutate the *first* operand of every pairwise merge and
 never touch later inputs more than once, mirroring how an in-network
 aggregation consumes child summaries.  Callers that need the inputs
-preserved should pass copies.  With a parallel executor the merges of
-a tree level run in worker processes; the merged summaries then come
-back as copies, so the caller's input objects are left untouched on
-that path.
+preserved should pass copies.
 
-Optional knobs are validated against the strategy: ``rng`` belongs to
-``"random"`` and ``executor`` to ``"tree"`` — passing either to a
-strategy that cannot honor it raises
-:class:`~repro.core.exceptions.ParameterError` (historically they were
-silently dropped).
+``rng`` is validated against the strategy: it belongs to ``"random"``,
+and passing it to a strategy that cannot honor it raises
+:class:`~repro.core.exceptions.ParameterError` instead of being
+silently dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from ..engine.compilers import MERGE_STRATEGIES, MergeStrategy, fold_slots
 from ..engine.executor import execute_plan
 from .base import Summary
 from .exceptions import MergeError, ParameterError
-from .parallel import ExecutorLike
 from .rng import RngLike
 
 __all__ = [
@@ -71,7 +66,6 @@ def _run_fold(
     strategy: str,
     summaries: Sequence[Summary],
     rng: RngLike = None,
-    executor: ExecutorLike = None,
 ) -> Summary:
     """Compile the strategy over the summaries and execute the plan."""
     _require_nonempty(summaries)
@@ -84,9 +78,7 @@ def _run_fold(
         plan = _cached_fold_plan(strategy, len(summaries))
     # the fold result is the merged summary alone; skip the report's
     # size/coverage accounting on this hot path
-    result = execute_plan(
-        plan, dict(zip(slots, summaries)), executor=executor, accounting=False
-    )
+    result = execute_plan(plan, dict(zip(slots, summaries)), accounting=False)
     return result.value
 
 
@@ -99,19 +91,14 @@ def merge_chain(summaries: Sequence[Summary]) -> Summary:
     return _run_fold("chain", summaries)
 
 
-def merge_tree(
-    summaries: Sequence[Summary], executor: ExecutorLike = None
-) -> Summary:
+def merge_tree(summaries: Sequence[Summary]) -> Summary:
     """Balanced binary reduction (depth ``ceil(log2 m)``).
 
     Every merge combines summaries of (nearly) equal total weight when
     the inputs have equal weight — the "equal-weight merge" model of
-    paper Section 3.1.  With an ``executor`` the pairs of each level are
-    merged concurrently (they are independent); results are identical
-    for any worker count because each pair's merge sees only its own
-    two operands.
+    paper Section 3.1.
     """
-    return _run_fold("tree", summaries, executor=executor)
+    return _run_fold("tree", summaries)
 
 
 def merge_random_tree(summaries: Sequence[Summary], rng: RngLike = None) -> Summary:
@@ -139,15 +126,12 @@ def merge_all(
     summaries: Sequence[Summary],
     strategy: str = "tree",
     rng: RngLike = None,
-    executor: ExecutorLike = None,
 ) -> Summary:
     """Merge ``summaries`` with the named strategy.
 
     ``strategy`` is one of :data:`MERGE_STRATEGIES` (``"chain"``,
     ``"tree"``, ``"random"``, ``"kway"``).  ``rng`` is honored only by
-    ``"random"`` and ``executor`` (an int worker count or a
-    :class:`~repro.core.parallel.ParallelExecutor`) only by ``"tree"``;
-    passing a knob the strategy cannot honor raises
+    ``"random"``; passing it to another strategy raises
     :class:`~repro.core.exceptions.ParameterError` rather than silently
     ignoring it.
     """
@@ -162,10 +146,4 @@ def merge_all(
             f"strategy {strategy!r} does not use rng; only "
             f"{sorted(n for n, s in MERGE_STRATEGIES.items() if s.uses_rng)} do"
         )
-    if executor is not None and not descriptor.supports_executor:
-        raise ParameterError(
-            f"strategy {strategy!r} cannot run on an executor; only "
-            f"{sorted(n for n, s in MERGE_STRATEGIES.items() if s.supports_executor)} "
-            f"parallelize"
-        )
-    return _run_fold(strategy, summaries, rng=rng, executor=executor)
+    return _run_fold(strategy, summaries, rng=rng)

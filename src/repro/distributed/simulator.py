@@ -6,10 +6,9 @@ compile the merge schedule into a :class:`~repro.engine.plan.MergePlan`
 :func:`repro.engine.compilers.compile_aggregation`), and hand the plan
 to :func:`repro.engine.execute_plan`, the same runner behind
 ``merge_all`` folds and the store's compaction.  The engine owns leaf
-build fan-out, wave-packed k-way merges, the retry/ledger fault loop,
-and the per-run counters; this module owns what is *simulation*: the
-partitioning, the ``Node`` fleet, and the aggregation-level result
-accounting.
+builds, the merge loop, the retry/ledger fault loop, and the per-run
+counters; this module owns what is *simulation*: the partitioning, the
+``Node`` fleet, and the aggregation-level result accounting.
 
 The instrumentation captures what the paper's theorems speak about:
 the merge count and tree depth (mergeable summaries must not degrade
@@ -36,7 +35,6 @@ import numpy as np
 
 from ..core import Summary
 from ..core.exceptions import ParameterError
-from ..core.parallel import ExecutorLike
 from ..engine import MergeLedger, execute_plan
 from ..engine.compilers import compile_aggregation
 from ..engine.faults import FaultModel, FaultStats, RetryPolicy
@@ -80,15 +78,6 @@ class AggregationResult:
     fault_stats: Optional[FaultStats] = None
     #: bytes re-sent for already-serialized generations (retry overhead)
     bytes_retransmitted: int = 0
-    #: True when parallelism was requested but (some of) the run
-    #: actually executed serially — no fork, pool failure, worker crash.
-    #: Benchmarks and the CLI must surface this; a "parallel" number
-    #: that silently ran serial is a lie.
-    degraded_to_serial: bool = False
-    #: what degraded, in order (empty for healthy runs)
-    degradation_events: List[str] = field(default_factory=list)
-    #: persistent-runtime dispatch accounting (None off the wave path)
-    runtime_stats: Optional[dict] = None
 
 
 def _validate_schedule_indices(schedule: MergeSchedule, node_count: int) -> None:
@@ -115,7 +104,6 @@ def run_aggregation(
     fault_model: Optional[FaultModel] = None,
     retry_policy: Optional[RetryPolicy] = None,
     exactly_once: bool = True,
-    executor: ExecutorLike = None,
 ) -> AggregationResult:
     """Partition ``data``, build per-node summaries, merge per ``schedule``.
 
@@ -125,19 +113,6 @@ def run_aggregation(
     (for per-node RNG streams).  With ``serialize=True`` every merge
     round-trips the child summary through the JSON wire format, as a
     real deployment would.
-
-    ``executor`` (an int worker count or a
-    :class:`~repro.core.parallel.ParallelExecutor`) opts into the
-    parallel merge runtime: leaf builds fan out across workers, and the
-    schedule is planned into waves of disjoint k-way fan-ins
-    (:func:`~repro.engine.waves.plan_step_waves`) that merge
-    concurrently via ``merge_many``.  Results are deterministic for any
-    worker count — each build/merge task sees only its own operands —
-    and identical to ``executor=1``.  ``executor=None`` (the default)
-    keeps the original step-by-step scalar path.  Fault injection and
-    ``serialize=True`` keep the merges in the calling process (retries
-    and wire-byte accounting are inherently sequential), but leaf
-    builds still parallelize.
 
     ``fault_model`` enables the fault-tolerant runtime: message loss
     and corrupted payloads are retried per ``retry_policy`` (exponential
@@ -170,7 +145,6 @@ def run_aggregation(
     result = execute_plan(
         plan,
         {i: node for i, node in enumerate(nodes)},
-        executor=executor,
         serialize=serialize,
         fault_model=fault_model,
         retry_policy=retry_policy,
@@ -204,9 +178,6 @@ def run_aggregation(
             shard_sizes=shard_sizes,
             fault_stats=stats,
             bytes_retransmitted=report.bytes_retransmitted,
-            degraded_to_serial=report.degraded_to_serial,
-            degradation_events=list(report.degradation_events),
-            runtime_stats=report.runtime_stats,
         )
 
     return AggregationResult(
@@ -225,7 +196,4 @@ def run_aggregation(
         shard_sizes=shard_sizes,
         fault_stats=None,
         bytes_retransmitted=report.bytes_retransmitted,
-        degraded_to_serial=report.degraded_to_serial,
-        degradation_events=list(report.degradation_events),
-        runtime_stats=report.runtime_stats,
     )

@@ -4,9 +4,9 @@ The paper proves that mergeable summaries survive *arbitrary* merge
 sequences; this package makes the sequence a first-class value.  A
 :class:`MergePlan` (of :class:`MergeStep` build/merge/emit ops over
 named slots) says *what* to merge; :func:`execute_plan` is the single
-runner that decides *how* — scalar step-by-step, packed into parallel
-waves of k-way fan-ins, or through the retry/ledger fault runtime —
-and reports what happened (:class:`ExecutionReport`).
+runner that decides *how* — scalar step-by-step, or through the
+retry/ledger fault runtime — and reports what happened
+(:class:`ExecutionReport`).
 
 Call sites compile to the IR instead of hand-rolling loops:
 ``repro.core.merge`` compiles its fold strategies
@@ -34,7 +34,6 @@ from .compilers import (
 from .executor import ExecutionReport, ExecutionResult, execute_plan
 from .faults import FaultModel, FaultStats, MergeLedger, RetryPolicy, corrupt_payload
 from .plan import MergePlan, MergeStep
-from .waves import plan_step_waves
 
 __all__ = [
     "MergePlan",
@@ -47,7 +46,6 @@ __all__ = [
     "compile_fold",
     "compile_aggregation",
     "fold_slots",
-    "plan_step_waves",
     "SummarySlot",
     "SegmentSlot",
     "wrap_slot",

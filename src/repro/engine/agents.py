@@ -289,7 +289,7 @@ def slot_value(agent: Any) -> Any:
 
 
 def set_slot_value(agent: Any, value: Any) -> None:
-    """Install a (worker-produced) value into an agent."""
+    """Install a freshly built value into an agent."""
     if isinstance(agent, (SummarySlot, SegmentSlot)):
         agent.set_value(value)
     else:

@@ -24,9 +24,8 @@ done — and executing it is byte-identical.
 
 :data:`MERGE_STRATEGIES` maps strategy names to
 :class:`MergeStrategy` descriptors that carry, besides the compiler,
-which optional knobs (``rng``, ``executor``) the strategy actually
-consumes — ``merge_all`` uses this to reject unsupported combinations
-instead of silently dropping them.
+whether the strategy consumes an ``rng`` — ``merge_all`` uses this to
+reject an ``rng`` the strategy would silently drop.
 """
 
 from __future__ import annotations
@@ -71,9 +70,7 @@ def _compile_tree(slots: Sequence[Hashable], rng: RngLike = None) -> MergePlan:
     """Balanced binary reduction — depth ``ceil(log2 m)``, pairwise merges.
 
     Levels reproduce the historical loop exactly: pairs merge left-in-
-    place, an odd leftover joins the *end* of the next level.  The plan
-    is groupable (each level's pairs are disjoint) but fan-in fusion is
-    off — the tree's contract is pairwise merges, not k-way.
+    place, an odd leftover joins the *end* of the next level.
     """
     steps: List[MergeStep] = []
     level: List[Hashable] = list(slots)
@@ -86,12 +83,7 @@ def _compile_tree(slots: Sequence[Hashable], rng: RngLike = None) -> MergePlan:
             nxt.append(level[-1])
         level = nxt
     steps.append(MergeStep("emit", level[0]))
-    return MergePlan(
-        name=f"fold:tree[{len(slots)}]",
-        steps=steps,
-        groupable=True,
-        fuse_fanin=False,
-    )
+    return MergePlan(name=f"fold:tree[{len(slots)}]", steps=steps)
 
 
 def _compile_random(slots: Sequence[Hashable], rng: RngLike = None) -> MergePlan:
@@ -129,8 +121,8 @@ def _compile_kway(slots: Sequence[Hashable], rng: RngLike = None) -> MergePlan:
 class MergeStrategy:
     """A named fold strategy: its plan compiler plus the knobs it consumes.
 
-    ``uses_rng``/``supports_executor`` drive ``merge_all``'s argument
-    validation — a knob a strategy cannot honor raises
+    ``uses_rng`` drives ``merge_all``'s argument validation — an ``rng``
+    the strategy cannot honor raises
     :class:`~repro.core.exceptions.ParameterError` instead of being
     silently ignored.
     """
@@ -138,7 +130,6 @@ class MergeStrategy:
     name: str
     compiler: Callable[..., MergePlan]
     uses_rng: bool = False
-    supports_executor: bool = False
     description: str = ""
 
     def compile(
@@ -160,7 +151,6 @@ MERGE_STRATEGIES = {
     "tree": MergeStrategy(
         name="tree",
         compiler=_compile_tree,
-        supports_executor=True,
         description="balanced binary reduction, depth ceil(log2 m)",
     ),
     "random": MergeStrategy(
@@ -239,9 +229,8 @@ def compile_aggregation(
 ) -> MergePlan:
     """Compile a :class:`~repro.distributed.topology.MergeSchedule`.
 
-    One build step per leaf (the executor fans consecutive builds out
-    across its pool), one merge step per schedule step in order, one
-    emit of the root.  The root is *protected*: the simulator's
+    One build step per leaf, one merge step per schedule step in order,
+    one emit of the root.  The root is *protected*: the simulator's
     coordinator is recovered out-of-band (see
     :mod:`repro.distributed.recovery`), so crash injection never takes
     it.  ``summary_factory`` may be omitted when the plan is compiled
@@ -259,6 +248,5 @@ def compile_aggregation(
     return MergePlan(
         name=f"aggregate:{schedule.name}[{schedule.leaves}]",
         steps=steps,
-        groupable=True,
         protected=frozenset({schedule.root}),
     )

@@ -27,9 +27,8 @@ store uses ``(level, start)`` block coordinates.
 
 Plans are compiled by :mod:`repro.engine.compilers` from merge
 strategies, :class:`~repro.distributed.topology.MergeSchedule` objects,
-and store roll-up states, and executed — serially, wave-parallel, or
-through a fault-injected retry loop — by
-:func:`repro.engine.execute_plan`.  The IR itself never executes
+and store roll-up states, and executed — step by step, or through a
+fault-injected retry loop — by :func:`repro.engine.execute_plan`.  The IR itself never executes
 anything.
 """
 
@@ -96,29 +95,12 @@ class MergeStep:
 class MergePlan:
     """An ordered program of :class:`MergeStep` ops over named slots.
 
-    ``groupable`` opts the plan into the executor's wave runtime: with
-    a parallel executor, consecutive merges into one destination
-    collapse into a single k-way fan-in and slot-disjoint groups run
-    concurrently.  Plans whose step-by-step shape *is* the contract
-    (the chain fold, the random tree) stay ungroupable so their merge
-    sequence — and therefore their error behavior — is preserved
-    exactly.
-
-    ``fuse_fanin`` controls whether the wave runtime may additionally
-    collapse consecutive single-source merges into one destination into
-    a single k-way ``merge_many`` (the simulator's historical wave
-    semantics).  Plans that promise *pairwise* merges (the balanced
-    tree) keep it off so grouped execution stays byte-identical to the
-    scalar fold.
-
     ``protected`` names slots immune to crash injection (the
     simulator's coordinator, recovered out-of-band).
     """
 
     name: str
     steps: Tuple[MergeStep, ...]
-    groupable: bool = False
-    fuse_fanin: bool = True
     protected: frozenset = frozenset()
 
     def __post_init__(self) -> None:
@@ -201,7 +183,6 @@ class MergePlan:
             f"{len(self.merge_steps)} merge step(s) "
             f"({self.num_merges} fan-in), "
             f"{len(self.outputs)} output(s)"
-            f"{' [groupable]' if self.groupable else ''}"
         )
         lines: List[str] = [header]
         for index, step in enumerate(self.steps):

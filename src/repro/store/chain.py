@@ -162,8 +162,7 @@ def compile_rollup_steps(
     — same block iteration, same skip of materialized roll-ups, same
     segment-id allocation order — but a job may reference a *planned*
     sibling from the level below as a source slot, which is what lets
-    the whole tree execute as one plan (the engine's wave packer
-    rediscovers the per-level barriers from the slot conflicts).
+    the whole tree execute as one plan.
 
     ``slot_of`` maps a ``(level, start)`` block to the caller's plan
     slot (:func:`compact_chains` prefixes the chain id so many chains
@@ -258,7 +257,6 @@ def run_store_plan(
     plan: MergePlan,
     inputs: Dict[Any, Segment],
     *,
-    executor: Any = None,
     fault_model: Any = None,
     retry_policy: Any = None,
     exactly_once: bool = True,
@@ -266,7 +264,7 @@ def run_store_plan(
     """Execute one store-maintenance plan through the engine.
 
     The single place both store kinds thread
-    ``fault_model``/``retry_policy``/``exactly_once``/``executor`` into
+    ``fault_model``/``retry_policy``/``exactly_once`` into
     :func:`repro.engine.execute_plan`: with a fault model and
     ``exactly_once`` every fresh roll-up keeps a merge ledger so
     injected duplicate deliveries merge exactly once, and plan-level
@@ -278,7 +276,6 @@ def run_store_plan(
     return execute_plan(
         plan,
         inputs,
-        executor=executor,
         fault_model=fault_model,
         retry_policy=retry_policy,
         ledger_factory=MergeLedger if use_ledger else None,
@@ -291,7 +288,6 @@ def compact_chains(
     new_segment_id: Callable[[int, int], str],
     *,
     name: str,
-    executor: Any = None,
     fault_model: Any = None,
     retry_policy: Any = None,
     exactly_once: bool = True,
@@ -336,11 +332,10 @@ def compact_chains(
         "retries": 0,
     }
     if steps:
-        plan = MergePlan(name=name, steps=steps, groupable=True, fuse_fanin=False)
+        plan = MergePlan(name=name, steps=steps)
         result = run_store_plan(
             plan,
             inputs,
-            executor=executor,
             fault_model=fault_model,
             retry_policy=retry_policy,
             exactly_once=exactly_once,

@@ -41,8 +41,8 @@ lattice, then the dyadic time tree within every chain through the same
 :func:`~repro.store.chain.compact_chains` the flat store calls —
 compiles into :class:`~repro.engine.plan.MergePlan` objects executed
 by the shared :func:`~repro.store.chain.run_store_plan`, so cube
-compaction inherits the engine's parallel runtime and exactly-once
-fault tolerance unchanged.
+compaction inherits the engine's exactly-once fault tolerance
+unchanged.
 
 Which masks to materialize is the Storyboard question:
 :meth:`CubeStore.compact` takes a cell ``budget`` and a ``workload``
@@ -75,7 +75,6 @@ from typing import (
 from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC
 from ..core.exceptions import ParameterError, QueryError
-from ..core.parallel import ExecutorLike
 from ..engine import FaultModel, MergePlan, MergeStep, RetryPolicy
 from .chain import (
     EpochChain,
@@ -457,7 +456,6 @@ class CubeStore(StoreBase):
 
     def compact(
         self,
-        executor: ExecutorLike = None,
         *,
         budget: Optional[int] = None,
         workload: Optional[Iterable[Any]] = None,
@@ -469,8 +467,7 @@ class CubeStore(StoreBase):
 
         Two phases, each one :class:`~repro.engine.plan.MergePlan` run
         through the shared :func:`~repro.store.chain.run_store_plan`
-        (parallel with an ``executor``, fault-tolerant with a
-        ``fault_model`` — exactly the contract of
+        (fault-tolerant with a ``fault_model`` — exactly the contract of
         :meth:`SegmentStore.compact`):
 
         1. **dimension cells** — for every chosen mask, each missing or
@@ -555,13 +552,10 @@ class CubeStore(StoreBase):
             plan = MergePlan(
                 name=f"cube-cells[{len(pending)} cells, {len(chosen)} masks]",
                 steps=steps,
-                groupable=True,
-                fuse_fanin=False,
             )
             result = run_store_plan(
                 plan,
                 inputs,
-                executor=executor,
                 fault_model=fault_model,
                 retry_policy=retry_policy,
                 exactly_once=exactly_once,
@@ -594,7 +588,6 @@ class CubeStore(StoreBase):
             chains,
             self._new_segment_id,
             name=f"cube-time[{len(chains)} chains]",
-            executor=executor,
             fault_model=fault_model,
             retry_policy=retry_policy,
             exactly_once=exactly_once,

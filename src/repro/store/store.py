@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC
 from ..core.exceptions import ParameterError, QueryError
-from ..core.parallel import ExecutorLike
 from ..engine import FaultModel, RetryPolicy
 from .chain import EpochChain, check_compaction_fault_model, compact_chains
 from .common import StoreBase
@@ -149,7 +148,6 @@ class SegmentStore(StoreBase):
 
     def compact(
         self,
-        executor: ExecutorLike = None,
         *,
         fault_model: Optional[FaultModel] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -164,10 +162,7 @@ class SegmentStore(StoreBase):
         skipped, so repeated compactions are incremental.  The roll-up
         is compiled into a :class:`~repro.engine.plan.MergePlan` and run
         by :func:`repro.engine.execute_plan` (via the shared
-        :func:`~repro.store.chain.compact_chains`); with an ``executor``
-        (int worker count or
-        :class:`~repro.core.parallel.ParallelExecutor`) the independent
-        merges of each level fan out across workers.
+        :func:`~repro.store.chain.compact_chains`).
 
         ``fault_model`` runs the compaction over the engine's unreliable
         fabric: each child delivery is retried per ``retry_policy``, and
@@ -189,7 +184,6 @@ class SegmentStore(StoreBase):
             [((), self._chain)],
             self._new_segment_id,
             name=f"compact[{len(self._chain.base)} segments]",
-            executor=executor,
             fault_model=fault_model,
             retry_policy=retry_policy,
             exactly_once=exactly_once,

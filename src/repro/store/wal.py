@@ -190,7 +190,7 @@ def scan_wal(path: str, fs: Optional[Filesystem] = None) -> WalScan:
                 ),
             )
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError) as exc:
+                ValueError, OverflowError) as exc:
             scan.error = f"malformed frame body: {exc!r}"
             return scan
         if seq <= last_seq:

@@ -11,8 +11,8 @@ expire as the window slides, and only the straddling oldest bucket is
 uncertain — a ``(1 + eps)`` window-count error envelope.
 
 A registration hook derives a ``windowed.<name>`` variant for every
-windowable registered summary type, so the codec stack, the engine
-runtime, the stores and the conformance suites cover windowed variants
+windowable registered summary type, so the codec stack, the merge
+engine, the stores and the conformance suites cover windowed variants
 with zero per-type code.
 """
 

@@ -5,17 +5,16 @@ generic fold strategies (``merge_all``) already work on windowed
 operands.  This module compiles the *bucket-aware* alternative: instead
 of treating each operand as opaque, the plan slices every operand into
 pre-aligned per-level partials (:meth:`~WindowedSummary.level_slice`),
-k-way merges each level's slices in slot-disjoint waves, and stitches
-the level results into a fresh accumulator whose final merge performs
-the one cascade/expiry pass.  Pre-aligned partials defer
-canonicalization, so the parallel waves are pure bucket unions —
-cheap, commutation-free, and deterministic.
+k-way merges each level's slices, and stitches the level results into
+a fresh accumulator whose final merge performs the one cascade/expiry
+pass.  Pre-aligned partials defer canonicalization, so the per-level
+merges are pure bucket unions — cheap, commutation-free, and
+deterministic.
 
 The compiled plan is ordinary engine IR: it runs through
 :func:`repro.engine.execute_plan` unchanged, which means windowed
-folds inherit the persistent worker runtime, the wave scheduler, the
-fault/retry/ledger machinery and the execution report for free — the
-point of ISSUE layer 2.
+folds inherit the fault/retry/ledger machinery and the execution
+report for free.
 """
 
 from __future__ import annotations
@@ -56,11 +55,10 @@ def compile_windowed_fold(summaries: Sequence) -> MergePlan:
     global stream frame (count mode: each operand's buckets shift by
     the total mass of the operands before it — operand order *is*
     stream order, exactly like a plain windowed chain merge).  Each
-    level's slices then k-way merge as lazy bucket unions — the plan is
-    ``groupable``, so a parallel executor runs the levels concurrently
-    in slot-disjoint waves — and a final fan-in stitches level results
-    oldest-level-first into a fresh accumulator, whose non-pre-aligned
-    merge path performs the one EH cascade and expiry sweep.
+    level's slices then k-way merge as lazy bucket unions, and a final
+    fan-in stitches level results oldest-level-first into a fresh
+    accumulator, whose non-pre-aligned merge path performs the one EH
+    cascade and expiry sweep.
 
     The operands themselves are never mutated (slices are clones).
     """
@@ -144,7 +142,6 @@ def compile_windowed_fold(summaries: Sequence) -> MergePlan:
     return MergePlan(
         name=f"fold:windowed[{len(summaries)}x{len(levels)}lvl]",
         steps=steps,
-        groupable=True,
         protected=frozenset({"out"}),
     )
 
@@ -152,7 +149,6 @@ def compile_windowed_fold(summaries: Sequence) -> MergePlan:
 def windowed_merge_all(
     parts: Sequence,
     *,
-    executor=None,
     serialize: bool = False,
     fault_model=None,
     retry_policy=None,
@@ -161,11 +157,10 @@ def windowed_merge_all(
     """Merge windowed summaries through the bucket-aware engine fold.
 
     Compiles :func:`compile_windowed_fold` and runs it through
-    :func:`repro.engine.execute_plan`, so the merge rides whatever
-    runtime the knobs select: the scalar loop, the wave scheduler and
-    persistent worker runtime (``executor``), or the fault/retry path
-    (``fault_model``/``retry_policy``/``ledger_factory``).  Returns a
-    *new* accumulator; ``parts`` are left untouched.
+    :func:`repro.engine.execute_plan`, so the merge runs the scalar
+    loop, or the fault/retry path when ``fault_model``/``retry_policy``/
+    ``ledger_factory`` are given.  Returns a *new* accumulator; ``parts``
+    are left untouched.
     """
     from ..engine.executor import execute_plan
 
@@ -173,7 +168,6 @@ def windowed_merge_all(
     result = execute_plan(
         plan,
         {},
-        executor=executor,
         serialize=serialize,
         fault_model=fault_model,
         retry_policy=retry_policy,

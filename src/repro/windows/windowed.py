@@ -15,8 +15,8 @@ Merging two windowed summaries is bucket-wise union followed by
 re-canonicalization under the k-per-level invariant: count mode
 concatenates (the right operand's stream is taken to follow the
 left's, clocks rebased), time mode interleaves buckets by span.  Both
-are deterministic, so engine folds over windowed summaries stay
-byte-identical between serial and parallel execution.
+are deterministic, so engine folds over windowed summaries are
+byte-reproducible.
 
 A registration hook derives one concrete subclass per windowable base
 type and registers it as ``windowed.<name>``, giving every variant a

@@ -15,6 +15,7 @@ checked combinatorially:
 from __future__ import annotations
 
 import json
+import struct
 import zlib
 
 import pytest
@@ -176,8 +177,6 @@ class TestCompression:
         summary = MisraGries(8).extend([5, 5, 6])
         payload = encode_summary(summary, "binary.v1")
         # layout: magic | header | name | zlib body
-        import struct
-
         header = struct.Struct("!BHIII")
         offset = len(_BINARY_MAGIC)
         _v, name_len, _crc, _raw, comp = header.unpack_from(payload, offset)
@@ -189,3 +188,48 @@ class TestCompression:
             json.dumps(summary.to_dict(), sort_keys=True)
         )
         assert comp == len(payload) - offset - name_len
+
+
+def _binary_frame(name: bytes, raw: bytes) -> bytes:
+    """A binary.v1 payload around ``raw`` whose body CRC matches."""
+    body = zlib.compress(raw)
+    header = struct.Struct("!BHIII").pack(
+        1, len(name), zlib.crc32(raw) & 0xFFFFFFFF, len(raw), len(body)
+    )
+    return _BINARY_MAGIC + header + name + body
+
+
+def _binary_payload(type_name: str, state) -> bytes:
+    """A well-framed, CRC-valid binary.v1 payload carrying ``state``."""
+    raw = json.dumps(state, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return _binary_frame(type_name.encode("utf-8"), raw)
+
+
+class TestMalformedState:
+    """A well-framed payload whose state does not fit its type fails typed."""
+
+    @pytest.mark.parametrize("state", [{}, []], ids=["dict", "list"])
+    @pytest.mark.parametrize("codec_name", ["json.v1", "binary.v1"])
+    @pytest.mark.parametrize("type_name", registered_names())
+    def test_malformed_state_raises_serialization_error(
+        self, type_name, codec_name, state
+    ):
+        if codec_name == "binary.v1":
+            payload = _binary_payload(type_name, state)
+        else:
+            payload = json.dumps({"format": 1, "type": type_name, "state": state})
+        with pytest.raises(SerializationError):
+            decode_summary(payload)
+
+    def test_non_string_type_name_raises_serialization_error(self):
+        payload = json.dumps({"format": 1, "type": [], "state": {}})
+        with pytest.raises(SerializationError, match="type name"):
+            decode_summary(payload)
+
+    def test_binary_name_and_body_outside_the_crc_fail_typed(self):
+        # the CRC covers the decompressed body only: a non-UTF-8 type
+        # name, or a CRC-valid body that is not JSON, must fail typed
+        with pytest.raises(SerializationError):
+            decode_summary(_binary_frame(b"\xff", b"{}"))
+        with pytest.raises(SerializationError):
+            decode_summary(_binary_frame(b"misra_gries", b"not json"))

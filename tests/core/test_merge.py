@@ -85,9 +85,3 @@ class TestMergeAll:
             merge_all(_parts(GROUPS), strategy="kway", rng=5)
         with pytest.raises(ParameterError, match="does not use rng"):
             merge_all(_parts(GROUPS), strategy="chain", rng=5)
-
-    def test_executor_rejected_by_sequential_strategies(self):
-        with pytest.raises(ParameterError, match="cannot run on an executor"):
-            merge_all(_parts(GROUPS), strategy="random", rng=1, executor=2)
-        with pytest.raises(ParameterError, match="cannot run on an executor"):
-            merge_all(_parts(GROUPS), strategy="chain", executor=2)

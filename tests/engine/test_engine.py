@@ -13,8 +13,8 @@ refactor's contract:
   legacy loop it replaced (the engine performs the *same* merge
   sequence, so even randomized summaries must match bit-for-bit);
 - a simulator run equals a manual replay of its schedule;
-- the executor's wave/scalar/fault regimes account correctly
-  (waves, step status, instrument events, duplicate injection, ledgers);
+- the executor's scalar/fault regimes account correctly (step status,
+  instrument events, duplicate injection, ledgers);
 - fault-injected store compaction is exactly-once or nothing: retries
   converge to byte-identical roll-ups, total loss installs nothing and
   a later plain ``compact()`` fully recovers.
@@ -39,7 +39,6 @@ from repro.engine import (
     compile_aggregation,
     compile_fold,
     execute_plan,
-    plan_step_waves,
 )
 from repro.frequency import ExactCounter, MisraGries
 from repro.store import SegmentStore
@@ -261,34 +260,33 @@ class TestExecutorAccounting:
         result = execute_plan(compile_fold("chain", 6), inputs)
         assert result.report.merges == 5
         assert result.report.steps_done == 5
-        assert result.report.waves == 0
         assert result.value.n == total
 
     def test_wave_path_groups_and_instruments(self):
+        # the scalar loop reports one "step" event per merge, in plan
+        # order, and "done" last
         inputs = _counters(8)
         total = sum(s.n for s in inputs.values())
         events = []
+        plan = compile_fold("tree", 8)
         result = execute_plan(
-            compile_fold("tree", 8),
+            plan,
             inputs,
-            executor=2,
             instrument=lambda event, info: events.append((event, info)),
         )
         report = result.report
-        # a balanced tree over 8 slots runs 3 levels of disjoint pairs
-        assert report.waves == 3
-        assert report.groups == 7
         assert report.merges == 7
         assert report.steps_done == 7
         kinds = [event for event, _ in events]
-        assert kinds.count("wave") == 3
-        assert kinds[-1] == "done"
+        assert kinds == ["step"] * 7 + ["done"]
+        steps = [info for event, info in events if event == "step"]
+        assert [info["index"] for info in steps] == list(range(7))
+        assert [info["dst"] for info in steps] == [
+            step.slot for step in plan.merge_steps
+        ]
+        assert all(info["fan_in"] == 1 for info in steps)
+        assert events[-1][1]["merges"] == 7
         assert result.value.n == total
-
-    def test_wave_and_scalar_paths_agree(self):
-        serial = execute_plan(compile_fold("tree", 7), _counters(7))
-        pooled = execute_plan(compile_fold("tree", 7), _counters(7), executor=3)
-        assert dumps(serial.value) == dumps(pooled.value)
 
     def test_duplicate_knob_double_merges(self):
         inputs = _counters(4)
@@ -339,17 +337,6 @@ class TestExecutorAccounting:
         )
         assert result.report.fault_stats.duplicates_merged == 4
         assert result.value.n > clean.n
-
-    def test_step_waves_respect_fuse_flag(self):
-        steps = (
-            MergeStep("merge", "s0", ("s1",)),
-            MergeStep("merge", "s0", ("s2",)),
-        )
-        fused = plan_step_waves(steps, fuse=True)
-        assert len(fused) == 1 and len(fused[0]) == 1
-        assert fused[0][0].srcs == ["s1", "s2"]
-        unfused = plan_step_waves(steps, fuse=False)
-        assert len(unfused) == 2  # same destination forces two waves
 
 
 # ---------------------------------------------------------------------------
@@ -448,47 +435,6 @@ class TestFaultInjectedCompaction:
     def test_fault_free_compact_reports_no_fault_keys(self):
         stats = _filled_store().compact()
         assert set(stats) == {"levels", "rollups_built", "merge_inputs"}
-
-
-class TestAssignGroups:
-    """Affinity assignment of wave groups to persistent workers."""
-
-    def _groups(self, pairs):
-        from repro.engine.waves import StepGroup
-
-        return [StepGroup(dst=d, srcs=list(s), indices=[0] * len(s)) for d, s in pairs]
-
-    def test_groups_follow_their_resident_slots(self):
-        from repro.engine.waves import assign_groups
-
-        fresh = {"a": {0}, "b": {0}, "c": {1}, "d": {1}}
-        groups = self._groups([("a", ["b"]), ("c", ["d"])])
-        assignments = assign_groups(groups, [0, 1], lambda slot: fresh.get(slot))
-        assert [g.dst for g in assignments[0]] == ["a"]
-        assert [g.dst for g in assignments[1]] == ["c"]
-
-    def test_fork_fresh_slots_spread_by_load(self):
-        from repro.engine.waves import assign_groups
-
-        # freshness None = every worker holds the fork snapshot, so
-        # assignment balances load instead of piling onto worker 0
-        groups = self._groups([(i, [i + 100]) for i in range(6)])
-        assignments = assign_groups(groups, [0, 1, 2], lambda slot: None)
-        assert sorted(len(v) for v in assignments.values()) == [2, 2, 2]
-
-    def test_assignment_is_deterministic(self):
-        from repro.engine.waves import assign_groups
-
-        fresh = {"a": {2}, "x": {1}}
-        groups = self._groups([("a", ["b", "c"]), ("x", ["y"]), ("p", ["q"])])
-        first = assign_groups(groups, [0, 1, 2], lambda slot: fresh.get(slot))
-        second = assign_groups(groups, [0, 1, 2], lambda slot: fresh.get(slot))
-        assert {w: [g.dst for g in v] for w, v in first.items()} == {
-            w: [g.dst for g in v] for w, v in second.items()
-        }
-        # the affinity winner actually got its group
-        assert "a" in [g.dst for g in first[2]]
-        assert "x" in [g.dst for g in first[1]]
 
 
 def test_skipped_types_documented():

@@ -223,61 +223,6 @@ class TestQueryResult:
 
 
 class TestCompact:
-    def test_parallel_compact_matches_serial(self):
-        def build():
-            store = _counter_store()
-            store.ingest(
-                [{"value": i % 13} for i in range(128)],
-                [float(i) for i in range(128)],
-            )
-            return store
-
-        serial, pooled = build(), build()
-        serial.compact()
-        pooled.compact(executor=3)
-        assert serial.num_rollups == pooled.num_rollups
-        a = serial.query(3.0, 121.0)
-        b = pooled.query(3.0, 121.0)
-        assert a["count"].to_dict() == b["count"].to_dict()
-
-    def test_parallel_compact_is_fingerprint_identical_with_adapted_members(self):
-        # count_min and kll ship through the shared-memory adapters of
-        # the persistent runtime; the roll-ups a parallel compaction
-        # builds must be indistinguishable from serial ones segment by
-        # segment, not just query by query
-        def build():
-            store = SegmentStore(width=8.0)
-            store.add_member("freq", "count_min", field="v", width=64, depth=3, seed=7)
-            store.add_member("quant", "kll_quantiles", field="v", k=32, rng=5)
-            rng = np.random.default_rng(11)
-            values = rng.integers(0, 500, size=2000)
-            store.ingest(
-                [{"v": int(v)} for v in values],
-                keys=list(rng.random(2000) * 128.0),
-            )
-            return store
-
-        serial, pooled = build(), build()
-        serial.compact()
-        pooled.compact(executor=3)
-        assert serial.num_rollups == pooled.num_rollups
-
-        def states(store):
-            # KLL's to_dict re-seeds its rng on every serialization, so
-            # the "seed" field legitimately differs between runs; the
-            # sketch's deterministic state (levels, n, tables) must not
-            out = {}
-            for seg in store.segments():
-                members = {}
-                for name, summary in seg.members.items():
-                    state = summary.to_dict()
-                    state.pop("seed", None)
-                    members[name] = state
-                out[seg.segment_id] = (seg.meta(), members)
-            return out
-
-        assert states(serial) == states(pooled)
-
     def test_compact_is_incremental(self):
         store = _counter_store()
         store.ingest(

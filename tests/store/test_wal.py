@@ -140,6 +140,28 @@ class TestScanDamage:
         assert scan.torn and "non-monotonic" in scan.error
         assert [r.seq for r in scan.records] == [1]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b'{"keys":[1.0],"records":[{"v":2}],"seq":1e400,"weights":null}',
+            b'{"keys":[1.0],"records":[{"v":2}],"seq":2,"weights":[1e400]}',
+        ],
+        ids=["seq", "weights"],
+    )
+    def test_overflowing_number_stops_scan_at_good_prefix(self, tmp_path, bad):
+        # JSON reads 1e400 as inf, and int(inf) overflows
+        path = tmp_path / "wal-000001.log"
+        good = b'{"keys":[0.0],"records":[{"v":1}],"seq":1,"weights":null}'
+        frames = b"".join(
+            struct.pack("!II", len(body), zlib.crc32(body)) + body
+            for body in (good, bad)
+        )
+        path.write_bytes(b"RWAL\x01" + frames)
+        scan = scan_wal(path)
+        assert scan.torn and "malformed frame body" in scan.error
+        assert [r.seq for r in scan.records] == [1]
+        assert scan.good_bytes == 5 + 8 + len(good)
+
 
 def test_retire_removes_only_clean_covered_files(tmp_path):
     first = WriteAheadLog(tmp_path)

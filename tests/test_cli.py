@@ -567,11 +567,9 @@ class TestWindowedCli:
         assert set(capsys.readouterr().out.split()) == set(windowed) | set(base)
 
     def test_plan_windowed_fold(self, capsys):
-        assert main(["plan", "--windowed", "--count", "4", "--waves"]) == 0
+        assert main(["plan", "--windowed", "--count", "4"]) == 0
         out = capsys.readouterr().out
         assert "fold:windowed[4x" in out
-        assert "groupable" in out
-        assert "wave 0" in out
 
     @pytest.fixture
     def window_store(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Merge-runtime suite: k-way merges, parallel execution, query caching.
+"""Merge-runtime suite: k-way merges, aggregation determinism, query caching.
 
 Registry-driven equivalence tests for the PR-3 runtime:
 
@@ -7,8 +7,8 @@ Registry-driven equivalence tests for the PR-3 runtime:
   (linear sketches, lattices, generic-fallback types), error-bounded
   for summaries whose single-pass combine legitimately reorders
   compactions (MG/SS single prune, quantile carry cascades);
-- ``run_aggregation(..., executor=k)`` must be byte-identical for every
-  worker count (and to the serial executor) for every registered type;
+- two ``run_aggregation`` runs over the same seeded leaves must give
+  byte-identical roots covering every record, for every registered type;
 - the cached quantile view must serve repeated queries without
   recomputation and invalidate on any mutation;
 - ``KLLQuantiles._compress`` must scan a linear, not quadratic, number
@@ -32,16 +32,7 @@ import pytest
 
 from repro.core import MergeError, Summary, dumps, loads, registered_names
 from repro.core.merge import merge_all, merge_chain, merge_kway
-from repro.core.parallel import ParallelExecutor, RuntimeUnavailable, resolve_executor
-from repro.distributed import (
-    ContiguousPartitioner,
-    MergeSchedule,
-    Node,
-    balanced_tree,
-    build_topology,
-    run_aggregation,
-)
-from repro.engine import compile_aggregation, compile_fold, execute_plan, plan_step_waves
+from repro.distributed import ContiguousPartitioner, Node, balanced_tree, run_aggregation
 
 # ---------------------------------------------------------------------------
 # Per-type specifications
@@ -356,7 +347,7 @@ class TestMergeManyEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# parallel aggregation determinism
+# aggregation determinism
 # ---------------------------------------------------------------------------
 
 AGGREGATION_DATA = {
@@ -446,63 +437,17 @@ def test_every_registered_type_has_an_aggregation_setup():
 
 @pytest.mark.parametrize("name", sorted(registered_names()))
 def test_parallel_aggregation_is_byte_identical_to_serial(name):
+    # two runs of the in-process engine over the same seeded leaves must
+    # produce the same root bytes, and the root must cover every record
     data, factory = _aggregation_setup(name)
     roots = [
         run_aggregation(
-            data,
-            ContiguousPartitioner(),
-            factory,
-            balanced_tree(8),
-            executor=workers,
+            data, ContiguousPartitioner(), factory, balanced_tree(8)
         ).summary
-        for workers in (1, 3)
+        for _ in range(2)
     ]
     assert dumps(roots[0]) == dumps(roots[1])
-
-
-def test_executor_path_matches_legacy_for_deterministic_summary():
-    from repro.frequency import ExactCounter
-
-    data = AGGREGATION_DATA["ints"]()
-    legacy = run_aggregation(
-        data, ContiguousPartitioner(), ExactCounter, balanced_tree(16)
-    )
-    pooled = run_aggregation(
-        data, ContiguousPartitioner(), ExactCounter, balanced_tree(16), executor=2
-    )
-    assert legacy.summary.counters() == pooled.summary.counters()
-    assert legacy.merges == pooled.merges
-    assert legacy.depth == pooled.depth
-
-
-@pytest.mark.parametrize("topology", ["star", "kary", "chain"])
-def test_executor_handles_grouped_topologies(topology):
-    from repro.frequency import MisraGries
-
-    data = AGGREGATION_DATA["ints"]()
-    serial = run_aggregation(
-        data, ContiguousPartitioner(), lambda: MisraGries(16),
-        build_topology(topology, 9, rng=1),
-    )
-    pooled = run_aggregation(
-        data, ContiguousPartitioner(), lambda: MisraGries(16),
-        build_topology(topology, 9, rng=1), executor=2,
-    )
-    assert pooled.summary.n == serial.summary.n == len(data)
-    assert pooled.summary.size() <= 16
-
-
-def test_parallel_aggregation_with_serialization_accounts_bytes():
-    from repro.frequency import MisraGries
-
-    data = AGGREGATION_DATA["ints"]()
-    result = run_aggregation(
-        data, ContiguousPartitioner(), lambda: MisraGries(16),
-        balanced_tree(8), serialize=True, executor=2,
-    )
-    assert result.summary.n == len(data)
-    assert result.bytes_shipped > 0
-    assert result.bytes_retransmitted == 0
+    assert roots[0].n == len(data)
 
 
 def test_index_aware_factory_receives_node_ids():
@@ -519,354 +464,17 @@ def test_index_aware_factory_receives_node_ids():
     assert sorted(seen) == list(range(8))
 
 
-def test_parallel_build_with_faults_keeps_serial_merge_semantics():
-    from repro.distributed import FaultModel, RetryPolicy
-    from repro.frequency import MisraGries
-
-    data = AGGREGATION_DATA["ints"]()
-
-    def kwargs():
-        # fresh FaultModel per run: its RNG stream is stateful
-        return dict(
-            serialize=True,
-            fault_model=FaultModel(loss=0.3, rng=5),
-            retry_policy=RetryPolicy(max_attempts=12),
-        )
-
-    plain = run_aggregation(
-        data, ContiguousPartitioner(), lambda: MisraGries(16),
-        balanced_tree(8), **kwargs(),
-    )
-    pooled = run_aggregation(
-        data, ContiguousPartitioner(), lambda: MisraGries(16),
-        balanced_tree(8), executor=2, **kwargs(),
-    )
-    assert pooled.summary.counters() == plain.summary.counters()
-    assert pooled.fault_stats.retries == plain.fault_stats.retries
-    assert pooled.bytes_retransmitted == plain.bytes_retransmitted
-
-
-def test_fault_model_builds_run_on_the_runtime():
-    # builds go through the resident runtime in every regime; the retry
-    # loop then runs in the coordinator over the drained leaf values
-    from repro.distributed import FaultModel, RetryPolicy
-    from repro.frequency import MisraGries
-
-    if not ParallelExecutor(max_workers=2).is_parallel:
-        pytest.skip("no process pool on this platform")
-    data = AGGREGATION_DATA["ints"]()
-
-    def run(executor):
-        return run_aggregation(
-            data, ContiguousPartitioner(), lambda: MisraGries(16),
-            balanced_tree(8), serialize=True,
-            fault_model=FaultModel(loss=0.3, duplicate=0.2, rng=5),
-            retry_policy=RetryPolicy(max_attempts=12), executor=executor,
-        )
-
-    plain, pooled = run(None), run(2)
-    assert plain.runtime_stats is None
-    assert pooled.runtime_stats is not None
-    assert pooled.runtime_stats["dispatch_rounds"] == 1  # the build wave
-    assert not pooled.degraded_to_serial
-    assert dumps(pooled.summary) == dumps(plain.summary)
-    assert pooled.fault_stats.retries == plain.fault_stats.retries
-    assert pooled.bytes_shipped == plain.bytes_shipped
-
-
-# ---------------------------------------------------------------------------
-# wave planning
-# ---------------------------------------------------------------------------
-
-
-def _schedule_waves(schedule: MergeSchedule) -> list:
-    """A schedule's wave plan as ``(dst, [srcs])`` groups."""
-    return [
-        [(group.dst, group.srcs) for group in wave]
-        for wave in plan_step_waves(compile_aggregation(schedule).merge_steps)
-    ]
-
-
-class TestPlanMergeWaves:
-    def test_star_collapses_to_one_kway_group(self):
-        schedule = build_topology("star", 9)
-        waves = _schedule_waves(schedule)
-        assert waves == [[(schedule.root, [s for _d, s in schedule.steps])]]
-
-    def test_waves_never_reuse_a_node(self):
-        schedule = balanced_tree(16)
-        for wave in _schedule_waves(schedule):
-            touched = [n for dst, srcs in wave for n in (dst, *srcs)]
-            assert len(touched) == len(set(touched))
-
-    def test_waves_preserve_step_order_per_node(self):
-        schedule = balanced_tree(16)
-        flattened = [
-            (dst, src)
-            for wave in _schedule_waves(schedule)
-            for dst, srcs in wave
-            for src in srcs
-        ]
-        assert sorted(flattened) == sorted(schedule.steps)
-        # per-destination absorb order must match the schedule
-        for node in {dst for dst, _src in schedule.steps}:
-            expected = [s for d, s in schedule.steps if d == node]
-            got = [s for d, s in flattened if d == node]
-            assert got == expected
-
-    def test_chain_collapses_to_one_kway_group(self):
-        # this repo's chain has a single destination absorbing everyone,
-        # so it groups exactly like a star
-        schedule = build_topology("chain", 5)
-        assert _schedule_waves(schedule) == [[(0, [1, 2, 3, 4])]]
-
-    def test_dependent_steps_stay_fully_sequential(self):
-        # each destination was a source of the previous step: no two
-        # groups may share a wave
-        schedule = MergeSchedule("dependent", 4, [(2, 3), (1, 2), (0, 1)])
-        assert _schedule_waves(schedule) == [[(2, [3])], [(1, [2])], [(0, [1])]]
-
-
-# ---------------------------------------------------------------------------
-# ParallelExecutor
-# ---------------------------------------------------------------------------
-
-
 def _raising_factory():
     raise ValueError("task boom")
 
 
-class TestParallelExecutor:
-    def test_serial_executor_never_forks(self):
-        pool = ParallelExecutor(max_workers=1)
-        assert not pool.is_parallel
-        with pytest.raises(RuntimeUnavailable):
-            pool.start_runtime(lambda *args: None, None)
-
-    def test_lambdas_cross_the_pool_boundary(self):
-        # closures are not picklable; runtime workers inherit the plan's
-        # builder closures at fork time (single-worker boxes run them
-        # in-process, which trivially supports them)
-        from repro.frequency import ExactCounter
-
-        offset = 17
-        data = AGGREGATION_DATA["ints"]()
-
-        def run(executor):
-            return run_aggregation(
-                data, ContiguousPartitioner(),
-                lambda: ExactCounter().extend([offset]), balanced_tree(8),
-                executor=executor,
-            )
-
-        pooled = run(2)
-        assert pooled.summary.counters() == run(None).summary.counters()
-        assert pooled.summary.estimate(offset) >= 8
-
-    def test_rejects_negative_workers(self):
-        from repro.core import ParameterError
-
-        with pytest.raises(ParameterError):
-            ParallelExecutor(max_workers=-1)
-        with pytest.raises(ParameterError):
-            resolve_executor(object())  # type: ignore[arg-type]
-
-    def test_resolve_executor_forms(self):
-        assert resolve_executor(None) is None
-        assert resolve_executor(4).max_workers == 4
-        pool = ParallelExecutor(2)
-        assert resolve_executor(pool) is pool
-
-    def test_task_exceptions_propagate(self):
-        # a builder raising inside a runtime worker re-raises, unchanged,
-        # in the coordinator
-        with pytest.raises(ValueError, match="task"):
-            run_aggregation(
-                AGGREGATION_DATA["ints"](), ContiguousPartitioner(),
-                _raising_factory, balanced_tree(4), executor=2,
-            )
-
-    def test_fork_payload_is_released_when_tasks_raise(self):
-        from repro.core import parallel
-
-        with pytest.raises(ValueError):
-            run_aggregation(
-                AGGREGATION_DATA["ints"](), ContiguousPartitioner(),
-                _raising_factory, balanced_tree(4), executor=2,
-            )
-        assert parallel._RUNTIME_PAYLOAD is None
-
-
-class TestRecoverableDegradation:
-    """Runtime start failures must degrade *visibly* and heal after a
-    cooldown of refused starts: one transient fault must not turn into
-    serial-forever."""
-
-    def _broken_context(self, monkeypatch):
-        import multiprocessing
-
-        def refuse(method):
-            raise OSError("subprocesses forbidden")
-
-        monkeypatch.setattr(multiprocessing, "get_context", refuse)
-
-    def _aggregate(self, executor):
-        from repro.frequency import CountMin
-
-        return run_aggregation(
+def test_task_exceptions_propagate():
+    # a leaf builder raising mid-plan re-raises, unchanged, to the caller
+    with pytest.raises(ValueError, match="task"):
+        run_aggregation(
             AGGREGATION_DATA["ints"](), ContiguousPartitioner(),
-            lambda: CountMin(64, 3, seed=2), balanced_tree(8),
-            executor=executor,
+            _raising_factory, balanced_tree(4),
         )
-
-    def _parallel_pool(self):
-        pool = ParallelExecutor(max_workers=2)
-        if not pool.is_parallel:
-            pytest.skip("no process pool on this platform")
-        return pool
-
-    def test_pool_failure_degrades_then_reprobes(self, monkeypatch):
-        import multiprocessing
-
-        real = multiprocessing.get_context
-        pool = self._parallel_pool()
-        serial = dumps(self._aggregate(1).summary)
-        self._broken_context(monkeypatch)
-        failed = self._aggregate(pool)
-        assert dumps(failed.summary) == serial
-        assert failed.degraded_to_serial and failed.runtime_stats is None
-        assert pool.fallbacks == 1
-        assert pool.degraded and not pool.is_parallel
-        assert any("re-probing after 8" in e for e in pool.degradation_events)
-        monkeypatch.setattr(multiprocessing, "get_context", real)
-        # every refused start ticks the cooldown and serves serial,
-        # visibly and with correct results ...
-        for _ in range(8):
-            cooling = self._aggregate(pool)
-            assert dumps(cooling.summary) == serial
-            assert cooling.degraded_to_serial and cooling.runtime_stats is None
-        # ... then the runtime is re-probed and parallelism recovers
-        assert pool.is_parallel
-        healed = self._aggregate(pool)
-        assert dumps(healed.summary) == serial
-        assert healed.runtime_stats is not None
-        assert not healed.degraded_to_serial
-        assert pool.fallbacks == 1  # healthy again: no new fallbacks
-
-    def test_consecutive_failures_back_off_exponentially(self, monkeypatch):
-        pool = self._parallel_pool()
-        self._broken_context(monkeypatch)
-        cooldowns = []
-        for _ in range(5):
-            self._aggregate(pool)  # the runtime start fails, sets the cooldown
-            cooldowns.append(pool._cooldown)
-            pool._cooldown = 0  # fast-forward to the next re-probe
-        assert cooldowns == [8, 16, 32, 64, 64]
-
-
-class TestWorkerRuntime:
-    """The persistent shared-memory runtime behind the wave path."""
-
-    def _count_min_aggregation(self, executor, leaves=16):
-        from repro.frequency import CountMin
-
-        data = AGGREGATION_DATA["ints"]()
-        return run_aggregation(
-            data,
-            ContiguousPartitioner(),
-            lambda: CountMin(64, 3, seed=2),
-            balanced_tree(leaves),
-            executor=executor,
-        )
-
-    def test_one_ipc_round_trip_per_wave(self):
-        pool = ParallelExecutor(max_workers=3)
-        result = self._count_min_aggregation(pool)
-        if not pool.is_parallel:
-            pytest.skip("no process pool on this platform")
-        stats = result.runtime_stats
-        assert stats is not None, "wave path must report runtime stats"
-        # balanced_tree(16): one build round + four merge waves
-        assert stats["dispatch_rounds"] == 5
-        assert stats["worker_crashes"] == 0
-        assert not result.degraded_to_serial
-        # commands carry step ids, not summaries: a 16-leaf plan's entire
-        # command traffic must stay far below one serialized CountMin
-        # table (64*3*8 = 1536 bytes)
-        assert stats["cmd_bytes"] < 8 * 1024
-        # bulk state moved through shared memory, not the pipes
-        assert stats["exported_bytes"] > 16 * 1536
-
-    def test_results_survive_worker_count_sweep(self):
-        from repro.core import dumps as _dumps
-
-        baseline = None
-        for workers in (1, 2, 3, 5):
-            result = self._count_min_aggregation(workers)
-            payload = _dumps(result.summary)
-            if baseline is None:
-                baseline = payload
-            assert payload == baseline
-
-    def test_runtime_payload_is_released_after_the_run(self):
-        from repro.core import parallel
-
-        self._count_min_aggregation(3)
-        assert parallel._RUNTIME_PAYLOAD is None
-
-    def test_runtime_payload_does_not_pin_plan_inputs(self):
-        # workers inherit the plan's slots at fork; the coordinator must
-        # not keep them (or the summaries they hold) alive afterwards
-        import gc
-        import weakref
-
-        from repro.frequency import ExactCounter
-
-        inputs = {f"s{i}": ExactCounter().extend([i, i + 1]) for i in range(4)}
-        ref = weakref.ref(inputs["s1"])
-        execute_plan(compile_fold("tree", 4), inputs, executor=2)
-        del inputs
-        gc.collect()
-        assert ref() is None
-
-    @pytest.mark.parametrize("skip_runs", [0, 1])
-    def test_worker_crash_mid_wave_is_exactly_once(self, skip_runs):
-        # skip_runs=0 dies in the build wave; skip_runs=1 lets builds
-        # through so the crash lands mid-merge-wave with resident state
-        from repro.core import dumps as _dumps
-
-        serial = self._count_min_aggregation(1)
-        pool = ParallelExecutor(max_workers=3)
-        pool._debug_worker_crash = (1, 0, skip_runs)
-        result = self._count_min_aggregation(pool)
-        if result.runtime_stats is None:
-            pytest.skip("no process pool on this platform")
-        assert _dumps(result.summary) == _dumps(serial.summary)
-        assert result.runtime_stats["worker_crashes"] == 1
-        assert result.degraded_to_serial
-        assert any("exactly-once" in e for e in result.degradation_events)
-
-    def test_crash_recovery_leaves_no_shared_memory_behind(self):
-        import glob
-
-        before = set(glob.glob("/dev/shm/rs*"))
-        pool = ParallelExecutor(max_workers=3)
-        pool._debug_worker_crash = (0, 0, 1)
-        self._count_min_aggregation(pool)
-        assert set(glob.glob("/dev/shm/rs*")) == before
-
-    def test_healthy_runs_report_no_degradation(self):
-        result = self._count_min_aggregation(3)
-        assert not result.degraded_to_serial
-        assert result.degradation_events == []
-
-    def test_serial_executor_is_not_degraded(self):
-        # executor=1 is *requested* serial — reporting it as degraded
-        # would cry wolf on every single-core box
-        result = self._count_min_aggregation(1)
-        assert not result.degraded_to_serial
-        assert result.degradation_events == []
-        assert result.runtime_stats is None
 
 
 # ---------------------------------------------------------------------------

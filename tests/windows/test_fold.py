@@ -1,11 +1,11 @@
 """The bucket-aware engine fold over windowed operands.
 
 ``windowed_merge_all`` compiles per-level slice/union/stitch steps into
-ordinary engine IR, so windowed merges ride the same executor, wave
-scheduler and fault/retry/ledger machinery as every other fold.  The
-acceptance bar: the scalar loop and the parallel wave runtime produce
-*byte-identical* results, and the fold agrees with a plain chain merge
-on everything observable.
+ordinary engine IR, so windowed merges ride the same executor and
+fault/retry/ledger machinery as every other fold.  The acceptance bar:
+the direct and serialized payload paths produce *byte-identical*
+results, and the fold agrees with a plain chain merge on everything
+observable.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ def _fingerprint(win):
 
 
 class TestPlanShape:
-    def test_compiles_to_groupable_engine_ir(self):
+    def test_compiles_to_engine_ir(self):
         plan = compile_windowed_fold(_parts())
         assert isinstance(plan, MergePlan)
-        assert plan.groupable
         assert "out" in plan.protected
         assert plan.name.startswith("fold:windowed[")
         ops = [step.op for step in plan.steps]
@@ -79,11 +78,6 @@ class TestPlanShape:
 
 
 class TestFoldSemantics:
-    def test_serial_parallel_byte_identical(self):
-        serial = windowed_merge_all(_parts())
-        parallel = windowed_merge_all(_parts(), executor=3)
-        assert _state(serial) == _state(parallel)
-
     def test_serialize_payload_path_byte_identical(self):
         direct = windowed_merge_all(_parts())
         serialized = windowed_merge_all(_parts(), serialize=True)
@@ -121,7 +115,6 @@ class TestFoldSemantics:
         parts = _parts()
         before = [_fingerprint(p) for p in parts]
         windowed_merge_all(parts)
-        windowed_merge_all(parts, executor=2)
         assert [_fingerprint(p) for p in parts] == before
 
     def test_all_empty_operands(self):
