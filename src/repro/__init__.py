@@ -73,7 +73,7 @@ from .store import CubeStore, SegmentStore
 # windowed.<name> variant for every windowable summary type above (the
 # hook replays over everything already registered, so import order does
 # not matter for coverage — last is simply clearest)
-from .windows import WindowView, WindowedSummary, windowed_merge_all
+from .windows import WindowView, WindowedSummary
 
 __version__ = "1.0.0"
 
@@ -122,5 +122,4 @@ __all__ = [
     "CubeStore",
     "WindowedSummary",
     "WindowView",
-    "windowed_merge_all",
 ]

@@ -215,20 +215,7 @@ def _cmd_types(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from .engine import compile_aggregation, compile_fold
 
-    if args.windowed:
-        # bucket-aware fold over synthetic windowed operands: shows the
-        # per-level slice/union/stitch structure the engine executes
-        from .frequency import ExactCounter
-        from .windows.fold import compile_windowed_fold
-
-        parts = []
-        for i in range(args.count):
-            part = ExactCounter().windowed(eps=0.25, granularity=4)
-            for j in range(32):
-                part.update((i * 32 + j) % 7)
-            parts.append(part)
-        plan = compile_windowed_fold(parts)
-    elif args.topology is not None:
+    if args.topology is not None:
         from .distributed import build_topology
 
         schedule = build_topology(
@@ -741,13 +728,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["balanced", "chain", "star", "kary", "random"],
         help="compile a distributed aggregation schedule instead of a fold",
     )
-    mode.add_argument(
-        "--windowed", action="store_true",
-        help="compile the bucket-aware windowed fold (per-level "
-        "slice/union/stitch) over --count synthetic operands",
-    )
     plan.add_argument("--count", type=int, default=8,
-                      help="number of fold inputs (with --strategy/--windowed)")
+                      help="number of fold inputs (with --strategy)")
     plan.add_argument("--nodes", type=int, default=16,
                       help="number of leaves (with --topology)")
     plan.add_argument("--seed", type=int, default=None,

@@ -186,7 +186,7 @@ class WindowedMisraGries(windowed_class("misra_gries")):
         bucket *indices* counted from the newest live bucket (the
         combinator's watermark-based cutoff would retain one extra
         straddling bucket mid-stripe)."""
-        if self._prealigned or not self._buckets:
+        if not self._buckets:
             return
         latest = max(b.start for b in self._buckets)
         floor = latest - (self.num_buckets - 1) * self.granularity
@@ -272,10 +272,6 @@ class WindowedMisraGries(windowed_class("misra_gries")):
         return None
 
     def _merge_same_type(self, other: "WindowedMisraGries") -> None:
-        if self._prealigned or other._prealigned:
-            # engine slices go through the combinator's lazy-union path
-            super()._merge_same_type(other)
-            return
         for theirs in other._buckets:
             clone = theirs.clone()
             mine = next(

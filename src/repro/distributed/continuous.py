@@ -28,13 +28,15 @@ and the rolled-back epoch merges fresh.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core import Summary, dumps, loads
-from ..core.exceptions import ParameterError, SerializationError
-from ..engine.faults import FaultModel, FaultStats, MergeLedger, RetryPolicy
+from ..core import Summary, dumps
+from ..core.exceptions import ParameterError
+from ..engine.agents import SummarySlot
+from ..engine.faults import FaultModel, FaultStats, MergeLedger, RetryPolicy, deliver
 from .recovery import Checkpoint, CheckpointStore, CoordinatorCrash
 
 __all__ = ["EpochReport", "ContinuousAggregation"]
@@ -170,72 +172,15 @@ class ContinuousAggregation:
     # The epoch loop
     # ------------------------------------------------------------------
 
-    def _deliver_delta(self, delta: Summary, delivery_id: str) -> Dict[str, int]:
-        """Ship one delta through the (possibly faulty) fabric.
-
-        Returns counters: bytes shipped, whether it merged, retries,
-        suppressed duplicates.
-        """
-        faults = self.fault_model
-        counters = {"bytes": 0, "merged": 0, "retries": 0, "suppressed": 0}
-
-        def _merge_payload(payload) -> bool:
-            child = loads(payload) if self.serialize else payload
-            if self.ledger is not None:
-                if delivery_id in self.ledger:
-                    self.fault_stats.duplicates_suppressed += 1
-                    counters["suppressed"] += 1
-                    return False
-            self.coordinator.merge(child)
-            if self.ledger is not None:
-                self.ledger.witness(delivery_id)
-            return True
-
-        if faults is None:
-            payload = dumps(delta) if self.serialize else delta
-            if self.serialize:
-                counters["bytes"] += len(payload)
-            counters["merged"] += int(_merge_payload(payload))
-            return counters
-
-        policy = self.retry_policy or RetryPolicy()
-        for attempt in policy.attempts():
-            self.fault_stats.attempts += 1
-            if attempt > 1:
-                self.fault_stats.retries += 1
-                counters["retries"] += 1
-                self.fault_stats.backoff_seconds += policy.delay_before(attempt)
-            payload = dumps(delta) if self.serialize else delta
-            if self.serialize:
-                counters["bytes"] += len(payload)
-            if faults.draw_loss():
-                self.fault_stats.messages_lost += 1
-                continue
-            if self.serialize and faults.draw_corruption():
-                payload = faults.corrupt(payload)
-                self.fault_stats.corrupted_payloads += 1
-            if faults.draw_coordinator_crash():
-                self._crashed = True
-                raise CoordinatorCrash(len(self.history) + 1, counters["merged"])
-            try:
-                merged = _merge_payload(payload)
-            except SerializationError:
-                self.fault_stats.corruption_detected += 1
-                continue
-            counters["merged"] += int(merged)
-            if faults.draw_duplicate():
-                self.fault_stats.duplicates_delivered += 1
-                dup = dumps(delta) if self.serialize else delta
-                if self.serialize:
-                    counters["bytes"] += len(dup)
-                if _merge_payload(dup):
-                    self.fault_stats.duplicates_merged += 1
-            return counters
-        self.fault_stats.deliveries_failed += 1
-        return counters
-
     def run_epoch(self, per_node_data: Sequence[np.ndarray]) -> EpochReport:
-        """One epoch: each node summarizes its new data and ships a delta."""
+        """One epoch: each node summarizes its new data and ships a delta.
+
+        Deltas travel through :func:`~repro.engine.faults.deliver`, the
+        engine's own delivery loop, from one
+        :class:`~repro.engine.agents.SummarySlot` per delta into a slot
+        holding the coordinator, so a retry resends the first attempt's
+        bytes.
+        """
         if self._crashed:
             raise RuntimeError(
                 "coordinator has crashed; resume from a checkpoint with "
@@ -246,29 +191,57 @@ class ContinuousAggregation:
                 f"expected data for {self.nodes} nodes, got {len(per_node_data)}"
             )
         epoch = len(self.history) + 1
+        faults = self.fault_model
+        stats = self.fault_stats
+        retries_before = stats.retries
+        suppressed_before = stats.duplicates_suppressed
+        coordinator = SummarySlot(self.coordinator, ledger=self.ledger)
         bytes_shipped = 0
         records = 0
         delivered_records = 0
-        retries = 0
-        suppressed = 0
+        deltas_merged = 0
         crashed_nodes = 0
+
+        def coordinator_crash_draw() -> None:
+            if faults.draw_coordinator_crash():
+                self._crashed = True
+                raise CoordinatorCrash(epoch, deltas_merged)
+
         for index, shard in enumerate(per_node_data):
-            delta = self.summary_factory()
-            delta.extend(shard)
-            records += delta.n
-            if self.fault_model is not None and self.fault_model.draw_crash():
+            delta = SummarySlot(self.summary_factory())
+            delta.summary.extend(shard)
+            records += delta.summary.n
+            if faults is not None and faults.draw_crash():
                 # the node dies before reporting; its epoch data is gone
                 # (it may come back next epoch — crash is drawn per report)
-                self.fault_stats.nodes_crashed += 1
-                self.fault_stats.crashed_nodes.append(index)
+                stats.nodes_crashed += 1
+                stats.crashed_nodes.append(index)
                 crashed_nodes += 1
                 continue
-            counters = self._deliver_delta(delta, f"node{index}@epoch{epoch}")
-            bytes_shipped += counters["bytes"]
-            retries += counters["retries"]
-            suppressed += counters["suppressed"]
-            if counters["merged"]:
-                delivered_records += delta.n
+            delivery_id = f"node{index}@epoch{epoch}"
+            fresh = self.ledger is None or delivery_id not in self.ledger
+            emit = partial(delta.emit, self.serialize)
+            land = partial(
+                coordinator.absorb, serialized=self.serialize, delivery_id=delivery_id
+            )
+            if faults is None:
+                landed = True
+                if not land(emit()):
+                    stats.duplicates_suppressed += 1
+            else:
+                landed = deliver(
+                    emit,
+                    land,
+                    faults,
+                    self.retry_policy or RetryPolicy(),
+                    stats,
+                    self.serialize,
+                    on_arrival=coordinator_crash_draw,
+                )
+            bytes_shipped += delta.bytes_sent + delta.bytes_retransmitted
+            if landed and fresh:
+                deltas_merged += 1
+                delivered_records += delta.summary.n
         report = EpochReport(
             epoch=epoch,
             records=records,
@@ -278,8 +251,8 @@ class ContinuousAggregation:
             delivered_records=delivered_records,
             lost_records=records - delivered_records,
             coverage=delivered_records / records if records else 1.0,
-            retries=retries,
-            duplicates_suppressed=suppressed,
+            retries=stats.retries - retries_before,
+            duplicates_suppressed=stats.duplicates_suppressed - suppressed_before,
             crashed_nodes=crashed_nodes,
         )
         self.history.append(report)

@@ -18,12 +18,13 @@ roll-up — which is how the store gets fault injection and exactly-once
 compaction without any code of its own.
 
 Fault primitives (:class:`FaultModel`, :class:`RetryPolicy`,
-:class:`MergeLedger`, :class:`FaultStats`) live here too, because the
-engine's executor is the one place that runs the retry/ledger loop;
-:mod:`repro.distributed` exports them as well.
+:class:`MergeLedger`, :class:`FaultStats`) live here too, with
+:func:`deliver`, the one retry/ledger loop that both the executor and
+the continuous coordinator run; :mod:`repro.distributed` exports them
+as well.
 """
 
-from .agents import SegmentSlot, SummarySlot, wrap_slot
+from .agents import SummarySlot, wrap_slot
 from .compilers import (
     MERGE_STRATEGIES,
     MergeStrategy,
@@ -32,7 +33,14 @@ from .compilers import (
     fold_slots,
 )
 from .executor import ExecutionReport, ExecutionResult, execute_plan
-from .faults import FaultModel, FaultStats, MergeLedger, RetryPolicy, corrupt_payload
+from .faults import (
+    FaultModel,
+    FaultStats,
+    MergeLedger,
+    RetryPolicy,
+    corrupt_payload,
+    deliver,
+)
 from .plan import MergePlan, MergeStep
 
 __all__ = [
@@ -47,11 +55,11 @@ __all__ = [
     "compile_aggregation",
     "fold_slots",
     "SummarySlot",
-    "SegmentSlot",
     "wrap_slot",
     "FaultModel",
     "FaultStats",
     "MergeLedger",
     "RetryPolicy",
     "corrupt_payload",
+    "deliver",
 ]

@@ -1,58 +1,40 @@
-"""Slot agents: the uniform participant protocol the executor speaks.
+"""Slot agents: the one participant protocol the executor speaks.
 
 :func:`~repro.engine.execute_plan` never merges values directly — every
-slot is held by an *agent* exposing the protocol the distributed
-:class:`~repro.distributed.node.Node` pioneered:
+slot is held by a :class:`SummarySlot`, the agent the distributed
+:class:`~repro.distributed.node.Node` extends with its shard:
 
 - ``emit(serialize)`` — ship the slot's value (optionally through the
   wire codec, with per-generation payload caching so retransmissions
   charge ``bytes_retransmitted`` instead of re-serializing);
 - ``absorb(payload, serialized, delivery_id)`` / ``absorb_many(...)`` —
-  merge one child or a k-way fan-in, deduplicating via the optional
-  :class:`~repro.engine.faults.MergeLedger`;
+  merge one child or a k-way fan-in, deduplicating single deliveries
+  via the optional :class:`~repro.engine.faults.MergeLedger`;
 - ``merges_performed`` / ``bytes_sent`` / ``bytes_retransmitted`` —
   the counters the execution report aggregates.
 
-:func:`wrap_slot` adapts whatever the caller passed as an input:
-anything already agent-shaped (a ``Node``) passes through; a
-:class:`~repro.core.base.Summary` gets a :class:`SummarySlot`; a store
-segment (duck-typed on ``members``/``segment_id``, so this module never
-imports :mod:`repro.store`) gets a :class:`SegmentSlot` whose merges
-mirror :func:`repro.store.segment.merged_segment` member for member.
+The slot's value is any merge operand: a
+:class:`~repro.core.base.Summary`, or a store segment, whose
+``merge``/``merge_many`` go member by member.  :func:`wrap_slot` passes
+a ``SummarySlot`` through and wraps any other operand in one.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
-from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC, decode_summary, encode_summary
 from ..core.exceptions import ParameterError
 from .faults import MergeLedger
 
-__all__ = [
-    "SummarySlot",
-    "SegmentSlot",
-    "wrap_slot",
-    "slot_value",
-    "set_slot_value",
-    "slot_size",
-    "is_segment",
-]
-
-
-def is_segment(value: Any) -> bool:
-    """Duck-typed store-segment check (no :mod:`repro.store` import)."""
-    return hasattr(value, "members") and hasattr(value, "segment_id")
+__all__ = ["SummarySlot", "wrap_slot"]
 
 
 class SummarySlot:
-    """Agent wrapping a bare :class:`~repro.core.base.Summary`.
+    """Agent holding one merge operand in :attr:`summary`.
 
-    Mirrors ``Node``'s emit/absorb bookkeeping (payload cache keyed on
-    the merge generation, bytes split into payload vs retransmission,
-    ledger dedup) minus the shard/build machinery — a fold input has no
-    data of its own to ingest.
+    Keeps the payload cache keyed on the merge generation, the bytes
+    split into payload vs retransmission, and the ledger dedup.
     """
 
     __slots__ = (
@@ -68,27 +50,38 @@ class SummarySlot:
 
     def __init__(
         self,
-        summary: Summary,
+        summary: Any = None,
         codec: str = DEFAULT_CODEC,
         ledger: Optional[MergeLedger] = None,
     ) -> None:
         self.summary = summary
+        #: wire codec this slot emits (any :mod:`repro.core.codecs` name);
+        #: absorb sniffs the payload, so mixed-codec fleets interoperate
         self.codec = codec
+        #: delivery IDs already merged (exactly-once dedup); None = no dedup
         self.ledger = ledger
+        #: payload bytes emitted, counting each summary generation once
         self.bytes_sent = 0
+        #: extra bytes from retransmissions of an already-serialized
+        #: generation (retry/duplicate overhead, not payload)
         self.bytes_retransmitted = 0
         self.merges_performed = 0
+        #: redeliveries suppressed by the ledger
         self.duplicates_ignored = 0
+        #: serialized payload of the current generation (keyed on
+        #: ``merges_performed``), so retransmissions reuse the exact
+        #: bytes the first attempt shipped instead of re-serializing
         self._payload_cache: Optional[Tuple[int, Any]] = None
 
-    @property
-    def value(self) -> Summary:
-        return self.summary
-
-    def set_value(self, value: Summary) -> None:
-        self.summary = value
-
     def emit(self, serialize: bool = True) -> Any:
+        """Ship the held value upstream (optionally over the wire format).
+
+        Each generation (identified by ``merges_performed``) is
+        serialized once; re-emitting it — a fault-loop retransmission
+        or an injected duplicate — reuses the cached bytes and is
+        accounted in :attr:`bytes_retransmitted`, so :attr:`bytes_sent`
+        reports true payload.
+        """
         if not serialize:
             return self.summary
         generation = self.merges_performed
@@ -107,6 +100,14 @@ class SummarySlot:
         serialized: bool = True,
         delivery_id: Optional[str] = None,
     ) -> bool:
+        """Merge one child's emitted value into the held value.
+
+        Returns ``False`` when the ledger recognized ``delivery_id`` as
+        already merged (a duplicate delivery) and the merge was
+        skipped.  Deserialization happens first, so a corrupted payload
+        raises :class:`~repro.core.exceptions.SerializationError`
+        before any bookkeeping — a NACK in a real transport.
+        """
         child = decode_summary(payload) if serialized else payload
         if delivery_id is not None and self.ledger is not None:
             if delivery_id in self.ledger:
@@ -118,189 +119,34 @@ class SummarySlot:
             self.ledger.witness(delivery_id)
         return True
 
-    def absorb_many(
-        self,
-        payloads: Sequence[Any],
-        serialized: bool = True,
-        delivery_ids: Optional[Sequence[str]] = None,
-    ) -> int:
-        if delivery_ids is None or self.ledger is None:
-            # fast path: no dedup bookkeeping to thread through
-            children = (
-                [decode_summary(p) for p in payloads]
-                if serialized
-                else list(payloads)
-            )
-            if children:
-                self.summary.merge_many(children)
-                self.merges_performed += len(children)
-            return len(children)
-        children: List[Summary] = []
-        fresh_ids: List[str] = []
-        for i, payload in enumerate(payloads):
-            child = decode_summary(payload) if serialized else payload
-            delivery_id = delivery_ids[i]
-            if delivery_id is not None:
-                if delivery_id in self.ledger:
-                    self.duplicates_ignored += 1
-                    continue
-                fresh_ids.append(delivery_id)
-            children.append(child)
-        if children:
-            self.summary.merge_many(children)
-            self.merges_performed += len(children)
-        for delivery_id in fresh_ids:
-            self.ledger.witness(delivery_id)
-        return len(children)
+    def absorb_many(self, payloads: Sequence[Any], serialized: bool = True) -> int:
+        """Merge a whole fan-in in one k-way ``merge_many`` pass.
 
-
-class SegmentSlot:
-    """Agent wrapping a store segment (one summary per member).
-
-    Every merge goes member-wise through ``merge_many`` — including
-    single-child fan-ins — because that is exactly what
-    :func:`repro.store.segment.merged_segment` does, and compaction
-    results must stay byte-identical to it.  Segments never cross the
-    wire inside a compaction, so serialized emission is a usage error.
-    """
-
-    __slots__ = (
-        "segment",
-        "ledger",
-        "bytes_sent",
-        "bytes_retransmitted",
-        "merges_performed",
-        "duplicates_ignored",
-    )
-
-    def __init__(self, segment: Any, ledger: Optional[MergeLedger] = None) -> None:
-        self.segment = segment
-        self.ledger = ledger
-        self.bytes_sent = 0
-        self.bytes_retransmitted = 0
-        self.merges_performed = 0
-        self.duplicates_ignored = 0
-
-    @property
-    def value(self) -> Any:
-        return self.segment
-
-    def set_value(self, value: Any) -> None:
-        self.segment = value
-
-    def emit(self, serialize: bool = True) -> Any:
-        if serialize:
-            raise ParameterError(
-                "segments do not serialize through the engine wire path; "
-                "execute segment plans with serialize=False"
-            )
-        return self.segment
-
-    def absorb(
-        self,
-        payload: Any,
-        serialized: bool = False,
-        delivery_id: Optional[str] = None,
-    ) -> bool:
-        if serialized:
-            raise ParameterError("segment slots absorb segment objects only")
-        if delivery_id is not None and self.ledger is not None:
-            if delivery_id in self.ledger:
-                self.duplicates_ignored += 1
-                return False
-        merge_segment_into(self.segment, [payload])
-        self.merges_performed += 1
-        if delivery_id is not None and self.ledger is not None:
-            self.ledger.witness(delivery_id)
-        return True
-
-    def absorb_many(
-        self,
-        payloads: Sequence[Any],
-        serialized: bool = False,
-        delivery_ids: Optional[Sequence[str]] = None,
-    ) -> int:
-        if serialized:
-            raise ParameterError("segment slots absorb segment objects only")
-        if delivery_ids is None or self.ledger is None:
-            children = list(payloads)
-            fresh_ids: List[str] = []
-        else:
-            children = []
-            fresh_ids = []
-            for i, payload in enumerate(payloads):
-                delivery_id = delivery_ids[i]
-                if delivery_id is not None:
-                    if delivery_id in self.ledger:
-                        self.duplicates_ignored += 1
-                        continue
-                    fresh_ids.append(delivery_id)
-                children.append(payload)
-        # merged_segment calls merge_many(parts[1:]) unconditionally, so a
-        # seeded roll-up with no remaining parts still makes the (empty)
-        # member-wise merge_many calls — keep that byte-for-byte
-        merge_segment_into(self.segment, children)
+        The call is made even for an empty group: a roll-up seeded from
+        its only part still makes its (empty) member-wise merges, as
+        :func:`repro.store.segment.merged_segment` does.  Returns the
+        number of children merged.
+        """
+        children = (
+            [decode_summary(p) for p in payloads] if serialized else list(payloads)
+        )
+        self.summary.merge_many(children)
         self.merges_performed += len(children)
-        for delivery_id in fresh_ids:
-            self.ledger.witness(delivery_id)
         return len(children)
 
 
-def merge_segment_into(segment: Any, parts: Sequence[Any]) -> Any:
-    """K-way merge ``parts`` into ``segment``, member for member.
-
-    One ``merge_many`` per member for the whole group, mirroring
-    :func:`repro.store.segment.merged_segment` (which also issues the
-    call for empty groups — some summaries normalize state on any
-    merge pass, and roll-ups must not depend on group size).
-    """
-    for name in segment.members:
-        segment.members[name].merge_many([p.members[name] for p in parts])
-    segment.count += sum(p.count for p in parts)
-    return segment
-
-
-def wrap_slot(value: Any) -> Any:
+def wrap_slot(value: Any) -> SummarySlot:
     """Adapt an input value to the agent protocol.
 
-    Agent-shaped objects (``emit`` + ``absorb``) pass through — this is
-    how the simulator's ``Node`` list plugs in with its shard/byte
-    bookkeeping intact.
+    A :class:`SummarySlot` (such as the simulator's ``Node``) passes
+    through with its shard and byte bookkeeping intact; any value with
+    ``merge``/``merge_many`` is wrapped in a fresh one.
     """
-    if isinstance(value, Summary):  # the common case, checked first
-        return SummarySlot(value)
-    if hasattr(value, "emit") and hasattr(value, "absorb"):
+    if isinstance(value, SummarySlot):
         return value
-    if is_segment(value):
-        return SegmentSlot(value)
     if hasattr(value, "merge") and hasattr(value, "merge_many"):
         return SummarySlot(value)
     raise ParameterError(
         f"cannot execute over slot value of type {type(value).__name__}: "
-        "expected a Summary, a store segment, or an agent with emit/absorb"
+        "expected a Summary, a store segment, or a SummarySlot"
     )
-
-
-def slot_value(agent: Any) -> Any:
-    """The value currently held by an agent (``None`` before build)."""
-    if isinstance(agent, (SummarySlot, SegmentSlot)):
-        return agent.value
-    return agent.summary
-
-
-def set_slot_value(agent: Any, value: Any) -> None:
-    """Install a freshly built value into an agent."""
-    if isinstance(agent, (SummarySlot, SegmentSlot)):
-        agent.set_value(value)
-    else:
-        agent.summary = value
-
-
-def slot_size(agent: Any) -> int:
-    """Summary size of a slot (summed over members for segments)."""
-    value = slot_value(agent)
-    if value is None:
-        return 0
-    if is_segment(value):
-        return sum(member.size() for member in value.members.values())
-    return value.size()

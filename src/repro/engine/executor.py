@@ -9,9 +9,10 @@ merge steps take one of two regimes:
 
 - **scalar** — steps run one by one in plan order, each source emitted
   and absorbed by its destination (the legacy step-by-step semantics);
-- **fault** — with a :class:`~repro.engine.faults.FaultModel`, every
-  delivery runs a retry-with-backoff loop against injected loss,
-  corruption, crashes and duplicates, parents dedup via per-slot
+- **fault** — with a :class:`~repro.engine.faults.FaultModel`, slots
+  may crash, every delivery runs :func:`~repro.engine.faults.deliver`
+  (the retry-with-backoff loop against injected loss, corruption and
+  duplicates), parents dedup via per-slot
   :class:`~repro.engine.faults.MergeLedger` (exactly-once merges), and
   the report carries coverage/degradation accounting.
 """
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..core.codecs import decode_summary
-from ..core.exceptions import ParameterError, SerializationError
-from .agents import set_slot_value, slot_size, slot_value, wrap_slot
-from .faults import FaultModel, FaultStats, RetryPolicy
+from ..core.exceptions import ParameterError
+from .agents import SummarySlot, wrap_slot
+from .faults import FaultModel, FaultStats, RetryPolicy, deliver
 from .plan import MergePlan, MergeStep
 
 __all__ = ["ExecutionReport", "ExecutionResult", "execute_plan"]
@@ -128,18 +130,18 @@ class _Run:
         self.report = ExecutionReport(plan=plan.name)
         if fault_model is not None:
             self.report.fault_stats = FaultStats()
-        self.slots: Dict[Hashable, Any] = {}
+        self.slots: Dict[Hashable, SummarySlot] = {}
         self.outputs: Dict[Hashable, Any] = {}
         for slot, value in inputs.items():
             self._install(slot, wrap_slot(value))
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _install(self, slot: Hashable, agent: Any) -> None:
+    def _install(self, slot: Hashable, agent: SummarySlot) -> None:
         if (
             self.faults is not None
             and self.ledger_factory is not None
-            and getattr(agent, "ledger", None) is None
+            and agent.ledger is None
         ):
             agent.ledger = self.ledger_factory()
         self.slots[slot] = agent
@@ -147,8 +149,10 @@ class _Run:
             self.report.covered.setdefault(slot, {slot})
             self._observe_size(agent)
 
-    def _observe_size(self, agent: Any) -> None:
-        self.report.max_size = max(self.report.max_size, slot_size(agent))
+    def _observe_size(self, agent: SummarySlot) -> None:
+        value = agent.summary  # None for a node not built yet
+        if value is not None:
+            self.report.max_size = max(self.report.max_size, value.size())
 
     def _emit_event(self, event: str, **info: Any) -> None:
         if self.instrument is not None:
@@ -164,7 +168,7 @@ class _Run:
             if agent is None:
                 self._install(step.slot, wrap_slot(value))
             else:
-                set_slot_value(agent, value)
+                agent.summary = value
                 if self.accounting:
                     self.report.covered.setdefault(step.slot, {step.slot})
                     self._observe_size(agent)
@@ -238,60 +242,43 @@ class _Run:
                 stats.nodes_crashed += 1
                 stats.crashed_nodes.append(slot)
 
-    def _deliver_with_retries(
+    def _deliver(
         self,
         src: Hashable,
-        dst_agent: Optional[Any],
+        agent: Optional[SummarySlot],
         builder: Optional[Callable[..., Any]],
         delivery_id: str,
-    ) -> Tuple[bool, Optional[Any]]:
-        """One delivery through the lossy fabric.
+    ) -> Tuple[bool, Optional[SummarySlot]]:
+        """One delivery of ``src`` through the lossy fabric.
 
         Returns ``(landed, agent)`` — ``agent`` is the freshly seeded
-        destination when ``builder`` consumed this delivery, else
-        ``dst_agent`` unchanged.
+        destination when ``builder`` consumed this delivery, else the
+        ``agent`` passed in.
         """
-        stats = self.report.fault_stats
-        src_agent = self.slots[src]
-        for attempt in self.policy.attempts():
-            stats.attempts += 1
-            if attempt > 1:
-                stats.retries += 1
-                stats.backoff_seconds += self.policy.delay_before(attempt)
-            payload = src_agent.emit(serialize=self.serialize)
-            if self.faults.draw_loss():
-                stats.messages_lost += 1
-                continue
-            if self.serialize and self.faults.draw_corruption():
-                payload = self.faults.corrupt(payload)
-                stats.corrupted_payloads += 1
-            try:
-                if dst_agent is None:
-                    child = decode_summary(payload) if self.serialize else payload
-                    dst_agent = wrap_slot(builder(child))
-                    if self.ledger_factory is not None:
-                        dst_agent.ledger = self.ledger_factory()
-                        dst_agent.ledger.witness(delivery_id)
-                else:
-                    dst_agent.absorb(
-                        payload, serialized=self.serialize, delivery_id=delivery_id
-                    )
-            except SerializationError:
-                stats.corruption_detected += 1
-                continue
-            # a late retransmission can still arrive after the ACKed original
-            if self.faults.draw_duplicate():
-                stats.duplicates_delivered += 1
-                dup = src_agent.emit(serialize=self.serialize)
-                if dst_agent.absorb(
-                    dup, serialized=self.serialize, delivery_id=delivery_id
-                ):
-                    stats.duplicates_merged += 1
-                else:
-                    stats.duplicates_suppressed += 1
-            return True, dst_agent
-        stats.deliveries_failed += 1
-        return False, dst_agent
+        serialize = self.serialize
+
+        def land(payload: Any) -> bool:
+            nonlocal agent
+            if agent is not None:
+                return agent.absorb(
+                    payload, serialized=serialize, delivery_id=delivery_id
+                )
+            child = decode_summary(payload) if serialize else payload
+            agent = wrap_slot(builder(child))
+            if self.ledger_factory is not None:
+                agent.ledger = self.ledger_factory()
+                agent.ledger.witness(delivery_id)
+            return True
+
+        landed = deliver(
+            partial(self.slots[src].emit, serialize),
+            land,
+            self.faults,
+            self.policy,
+            self.report.fault_stats,
+            serialize,
+        )
+        return landed, agent
 
     def run_faulty(self, steps: List[MergeStep], first_index: int) -> None:
         for offset, step in enumerate(steps):
@@ -309,9 +296,7 @@ class _Run:
                     continue
                 attempted = True
                 delivery_id = f"step{index}:{src}->{dst}"
-                landed, agent = self._deliver_with_retries(
-                    src, agent, step.builder, delivery_id
-                )
+                landed, agent = self._deliver(src, agent, step.builder, delivery_id)
                 if landed:
                     delivered.append(src)
                     if not fresh:
@@ -369,14 +354,12 @@ class _Run:
             else:
                 for step in run:
                     if step.slot in self.slots:
-                        self.outputs[step.slot] = slot_value(self.slots[step.slot])
+                        self.outputs[step.slot] = self.slots[step.slot].summary
             i = j
         if self.accounting:
-            self.report.bytes_shipped = sum(
-                getattr(a, "bytes_sent", 0) for a in self.slots.values()
-            )
+            self.report.bytes_shipped = sum(a.bytes_sent for a in self.slots.values())
             self.report.bytes_retransmitted = sum(
-                getattr(a, "bytes_retransmitted", 0) for a in self.slots.values()
+                a.bytes_retransmitted for a in self.slots.values()
             )
         self._emit_event(
             "done", merges=self.report.merges, max_size=self.report.max_size
@@ -400,8 +383,9 @@ def execute_plan(
     """Execute ``plan`` over ``inputs`` and return outputs plus report.
 
     ``inputs`` maps slot names to values (summaries, store segments) or
-    ready-made agents (the simulator's ``Node`` objects).  ``serialize``
-    round-trips every emitted summary through the wire codec.
+    ready-made :class:`~repro.engine.agents.SummarySlot` agents (the
+    simulator's ``Node`` objects).  ``serialize`` round-trips every
+    emitted summary through the wire codec.
 
     ``fault_model`` switches the merge phase to the retry runtime:
     deliveries retry per ``retry_policy`` against injected loss,
@@ -409,7 +393,9 @@ def execute_plan(
     given, every destination gets a merge ledger and redeliveries merge
     exactly once (without it, injected duplicates merge twice: bare
     at-least-once delivery).  The report's ``covered``/``crashed``/
-    ``fault_stats`` then carry the degradation accounting.
+    ``fault_stats`` then carry the degradation accounting.  A plan has
+    no coordinator, so ``coordinator_crash`` raises
+    :class:`~repro.core.exceptions.ParameterError`.
 
     ``instrument`` is called as ``instrument(event, info)`` after each
     run of builds, after each merge step, and at completion — a hook
@@ -425,6 +411,11 @@ def execute_plan(
     if fault_model is not None and fault_model.corruption and not serialize:
         raise ParameterError(
             "corruption injection garbles wire payloads; it requires serialize=True"
+        )
+    if fault_model is not None and fault_model.coordinator_crash:
+        raise ParameterError(
+            "coordinator_crash applies to continuous aggregation only; a plan "
+            "has no coordinator to crash (use crash= for slots)"
         )
     plan.validate(inputs.keys())
     run = _Run(

@@ -20,19 +20,20 @@ to **exactly-once merge** semantics, which is what additive summaries
 idempotence.  :class:`RetryPolicy` models the exponential-backoff loop;
 delays are *accounted*, never slept, so simulations stay fast.
 
-These primitives live in :mod:`repro.engine` because the merge engine's
-:func:`~repro.engine.execute_plan` is the one place that runs the
-retry/ledger loop — any compiled plan (a ``merge_all`` fold, a
-simulator schedule, a store compaction) can be executed over the same
-unreliable fabric.  :mod:`repro.distributed` exports them as well.
+:func:`deliver` is the one retry loop over this fabric.  The merge
+engine's :func:`~repro.engine.execute_plan` runs every fault-injected
+plan step through it (a ``merge_all`` fold, a simulator schedule, a
+store compaction), and so does the continuous coordinator of
+:mod:`repro.distributed.continuous`.  :mod:`repro.distributed` exports
+these primitives as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Set
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Set
 
-from ..core.exceptions import ParameterError
+from ..core.exceptions import ParameterError, SerializationError
 from ..core.rng import RngLike, resolve_rng
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "MergeLedger",
     "RetryPolicy",
     "corrupt_payload",
+    "deliver",
 ]
 
 
@@ -196,3 +198,60 @@ class FaultStats:
     #: accounted (not slept) exponential-backoff time
     backoff_seconds: float = 0.0
     crashed_nodes: List[int] = field(default_factory=list)
+
+
+def deliver(
+    emit: Callable[[], Any],
+    land: Callable[[Any], bool],
+    faults: FaultModel,
+    policy: RetryPolicy,
+    stats: FaultStats,
+    serialize: bool,
+    on_arrival: Optional[Callable[[], None]] = None,
+) -> bool:
+    """Ship one payload through the lossy fabric; True iff it landed.
+
+    ``emit()`` produces each attempt's payload.  A slot's ``emit``
+    caches its bytes, so a retransmission resends exactly what the
+    first attempt shipped.  ``land(payload)`` merges at the receiver
+    and returns False when the receiver's ledger recognizes a
+    redelivery; a :class:`~repro.core.exceptions.SerializationError`
+    from it is the receiver's NACK and costs another attempt.
+
+    Every attempt is counted in ``stats`` and preceded by its accounted
+    backoff.  It may be lost, or corrupted when ``serialize`` is set.
+    ``on_arrival()`` runs when a payload reaches the receiver, before
+    it lands; the continuous coordinator draws its crash there.  After
+    the ACK, an injected duplicate may arrive and land again.
+    """
+    for attempt in policy.attempts():
+        stats.attempts += 1
+        if attempt > 1:
+            stats.retries += 1
+            stats.backoff_seconds += policy.delay_before(attempt)
+        payload = emit()
+        if faults.draw_loss():
+            stats.messages_lost += 1
+            continue
+        if serialize and faults.draw_corruption():
+            payload = faults.corrupt(payload)
+            stats.corrupted_payloads += 1
+        if on_arrival is not None:
+            on_arrival()
+        try:
+            merged = land(payload)
+        except SerializationError:
+            stats.corruption_detected += 1
+            continue
+        if not merged:
+            stats.duplicates_suppressed += 1
+        # a late retransmission can still arrive after the ACKed original
+        if faults.draw_duplicate():
+            stats.duplicates_delivered += 1
+            if land(emit()):
+                stats.duplicates_merged += 1
+            else:
+                stats.duplicates_suppressed += 1
+        return True
+    stats.deliveries_failed += 1
+    return False

@@ -22,13 +22,10 @@ from .windowed import (
     windowed_class,
     windowed_names,
 )
-from .fold import compile_windowed_fold, windowed_merge_all
 
 __all__ = [
     "WindowedSummary",
     "WindowView",
     "windowed_class",
     "windowed_names",
-    "compile_windowed_fold",
-    "windowed_merge_all",
 ]

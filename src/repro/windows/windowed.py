@@ -191,9 +191,6 @@ class WindowedSummary(Summary):
         self._clock = 0 if mode == "count" else None
         #: furthest span end among expired buckets (query horizon)
         self._expired_end = None
-        #: engine-slice flag: a pre-aligned partial defers cascade and
-        #: expiry to the stitching merge (see repro.windows.fold)
-        self._prealigned = False
 
     @classmethod
     def from_prototype(
@@ -229,18 +226,6 @@ class WindowedSummary(Summary):
     def _spawn(self) -> Summary:
         """A fresh sub-summary cloned from the prototype state."""
         return type(self).base_cls.from_dict(json.loads(self._proto_json))
-
-    def _spawn_like(self) -> "WindowedSummary":
-        """An empty windowed summary with identical configuration."""
-        twin = type(self).__new__(type(self))
-        twin._configure(
-            json.loads(self._proto_json),
-            self.eps,
-            self.window,
-            self.mode,
-            self.granularity,
-        )
-        return twin
 
     # ------------------------------------------------------------------
     # Updates
@@ -341,7 +326,7 @@ class WindowedSummary(Summary):
 
     def _expire(self) -> None:
         """Drop buckets wholly older than the window."""
-        if self.window is None or self._prealigned or self._clock is None:
+        if self.window is None or self._clock is None:
             return
         cutoff = self._clock - self.window
         kept: List[Bucket] = []
@@ -376,7 +361,7 @@ class WindowedSummary(Summary):
         return None
 
     def _merge_same_type(self, other: "WindowedSummary") -> None:
-        if self._prealigned or other._prealigned or self.mode == "time":
+        if self.mode == "time":
             self._merge_aligned(other)
         else:
             self._merge_concat(other)
@@ -401,7 +386,7 @@ class WindowedSummary(Summary):
         self._expire()
 
     def _merge_aligned(self, other: "WindowedSummary") -> None:
-        """Span-ordered union (time mode and engine slices)."""
+        """Span-ordered union (time mode)."""
         self._buckets = sorted_union(
             self._buckets, [b.clone() for b in other._buckets]
         )
@@ -428,9 +413,8 @@ class WindowedSummary(Summary):
             or other._expired_end > self._expired_end
         ):
             self._expired_end = other._expired_end
-        if not self._prealigned:
-            canonicalize(self._buckets, self.cap)
-            self._expire()
+        canonicalize(self._buckets, self.cap)
+        self._expire()
 
     # ------------------------------------------------------------------
     # Queries
@@ -564,41 +548,6 @@ class WindowedSummary(Summary):
         return total
 
     # ------------------------------------------------------------------
-    # Engine slices (see repro.windows.fold)
-    # ------------------------------------------------------------------
-
-    def level_slice(self, level: int, offset=0) -> "WindowedSummary":
-        """A pre-aligned partial holding only this level's buckets.
-
-        ``offset`` shifts the slice's spans into the global frame of a
-        multi-source fold (count mode: the total mass of every earlier
-        source).  Merging slices defers cascade and expiry until they
-        are stitched into a non-pre-aligned accumulator.
-        """
-        piece = self._spawn_like()
-        piece._prealigned = True
-        piece._buckets = [
-            b.clone(offset) for b in self._buckets if b.level == level
-        ]
-        piece._n = sum(b.summary.n for b in piece._buckets)
-        piece._clock = (
-            (self._clock + offset) if self.mode == "count" else self._clock
-        )
-        return piece
-
-    def pending_slice(self, offset=0) -> "WindowedSummary":
-        """A pre-aligned partial carrying only the open pending bucket."""
-        piece = self._spawn_like()
-        piece._prealigned = True
-        if self._pending is not None:
-            piece._pending = self._pending.clone(offset)
-            piece._n = piece._pending.summary.n
-        piece._clock = (
-            (self._clock + offset) if self.mode == "count" else self._clock
-        )
-        return piece
-
-    # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
@@ -612,7 +561,8 @@ class WindowedSummary(Summary):
             "clock": self._clock,
             "n": self._n,
             "expired_end": self._expired_end,
-            "prealigned": self._prealigned,
+            # kept so saved states stay byte-identical
+            "prealigned": False,
             "buckets": [b.to_dict() for b in self._buckets],
             "pending": (
                 self._pending.to_dict() if self._pending is not None else None
@@ -650,7 +600,6 @@ class WindowedSummary(Summary):
         self._clock = payload["clock"]
         self._n = payload["n"]
         self._expired_end = payload.get("expired_end")
-        self._prealigned = bool(payload.get("prealigned", False))
         return self
 
 

@@ -7,10 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import ParameterError
-from repro.distributed import ContinuousAggregation
+from repro.core import ParameterError, dumps
+from repro.distributed import ContinuousAggregation, FaultModel, RetryPolicy
 from repro.frequency import MisraGries
-from repro.quantiles import MergeableQuantiles
+from repro.quantiles import KLLQuantiles, MergeableQuantiles
 from repro.workloads import zipf_stream
 
 
@@ -96,3 +96,18 @@ class TestContinuousAggregation:
         )
         report = agg.run_epoch(_epoch_shards(rng, 2, 50))
         assert report.bytes_shipped == 0
+
+    def test_retransmissions_resend_first_bytes(self):
+        # KLL draws a fresh RNG seed on every serialization, so only a
+        # resend of the cached first payload ships equal-length attempts
+        shard = np.random.default_rng(0).random(300)
+        agg = ContinuousAggregation(
+            lambda: KLLQuantiles(32, rng=5), nodes=1,
+            fault_model=FaultModel(loss=0.5, rng=2),
+            retry_policy=RetryPolicy(max_attempts=8),
+        )
+        report = agg.run_epoch([shard])
+        twin = KLLQuantiles(32, rng=5)
+        twin.extend(shard)
+        assert agg.fault_stats.attempts > 1
+        assert report.bytes_shipped == agg.fault_stats.attempts * len(dumps(twin))

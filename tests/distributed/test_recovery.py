@@ -11,6 +11,7 @@ from repro.core import SerializationError, dumps
 from repro.distributed import (
     Checkpoint,
     ContinuousAggregation,
+    CoordinatorCrash,
     FaultModel,
     FileCheckpointStore,
     InMemoryCheckpointStore,
@@ -214,3 +215,16 @@ class TestContinuousFaultPath:
             assert report.coverage == 1.0
         assert agg.fault_stats.messages_lost > 0
         assert agg.fault_stats.retries >= agg.fault_stats.messages_lost
+
+    def test_coordinator_crash_counts_deltas_merged_this_epoch(self):
+        agg = ContinuousAggregation(
+            lambda: MisraGries(8), nodes=4,
+            fault_model=FaultModel(coordinator_crash=0.3, rng=1),
+        )
+        with pytest.raises(CoordinatorCrash) as crash:
+            agg.run_epoch(
+                [np.array([1, 2]), np.array([3]), np.array([4, 4, 4]), np.array([5])]
+            )
+        assert crash.value.epoch == 1
+        assert crash.value.deltas_merged == 2
+        assert agg.coordinator.n == 3

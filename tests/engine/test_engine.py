@@ -432,6 +432,13 @@ class TestFaultInjectedCompaction:
         with pytest.raises(ParameterError, match="never serializes"):
             store.compact(fault_model=FaultModel(corruption=0.5, rng=1))
 
+    def test_coordinator_crash_rejected(self):
+        # continuous-only knob: a compaction has no coordinator to crash
+        store = _filled_store()
+        with pytest.raises(ParameterError, match="coordinator_crash"):
+            store.compact(fault_model=FaultModel(coordinator_crash=0.5, rng=1))
+        assert store.num_rollups == 0
+
     def test_fault_free_compact_reports_no_fault_keys(self):
         stats = _filled_store().compact()
         assert set(stats) == {"levels", "rollups_built", "merge_inputs"}

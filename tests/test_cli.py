@@ -486,7 +486,7 @@ class TestInspectAndTypes:
 
 class TestWindowedCli:
     """The sliding-window surface: build --window/--eps, types --kind,
-    plan --windowed, store query --window/--window-eps."""
+    store query --window/--window-eps."""
 
     def test_build_windowed(self, item_files, tmp_path, capsys):
         a, _ = item_files
@@ -565,11 +565,6 @@ class TestWindowedCli:
         assert not any(name.startswith("windowed.") for name in base)
         assert main(["types"]) == 0
         assert set(capsys.readouterr().out.split()) == set(windowed) | set(base)
-
-    def test_plan_windowed_fold(self, capsys):
-        assert main(["plan", "--windowed", "--count", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "fold:windowed[4x" in out
 
     @pytest.fixture
     def window_store(self, tmp_path):

@@ -193,7 +193,7 @@ class TestExactlyOnceLedger:
         assert parent.merges_performed == 1
         assert parent.duplicates_ignored == 5
 
-    def test_distinct_delivery_ids_do_merge(self):
+    def test_distinct_delivery_id_values_do_merge(self):
         parent = Node(node_id=0, shard=np.array([1]), ledger=MergeLedger())
         child = Node(node_id=1, shard=np.array([2]))
         parent.build(lambda: MisraGries(8))
@@ -310,6 +310,15 @@ class TestLossCrashCorruption:
                 data, ContiguousPartitioner(), lambda: MisraGries(8),
                 balanced_tree(4), serialize=False,
                 fault_model=FaultModel(corruption=0.5),
+            )
+
+    def test_coordinator_crash_rejected_by_one_shot_aggregation(self):
+        # a continuous-only knob must not be silently ignored here
+        data = zipf_stream(1_000, rng=1)
+        with pytest.raises(ParameterError, match="coordinator_crash"):
+            run_aggregation(
+                data, ContiguousPartitioner(), lambda: MisraGries(8),
+                balanced_tree(4), fault_model=FaultModel(coordinator_crash=0.5),
             )
 
     def test_degraded_coverage_reporting(self):

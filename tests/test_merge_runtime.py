@@ -668,17 +668,3 @@ class TestNodePayloadCache:
         assert merged == 3
         assert parent.merges_performed == 3
         assert parent.summary.n == 4 + 6
-
-    def test_absorb_many_dedups_via_ledger(self):
-        from repro.distributed import MergeLedger
-        from repro.frequency import ExactCounter
-
-        parent = self._built_node()
-        parent.ledger = MergeLedger()
-        child = Node(node_id=1, shard=np.array([9]))
-        child.build(ExactCounter)
-        payload = child.emit(serialize=True)
-        assert parent.absorb_many([payload], delivery_ids=["d1"]) == 1
-        assert parent.absorb_many([payload, payload], delivery_ids=["d1", "d2"]) == 1
-        assert parent.duplicates_ignored == 1
-        assert parent.summary.n == 4 + 2
