@@ -37,8 +37,7 @@ from harness import add_gate_args, finish, paired_best
 from repro.core import dumps, merge_all
 from repro.distributed import ContiguousPartitioner, build_topology, run_aggregation
 from repro.frequency import MisraGries
-from repro.store import SegmentStore
-from repro.store.segment import merged_segment
+from repro.store import SegmentStore, merged_segment
 from repro.workloads import zipf_stream
 
 

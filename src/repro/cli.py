@@ -311,19 +311,6 @@ def _read_keys(path: str) -> List[float]:
     return keys
 
 
-def _is_cube_dir(directory: str) -> bool:
-    """True when the directory holds a dimension-cube manifest."""
-    import json as _json
-
-    manifest = Path(directory) / "manifest.json"
-    if not manifest.exists():
-        return False
-    try:
-        return _json.loads(manifest.read_text()).get("kind") == "cube"
-    except (ValueError, OSError):
-        return False
-
-
 def _open_store(directory: str):
     from .store import load
 
@@ -367,29 +354,17 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
         else None
     )
     if (target / "manifest.json").exists():
-        if _is_cube_dir(args.dir):
-            if args.wal:
-                store = CubeStore.open_durable(
-                    args.dir, fsync_every=args.fsync_every
-                )
-            else:
-                store = CubeStore.open(args.dir)
-            if dims and dims != store.dims:
-                raise SystemExit(
-                    f"{args.dir} is keyed by dims {list(store.dims)}; "
-                    f"--dims must match or be omitted"
-                )
-        elif dims:
+        store = _open_store(args.dir)
+        if dims and not isinstance(store, CubeStore):
             raise SystemExit(
                 f"{args.dir} is a flat store; --dims only applies when "
                 f"creating a new cube"
             )
-        elif args.wal:
-            store = SegmentStore.open_durable(
-                args.dir, fsync_every=args.fsync_every
+        if dims and dims != store.dims:
+            raise SystemExit(
+                f"{args.dir} is keyed by dims {list(store.dims)}; "
+                f"--dims must match or be omitted"
             )
-        else:
-            store = _open_store(args.dir)
     else:
         if not args.type:
             raise SystemExit("--type is required when creating a new store")
@@ -409,10 +384,8 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
         store.add_member(
             "value", args.type, field="value", **_parse_args_kv(args.arg)
         )
-        if args.wal:
-            store.enable_wal(
-                os.path.join(args.dir, "wal"), fsync_every=args.fsync_every
-            )
+    if args.wal:
+        store.enable_wal(os.path.join(args.dir, "wal"), fsync_every=args.fsync_every)
     is_cube = isinstance(store, CubeStore)
     if is_cube:
         records = _read_records(args.input)

@@ -29,7 +29,6 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 from .base import Summary, normalize_batch
 from .exceptions import MergeError, ParameterError
-from .registry import get_summary_class
 from .codecs import from_envelope, to_envelope
 
 __all__ = ["SummaryBundle"]

@@ -14,8 +14,8 @@ Call sites compile to the IR instead of hand-rolling loops:
 :class:`~repro.distributed.topology.MergeSchedule` objects
 (:func:`compile_aggregation`), and
 :meth:`repro.store.store.SegmentStore.compact` compiles its dyadic
-roll-up — which is how the store gets fault injection and exactly-once
-compaction without any code of its own.
+roll-up, whose merge steps hand their sources to the store's roll-up
+builder.
 
 Fault primitives (:class:`FaultModel`, :class:`RetryPolicy`,
 :class:`MergeLedger`, :class:`FaultStats`) live here too, with

@@ -13,10 +13,10 @@ slot is held by a :class:`SummarySlot`, the agent the distributed
 - ``merges_performed`` / ``bytes_sent`` / ``bytes_retransmitted`` —
   the counters the execution report aggregates.
 
-The slot's value is any merge operand: a
-:class:`~repro.core.base.Summary`, or a store segment, whose
-``merge``/``merge_many`` go member by member.  :func:`wrap_slot` passes
-a ``SummarySlot`` through and wraps any other operand in one.
+The slot's value is any merge operand — a
+:class:`~repro.core.base.Summary` — or whatever a merge step's builder
+returns (a store segment).  :func:`wrap_slot` passes a ``SummarySlot``
+through and wraps any other value in one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Tuple
 
 from ..core.codecs import DEFAULT_CODEC, decode_summary, encode_summary
-from ..core.exceptions import ParameterError
 from .faults import MergeLedger
 
 __all__ = ["SummarySlot", "wrap_slot"]
@@ -122,10 +121,8 @@ class SummarySlot:
     def absorb_many(self, payloads: Sequence[Any], serialized: bool = True) -> int:
         """Merge a whole fan-in in one k-way ``merge_many`` pass.
 
-        The call is made even for an empty group: a roll-up seeded from
-        its only part still makes its (empty) member-wise merges, as
-        :func:`repro.store.segment.merged_segment` does.  Returns the
-        number of children merged.
+        The call is made even for an empty group.  Returns the number
+        of children merged.
         """
         children = (
             [decode_summary(p) for p in payloads] if serialized else list(payloads)
@@ -139,14 +136,7 @@ def wrap_slot(value: Any) -> SummarySlot:
     """Adapt an input value to the agent protocol.
 
     A :class:`SummarySlot` (such as the simulator's ``Node``) passes
-    through with its shard and byte bookkeeping intact; any value with
-    ``merge``/``merge_many`` is wrapped in a fresh one.
+    through with its shard and byte bookkeeping intact; any other value
+    is wrapped in a fresh one.
     """
-    if isinstance(value, SummarySlot):
-        return value
-    if hasattr(value, "merge") and hasattr(value, "merge_many"):
-        return SummarySlot(value)
-    raise ParameterError(
-        f"cannot execute over slot value of type {type(value).__name__}: "
-        "expected a Summary, a store segment, or a SummarySlot"
-    )
+    return value if isinstance(value, SummarySlot) else SummarySlot(value)

@@ -8,13 +8,16 @@ the calling process.  Build and emit steps run one by one; runs of
 merge steps take one of two regimes:
 
 - **scalar** — steps run one by one in plan order, each source emitted
-  and absorbed by its destination (the legacy step-by-step semantics);
+  and absorbed by its destination (the legacy step-by-step semantics),
+  or handed with its siblings to the step's ``builder`` (the store's
+  immutable roll-ups);
 - **fault** — with a :class:`~repro.engine.faults.FaultModel`, slots
   may crash, every delivery runs :func:`~repro.engine.faults.deliver`
   (the retry-with-backoff loop against injected loss, corruption and
   duplicates), parents dedup via per-slot
   :class:`~repro.engine.faults.MergeLedger` (exactly-once merges), and
-  the report carries coverage/degradation accounting.
+  the report carries coverage/degradation accounting.  Builder merges
+  never cross a fabric, so a plan with one rejects a fault model.
 """
 
 from __future__ import annotations
@@ -81,9 +84,7 @@ class ExecutionReport:
 class ExecutionResult:
     """Outputs plus report plus the live agents of one plan execution.
 
-    ``outputs`` maps every *reachable* emitted slot to its final value;
-    slots lost to faults (a roll-up whose every retry failed) are
-    absent, so callers can distinguish "empty" from "gone".
+    ``outputs`` maps every emitted slot to its final value.
     """
 
     outputs: Dict[Hashable, Any]
@@ -116,7 +117,6 @@ class _Run:
         fault_model: Optional[FaultModel],
         retry_policy: Optional[RetryPolicy],
         ledger_factory: Optional[Callable[[], Any]],
-        instrument: Optional[Callable[[str, Dict[str, Any]], None]],
         accounting: bool,
     ) -> None:
         self.plan = plan
@@ -124,7 +124,6 @@ class _Run:
         self.faults = fault_model
         self.policy = retry_policy or RetryPolicy()
         self.ledger_factory = ledger_factory
-        self.instrument = instrument
         # the fault runtime's skip/coverage logic reads these structures
         self.accounting = accounting or fault_model is not None
         self.report = ExecutionReport(plan=plan.name)
@@ -154,10 +153,6 @@ class _Run:
         if value is not None:
             self.report.max_size = max(self.report.max_size, value.size())
 
-    def _emit_event(self, event: str, **info: Any) -> None:
-        if self.instrument is not None:
-            self.instrument(event, info)
-
     # -- build phase ------------------------------------------------------
 
     def run_builds(self, steps: List[MergeStep]) -> None:
@@ -174,7 +169,6 @@ class _Run:
                     self._observe_size(agent)
         self.report.builds += len(steps)
         self.report.build_seconds += time.perf_counter() - t0
-        self._emit_event("builds", builds=len(steps))
 
     # -- scalar merge path ------------------------------------------------
 
@@ -186,18 +180,9 @@ class _Run:
         accounting = self.accounting
         report = self.report
         status = report.step_status
-        instrument = self.instrument
         for offset, step in enumerate(steps):
             index = first_index + offset
             srcs = step.srcs
-            missing = False
-            for src in srcs:
-                if src not in slots:
-                    missing = True
-                    break
-            if missing:
-                status[index] = STEP_SKIPPED
-                continue
             if step.builder is None:
                 agent = slots[step.slot]
                 if len(srcs) == 1:
@@ -212,9 +197,8 @@ class _Run:
                     )
             else:
                 payloads = [slots[src].emit(serialize=serialize) for src in srcs]
-                first = decode_summary(payloads[0]) if serialize else payloads[0]
-                agent = wrap_slot(step.builder(first))
-                agent.absorb_many(payloads[1:], serialized=serialize)
+                values = [decode_summary(p) for p in payloads] if serialize else payloads
+                agent = wrap_slot(step.builder(values))
                 self._install(step.slot, agent)
             if accounting:
                 for src in srcs:
@@ -222,10 +206,6 @@ class _Run:
                 self._observe_size(agent)
             report.merges += len(srcs)
             status[index] = STEP_DONE
-            if instrument is not None:
-                self._emit_event(
-                    "step", index=index, dst=step.slot, fan_in=len(srcs)
-                )
 
     # -- fault merge path -------------------------------------------------
 
@@ -242,92 +222,41 @@ class _Run:
                 stats.nodes_crashed += 1
                 stats.crashed_nodes.append(slot)
 
-    def _deliver(
-        self,
-        src: Hashable,
-        agent: Optional[SummarySlot],
-        builder: Optional[Callable[..., Any]],
-        delivery_id: str,
-    ) -> Tuple[bool, Optional[SummarySlot]]:
-        """One delivery of ``src`` through the lossy fabric.
-
-        Returns ``(landed, agent)`` — ``agent`` is the freshly seeded
-        destination when ``builder`` consumed this delivery, else the
-        ``agent`` passed in.
-        """
-        serialize = self.serialize
-
-        def land(payload: Any) -> bool:
-            nonlocal agent
-            if agent is not None:
-                return agent.absorb(
-                    payload, serialized=serialize, delivery_id=delivery_id
-                )
-            child = decode_summary(payload) if serialize else payload
-            agent = wrap_slot(builder(child))
-            if self.ledger_factory is not None:
-                agent.ledger = self.ledger_factory()
-                agent.ledger.witness(delivery_id)
-            return True
-
-        landed = deliver(
-            partial(self.slots[src].emit, serialize),
-            land,
-            self.faults,
-            self.policy,
-            self.report.fault_stats,
-            serialize,
-        )
-        return landed, agent
-
     def run_faulty(self, steps: List[MergeStep], first_index: int) -> None:
+        serialize = self.serialize
+        report = self.report
         for offset, step in enumerate(steps):
             index = first_index + offset
             dst = step.slot
-            fresh = step.builder is not None
-            agent = None if fresh else self.slots.get(dst)
-            delivered: List[Hashable] = []
+            agent = self.slots[dst]
+            delivered = 0
             attempted = False
             for src in step.srcs:
-                if src not in self.slots:
-                    continue  # lost upstream: no surviving route
                 self._draw_crashes((src, dst))
-                if src in self.report.crashed or dst in self.report.crashed:
+                if src in report.crashed or dst in report.crashed:
                     continue
                 attempted = True
-                delivery_id = f"step{index}:{src}->{dst}"
-                landed, agent = self._deliver(src, agent, step.builder, delivery_id)
-                if landed:
-                    delivered.append(src)
-                    if not fresh:
-                        self.report.covered[dst] |= self.report.covered[src]
-                        self.report.merges += 1
-                        self._observe_size(agent)
-            if fresh:
-                if agent is not None and len(delivered) == len(step.srcs):
-                    # exactly-once or nothing: a partially delivered
-                    # roll-up is discarded so dependents fall back to
-                    # the children instead of serving partial data
-                    self._install(dst, agent)
-                    for src in delivered:
-                        self.report.covered[dst] |= self.report.covered[src]
-                    self.report.merges += len(delivered)
-                    self._observe_size(agent)
-                    self.report.step_status[index] = STEP_DONE
-                else:
-                    self.report.step_status[index] = (
-                        STEP_FAILED if attempted else STEP_SKIPPED
-                    )
-            elif len(delivered) == len(step.srcs):
-                self.report.step_status[index] = STEP_DONE
-            else:
-                self.report.step_status[index] = (
-                    STEP_FAILED if attempted else STEP_SKIPPED
+                landed = deliver(
+                    partial(self.slots[src].emit, serialize),
+                    partial(
+                        agent.absorb,
+                        serialized=serialize,
+                        delivery_id=f"step{index}:{src}->{dst}",
+                    ),
+                    self.faults,
+                    self.policy,
+                    report.fault_stats,
+                    serialize,
                 )
-            self._emit_event(
-                "step", index=index, dst=dst, fan_in=len(step.srcs),
-                delivered=len(delivered),
-            )
+                if landed:
+                    delivered += 1
+                    report.covered[dst] |= report.covered[src]
+                    report.merges += 1
+                    self._observe_size(agent)
+            if delivered == len(step.srcs):
+                report.step_status[index] = STEP_DONE
+            else:
+                report.step_status[index] = STEP_FAILED if attempted else STEP_SKIPPED
 
     # -- driver -----------------------------------------------------------
 
@@ -353,17 +282,13 @@ class _Run:
                 self.report.merge_seconds += time.perf_counter() - t0
             else:
                 for step in run:
-                    if step.slot in self.slots:
-                        self.outputs[step.slot] = self.slots[step.slot].summary
+                    self.outputs[step.slot] = self.slots[step.slot].summary
             i = j
         if self.accounting:
             self.report.bytes_shipped = sum(a.bytes_sent for a in self.slots.values())
             self.report.bytes_retransmitted = sum(
                 a.bytes_retransmitted for a in self.slots.values()
             )
-        self._emit_event(
-            "done", merges=self.report.merges, max_size=self.report.max_size
-        )
         return ExecutionResult(
             outputs=self.outputs, report=self.report, agents=self.slots
         )
@@ -377,15 +302,17 @@ def execute_plan(
     fault_model: Optional[FaultModel] = None,
     retry_policy: Optional[RetryPolicy] = None,
     ledger_factory: Optional[Callable[[], Any]] = None,
-    instrument: Optional[Callable[[str, Dict[str, Any]], None]] = None,
     accounting: bool = True,
 ) -> ExecutionResult:
     """Execute ``plan`` over ``inputs`` and return outputs plus report.
 
-    ``inputs`` maps slot names to values (summaries, store segments) or
+    ``inputs`` maps slot names to values (summaries, or store segments
+    under ``accounting=False``, since segments have no ``size()``) or
     ready-made :class:`~repro.engine.agents.SummarySlot` agents (the
     simulator's ``Node`` objects).  ``serialize`` round-trips every
-    emitted summary through the wire codec.
+    emitted summary through the wire codec.  A merge step with a
+    ``builder`` hands it the list of every source's value, in order,
+    and installs what it returns as the destination's value.
 
     ``fault_model`` switches the merge phase to the retry runtime:
     deliveries retry per ``retry_policy`` against injected loss,
@@ -395,15 +322,12 @@ def execute_plan(
     at-least-once delivery).  The report's ``covered``/``crashed``/
     ``fault_stats`` then carry the degradation accounting.  A plan has
     no coordinator, so ``coordinator_crash`` raises
-    :class:`~repro.core.exceptions.ParameterError`.
-
-    ``instrument`` is called as ``instrument(event, info)`` after each
-    run of builds, after each merge step, and at completion — a hook
-    for benchmarks and progress displays, never for semantics.
+    :class:`~repro.core.exceptions.ParameterError`; so does a fault
+    model over a plan with builder merges, which run in process only.
 
     ``accounting=False`` skips the per-step size and coverage tracking
     (``report.max_size`` stays 0, ``report.covered`` stays empty) for
-    hot paths that discard the report — ``merge_all`` folds, fault-free
+    hot paths that discard the report — ``merge_all`` folds, store
     compactions.  It is forced back on whenever ``fault_model`` is
     given, because the fault runtime's degradation accounting *is* the
     product there.
@@ -417,6 +341,13 @@ def execute_plan(
             "coordinator_crash applies to continuous aggregation only; a plan "
             "has no coordinator to crash (use crash= for slots)"
         )
+    if fault_model is not None and any(
+        step.builder is not None for step in plan.merge_steps
+    ):
+        raise ParameterError(
+            "builder merges build a new value in process and never cross a "
+            "fabric; a fault model cannot apply to them"
+        )
     plan.validate(inputs.keys())
     run = _Run(
         plan,
@@ -425,7 +356,6 @@ def execute_plan(
         fault_model,
         retry_policy,
         ledger_factory,
-        instrument,
         accounting,
     )
     return run.execute()

@@ -22,8 +22,8 @@ delays are *accounted*, never slept, so simulations stay fast.
 
 :func:`deliver` is the one retry loop over this fabric.  The merge
 engine's :func:`~repro.engine.execute_plan` runs every fault-injected
-plan step through it (a ``merge_all`` fold, a simulator schedule, a
-store compaction), and so does the continuous coordinator of
+plan step through it (a ``merge_all`` fold, a simulator schedule), and
+so does the continuous coordinator of
 :mod:`repro.distributed.continuous`.  :mod:`repro.distributed` exports
 these primitives as well.
 """

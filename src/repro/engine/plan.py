@@ -11,13 +11,13 @@ representation.  A :class:`MergePlan` is an ordered list of
     Materialize a slot's value by calling the step's ``builder`` (a
     leaf node ingesting its shard, for the simulator).
 ``merge``
-    Combine the values of ``srcs`` into ``slot``.  When ``slot``
-    already holds a value the merge is *in place* (the simulator's
-    "absorb the child" semantics, mutating the first operand exactly
-    like the classic fold executors).  When ``slot`` is fresh, the
-    first source is copied through the step's ``builder`` (or a plain
-    summary copy) and the rest are merged into the copy — the store's
-    immutable roll-up semantics.
+    Combine the values of ``srcs`` into ``slot``.  Without a
+    ``builder`` the merge is *in place* into the value ``slot`` already
+    holds (the simulator's "absorb the child" semantics, mutating the
+    first operand exactly like the classic fold executors).  With one,
+    the builder receives the list of every source's value, in order,
+    and returns the fresh slot's value — the store's immutable roll-up
+    semantics, which leave the sources untouched.
 ``emit``
     Mark ``slot`` as an output of the plan.
 
@@ -54,8 +54,8 @@ class MergeStep:
     built slot, the merge target, or the emitted output).  ``srcs``
     names the merge operands, in order.  ``builder`` is the leaf
     factory for ``build`` steps, or — for a ``merge`` into a fresh
-    slot — a callable receiving the first source's value and returning
-    the new slot value (the copy-on-write seed).
+    slot — a callable receiving the list of every source's value and
+    returning the new slot value.
     """
 
     op: str

@@ -10,7 +10,7 @@ size/error trade-off the paper's Table 1 maps out.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.base import Summary, normalize_batch
 from ..core.exceptions import ParameterError

@@ -12,7 +12,7 @@ fixture (its behaviour is simple enough to verify by hand).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.base import Summary
 from ..core.exceptions import EmptySummaryError, ParameterError

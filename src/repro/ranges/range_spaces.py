@@ -21,7 +21,7 @@ harness to measure realized approximation error.
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Tuple
+from typing import Any, List
 
 import numpy as np
 

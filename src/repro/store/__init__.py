@@ -17,18 +17,12 @@ format (:func:`save`/:func:`load`, with kind-generic
 :func:`recover_store`/:func:`verify_store` behind the CLI).
 """
 
-from .chain import EpochChain
+from .chain import EpochChain, merged_segment
 from .common import StoreBase
 from .cube import CubePlan, CubeResult, CubeStore
 from .persistence import RecoveryReport, load, recover_store, save, verify_store
 from .planner import QueryPlan, fan_in_bound, plan_range
-from .segment import (
-    MemberSpec,
-    Segment,
-    build_members,
-    copy_summary,
-    merged_segment,
-)
+from .segment import MemberSpec, Segment, build_members, copy_summary
 from .store import QueryResult, SegmentStore
 from .views import ViewCache
 from .wal import WalRecord, WalScan, WriteAheadLog, scan_wal, wal_files

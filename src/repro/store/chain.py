@@ -18,32 +18,33 @@ Everything layered on top — query planning
 (:func:`~repro.store.planner.plan_range` via :meth:`EpochChain.plan`,
 including the ``window=``/``window_eps`` slack rule resolved by
 :func:`resolve_window`), invalidation
-(:meth:`EpochChain.drop_covering_rollups`), time roll-up compaction of
-any set of chains as one plan (:func:`compact_chains` over
-:func:`compile_rollup_steps`), and fault-tolerant plan execution
-(:func:`run_store_plan`) — lives here exactly once, so every future
-store feature lands once instead of twice.
+(:meth:`EpochChain.drop_covering_rollups`), the one roll-up builder
+(:func:`merged_segment`: ingest replacements, time roll-ups and cube
+cells alike), and time roll-up compaction of any set of chains as one
+in-process plan (:func:`compact_chains` over
+:func:`compile_rollup_steps`) — lives here exactly once, so every
+future store feature lands once instead of twice.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.base import Summary
 from ..core.exceptions import ParameterError, QueryError
-from ..engine import MergeLedger, MergePlan, MergeStep, execute_plan
+from ..engine import MergePlan, MergeStep, execute_plan
 from .planner import QueryPlan, plan_range
 from .segment import Segment, copy_summary
 
 __all__ = [
     "EpochChain",
-    "seed_segment",
+    "merged_segment",
     "compile_rollup_steps",
     "compact_chains",
     "dyadic_levels",
     "resolve_window",
-    "check_compaction_fault_model",
-    "run_store_plan",
 ]
 
 #: a dyadic tree coordinate: (level, start), ``start`` aligned to ``2**level``
@@ -56,8 +57,7 @@ class EpochChain:
     ``base`` maps epoch -> level-0 segment; ``rollups`` maps
     ``(level, start)`` -> pre-merged segment covering the aligned block
     of ``2**level`` epochs; ``max_level`` records the tallest tree ever
-    attempted (the planner's recursion depth — kept even when a build
-    failed, so future compactions retry the blocks).
+    compiled (the planner's recursion depth).
     """
 
     __slots__ = ("base", "rollups", "max_level")
@@ -121,30 +121,34 @@ def dyadic_levels(chain: EpochChain) -> int:
     return max(1, math.ceil(math.log2(span))) if span > 1 else 1
 
 
-def seed_segment(
-    segment_id: str, level: int, start: int
-) -> Callable[[Segment], Segment]:
-    """Copy-on-write builder for a roll-up's merge step.
+def merged_segment(
+    segment_id: str,
+    level: int,
+    start: int,
+    parts: Sequence[Segment],
+) -> Segment:
+    """The one roll-up builder: a new segment merging ``parts`` k-way.
 
-    Receives the first child segment of the block and returns the fresh
-    roll-up seeded with member-wise copies of it (exactly how
-    :func:`~repro.store.segment.merged_segment` starts); the engine then
-    merges the remaining children in.
+    Builds every segment the store derives from others — an ingest
+    replacement, a dyadic time roll-up, a cube cell.  ``parts`` are
+    left untouched: each member starts as a copy of the first part's
+    summary and folds in the rest with one ``merge_many`` call (made
+    even when there is no rest), so one combine/compaction pass covers
+    the whole group.
     """
-
-    def seed(first: Segment) -> Segment:
-        return Segment(
-            segment_id=segment_id,
-            level=level,
-            start=start,
-            count=first.count,
-            members={
-                name: copy_summary(summary)
-                for name, summary in first.members.items()
-            },
-        )
-
-    return seed
+    if not parts:
+        raise ParameterError("cannot roll up an empty segment group")
+    members: Dict[str, Summary] = {}
+    for name in parts[0].members:
+        first = copy_summary(parts[0].members[name])
+        members[name] = first.merge_many([p.members[name] for p in parts[1:]])
+    return Segment(
+        segment_id=segment_id,
+        level=level,
+        start=start,
+        count=sum(p.count for p in parts),
+        members=members,
+    )
 
 
 def compile_rollup_steps(
@@ -198,8 +202,8 @@ def compile_rollup_steps(
                     "merge",
                     slot_of((level, start)),
                     tuple(srcs),
-                    builder=seed_segment(
-                        new_segment_id(level, start), level, start
+                    builder=partial(
+                        merged_segment, new_segment_id(level, start), level, start
                     ),
                 )
             )
@@ -244,53 +248,11 @@ def resolve_window(
     return hi_epoch - window_epochs, hi_epoch, slack_lo
 
 
-def check_compaction_fault_model(fault_model: Any) -> None:
-    """Reject fault models that cannot apply to in-process compaction."""
-    if fault_model is not None and fault_model.corruption:
-        raise ParameterError(
-            "compaction never serializes segments, so corruption "
-            "injection cannot apply; use loss/duplicate/crash faults"
-        )
-
-
-def run_store_plan(
-    plan: MergePlan,
-    inputs: Dict[Any, Segment],
-    *,
-    fault_model: Any = None,
-    retry_policy: Any = None,
-    exactly_once: bool = True,
-):
-    """Execute one store-maintenance plan through the engine.
-
-    The single place both store kinds thread
-    ``fault_model``/``retry_policy``/``exactly_once`` into
-    :func:`repro.engine.execute_plan`: with a fault model and
-    ``exactly_once`` every fresh roll-up keeps a merge ledger so
-    injected duplicate deliveries merge exactly once, and plan-level
-    accounting stays off (the compaction counters come from the plan
-    itself; size/coverage tracking is only needed under faults, where
-    ``execute_plan`` forces it back on).
-    """
-    use_ledger = fault_model is not None and exactly_once
-    return execute_plan(
-        plan,
-        inputs,
-        fault_model=fault_model,
-        retry_policy=retry_policy,
-        ledger_factory=MergeLedger if use_ledger else None,
-        accounting=False,
-    )
-
-
 def compact_chains(
     chains: Sequence[Tuple[Tuple[Any, ...], EpochChain]],
     new_segment_id: Callable[[int, int], str],
     *,
     name: str,
-    fault_model: Any = None,
-    retry_policy: Any = None,
-    exactly_once: bool = True,
 ) -> Dict[str, int]:
     """Build the missing dyadic roll-ups of every chain as one merge plan.
 
@@ -298,14 +260,13 @@ def compact_chains(
     chain's incremental tree is compiled by :func:`compile_rollup_steps`
     under slots ``chain_id + (level, start)`` — the flat store's one
     chain has id ``()``, so its slots are bare blocks — and the whole
-    plan runs once through :func:`run_store_plan`.  A roll-up whose
-    merge is lost to injected faults is not installed, so queries
-    degrade to its children; every chain's ``max_level`` still rises to
-    the attempted height, so the next compaction retries the block.
+    plan runs once, in process, through
+    :func:`repro.engine.execute_plan`; every roll-up it builds is
+    installed and each chain's ``max_level`` rises to the compiled
+    height.
 
-    Returns ``levels`` (the tallest tree compiled), ``built``,
-    ``merge_inputs`` (summaries consumed by the new roll-ups),
-    ``failed`` and ``retries``.
+    Returns ``levels`` (the tallest tree compiled), ``built`` and
+    ``merge_inputs`` (summaries consumed by the new roll-ups).
     """
     steps: List[MergeStep] = []
     inputs: Dict[Any, Segment] = {}
@@ -328,26 +289,14 @@ def compact_chains(
         "levels": max((levels for _chain, levels in heights.values()), default=0),
         "built": 0,
         "merge_inputs": 0,
-        "failed": 0,
-        "retries": 0,
     }
     if steps:
         plan = MergePlan(name=name, steps=steps)
-        result = run_store_plan(
-            plan,
-            inputs,
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            exactly_once=exactly_once,
-        )
-        fan_in = {step.slot: len(step.srcs) for step in plan.merge_steps}
+        result = execute_plan(plan, inputs, accounting=False)
         for slot, segment in result.outputs.items():
             heights[slot[:-2]][0].rollups[slot[-2:]] = segment
-            counters["merge_inputs"] += fan_in[slot]
         counters["built"] = len(result.outputs)
-        counters["failed"] = len(fan_in) - len(result.outputs)
-        if result.report.fault_stats is not None:
-            counters["retries"] = result.report.fault_stats.retries
+        counters["merge_inputs"] = plan.num_merges
     for chain, levels in heights.values():
         chain.max_level = max(chain.max_level, levels)
     return counters

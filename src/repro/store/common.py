@@ -40,8 +40,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..core.base import Summary, normalize_batch
 from ..core.codecs import DEFAULT_CODEC, get_codec
 from ..core.exceptions import ParameterError
-from .chain import EpochChain, resolve_window
-from .segment import MemberSpec, Segment, build_members, merged_segment
+from .chain import EpochChain, merged_segment, resolve_window
+from .segment import MemberSpec, Segment, build_members
 from .views import ViewCache
 
 __all__ = ["StoreBase"]

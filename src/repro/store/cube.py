@@ -39,10 +39,10 @@ cells for exactly those epochs (counted in
 All cube maintenance — building roll-up cells across the dimension
 lattice, then the dyadic time tree within every chain through the same
 :func:`~repro.store.chain.compact_chains` the flat store calls —
-compiles into :class:`~repro.engine.plan.MergePlan` objects executed
-by the shared :func:`~repro.store.chain.run_store_plan`, so cube
-compaction inherits the engine's exactly-once fault tolerance
-unchanged.
+compiles into :class:`~repro.engine.plan.MergePlan` objects run in
+process by :func:`repro.engine.execute_plan`, and every cell is built
+by the store's one roll-up builder,
+:func:`~repro.store.chain.merged_segment`.
 
 Which masks to materialize is the Storyboard question:
 :meth:`CubeStore.compact` takes a cell ``budget`` and a ``workload``
@@ -59,6 +59,7 @@ over the last atomic snapshot exactly as the flat store does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import (
     Any,
@@ -75,14 +76,8 @@ from typing import (
 from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC
 from ..core.exceptions import ParameterError, QueryError
-from ..engine import FaultModel, MergePlan, MergeStep, RetryPolicy
-from .chain import (
-    EpochChain,
-    check_compaction_fault_model,
-    compact_chains,
-    run_store_plan,
-    seed_segment,
-)
+from ..engine import MergePlan, MergeStep, execute_plan
+from .chain import EpochChain, compact_chains, merged_segment
 from .common import StoreBase
 from .segment import Segment, copy_summary
 
@@ -459,16 +454,11 @@ class CubeStore(StoreBase):
         *,
         budget: Optional[int] = None,
         workload: Optional[Iterable[Any]] = None,
-        fault_model: Optional[FaultModel] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        exactly_once: bool = True,
     ) -> Dict[str, int]:
         """Materialize dimension roll-ups and time roll-up trees.
 
         Two phases, each one :class:`~repro.engine.plan.MergePlan` run
-        through the shared :func:`~repro.store.chain.run_store_plan`
-        (fault-tolerant with a ``fault_model`` — exactly the contract of
-        :meth:`SegmentStore.compact`):
+        in process by :func:`repro.engine.execute_plan`:
 
         1. **dimension cells** — for every chosen mask, each missing or
            stale (coarse key, epoch) cell is rebuilt as the k-way merge
@@ -480,28 +470,21 @@ class CubeStore(StoreBase):
 
         Mask choice is workload-aware (see :meth:`_choose_masks`):
         ``budget`` caps total materialized roll-up cells, ``workload``
-        overrides the store's own query log.  A cell whose merge is lost
-        to injected faults past the retry budget is *not* installed and
-        stays stale — queries keep falling back to its base cells.
+        overrides the store's own query log.
 
         Returns counters: ``masks``, ``dim_cells_built``,
-        ``time_rollups_built``, ``merge_inputs``; under a fault model
-        also ``retries`` and ``cells_failed``.
+        ``time_rollups_built``, ``merge_inputs``.
         """
         if budget is not None and budget < 0:
             raise ParameterError(
                 f"budget must be a non-negative cell count, got {budget}"
             )
-        check_compaction_fault_model(fault_model)
         counters = {
             "masks": 0,
             "dim_cells_built": 0,
             "time_rollups_built": 0,
             "merge_inputs": 0,
         }
-        if fault_model is not None:
-            counters["retries"] = 0
-            counters["cells_failed"] = 0
         if not self._groups:
             return counters
 
@@ -526,42 +509,23 @@ class CubeStore(StoreBase):
                     inputs[src] = segment
                     pending.setdefault((mask, coarse, epoch), []).append(src)
         if pending:
-            # every target is stale until its rebuild lands — a build lost
-            # to faults must keep falling back to base cells
-            for mask, coarse, epoch in pending:
-                self._stale.setdefault(mask, {}).setdefault(
-                    coarse, set()
-                ).add(epoch)
-            steps: List[MergeStep] = []
-            for target in sorted(pending, key=repr):
-                mask, coarse, epoch = target
-                steps.append(
-                    MergeStep(
-                        "merge",
-                        ("cell",) + target,
-                        tuple(pending[target]),
-                        builder=seed_segment(
-                            self._new_segment_id(0, epoch), 0, epoch
-                        ),
-                    )
+            targets = sorted(pending, key=repr)
+            steps = [
+                MergeStep(
+                    "merge",
+                    ("cell", mask, coarse, epoch),
+                    tuple(pending[mask, coarse, epoch]),
+                    builder=partial(merged_segment, self._new_segment_id(0, epoch), 0, epoch),
                 )
-            steps.extend(
-                MergeStep("emit", ("cell",) + target)
-                for target in sorted(pending, key=repr)
-            )
+                for mask, coarse, epoch in targets
+            ]
+            steps.extend(MergeStep("emit", ("cell",) + target) for target in targets)
             plan = MergePlan(
                 name=f"cube-cells[{len(pending)} cells, {len(chosen)} masks]",
                 steps=steps,
             )
-            result = run_store_plan(
-                plan,
-                inputs,
-                fault_model=fault_model,
-                retry_policy=retry_policy,
-                exactly_once=exactly_once,
-            )
-            for slot, segment in result.outputs.items():
-                _tag, mask, coarse, epoch = slot
+            result = execute_plan(plan, inputs, accounting=False)
+            for (_tag, mask, coarse, epoch), segment in result.outputs.items():
                 chain = self._masks.setdefault(mask, {}).setdefault(
                     coarse, EpochChain()
                 )
@@ -572,12 +536,8 @@ class CubeStore(StoreBase):
                     stale_epochs.discard(epoch)
                     if not stale_epochs:
                         del self._stale[mask][coarse]
-                counters["dim_cells_built"] += 1
-                counters["merge_inputs"] += len(pending[(mask, coarse, epoch)])
-            if fault_model is not None:
-                counters["cells_failed"] += len(pending) - len(result.outputs)
-                if result.report.fault_stats is not None:
-                    counters["retries"] += result.report.fault_stats.retries
+            counters["dim_cells_built"] = len(result.outputs)
+            counters["merge_inputs"] = plan.num_merges
         else:
             for mask in chosen:
                 self._masks.setdefault(mask, {})
@@ -588,15 +548,9 @@ class CubeStore(StoreBase):
             chains,
             self._new_segment_id,
             name=f"cube-time[{len(chains)} chains]",
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            exactly_once=exactly_once,
         )
         counters["time_rollups_built"] = trees["built"]
         counters["merge_inputs"] += trees["merge_inputs"]
-        if fault_model is not None:
-            counters["cells_failed"] += trees["failed"]
-            counters["retries"] += trees["retries"]
 
         if counters["dim_cells_built"] or counters["time_rollups_built"]:
             self._generation += 1

@@ -489,55 +489,65 @@ def _store_from_manifest(
 ) -> Any:
     """Build a store of the manifest's kind from a parsed manifest.
 
-    ``on_bad_segment`` is the recovery hook: called with
-    ``(meta, file_path, error)`` for a segment that fails to load, and
-    the segment is skipped; without it the error propagates (strict).
+    The one reader of a manifest's segment containers, behind
+    :func:`load`, :func:`recover_store` and :func:`verify_store`.
+    ``on_bad_segment`` is called with ``(meta, file_path, error)`` for
+    a segment that fails to load, and the segment is skipped; without
+    it the error propagates (strict).  A manifest field that is missing
+    or has the wrong type raises
+    :class:`~repro.core.exceptions.SerializationError` too — format-1
+    manifests carry no checksum to catch it earlier.
     """
     from .cube import CubeStore
     from .store import SegmentStore
 
-    kind = manifest.get("kind", "store")
-    if kind == "cube":
-        store = CubeStore(
-            width=manifest["width"],
-            dims=manifest["dims"],
-            codec=manifest["codec"],
-            view_capacity=manifest.get("view_capacity", 8),
-        )
-    else:
-        store = SegmentStore(
-            width=manifest["width"],
-            codec=manifest["codec"],
-            view_capacity=manifest.get("view_capacity", 8),
-        )
-    for name, spec in manifest["schema"].items():
-        store._schema[name] = MemberSpec.from_dict(spec)
-    # kind extras (cube masks + stale marks) attach before the chains so
-    # mask insertion order matches the manifest's sorted order
-    store._apply_manifest_extra(manifest)
-    seg_dir = _container_dir(path, kind)
-    for chain_id, max_level, metas in _chain_specs(manifest):
-        chain = EpochChain()
-        for meta in metas:
-            file_path = os.path.join(seg_dir, f"{meta['id']}.rseg")
-            try:
-                segment = read_segment(file_path, fs=fs)
-            except SerializationError as exc:
-                if on_bad_segment is None:
-                    raise
-                on_bad_segment(meta, file_path, exc)
-                continue
-            if segment.level == 0:
-                chain.base[segment.start] = segment
-            else:
-                chain.rollups[(segment.level, segment.start)] = segment
-        chain.max_level = max_level
-        store._attach_chain(chain_id, chain)
-    store._generation = int(manifest.get("generation", 0))
-    store._records = int(manifest.get("records", 0))
-    store._next_segment_id = int(manifest.get("next_segment_id", 0))
-    store._snapshot = int(manifest.get("snapshot", 0))
-    store._wal_seq = int(manifest.get("wal_seq", 0))
+    try:
+        kind = manifest.get("kind", "store")
+        if kind == "cube":
+            store = CubeStore(
+                width=manifest["width"],
+                dims=manifest["dims"],
+                codec=manifest["codec"],
+                view_capacity=manifest.get("view_capacity", 8),
+            )
+        else:
+            store = SegmentStore(
+                width=manifest["width"],
+                codec=manifest["codec"],
+                view_capacity=manifest.get("view_capacity", 8),
+            )
+        for name, spec in manifest["schema"].items():
+            store._schema[name] = MemberSpec.from_dict(spec)
+        # kind extras (cube masks + stale marks) attach before the chains so
+        # mask insertion order matches the manifest's sorted order
+        store._apply_manifest_extra(manifest)
+        seg_dir = _container_dir(path, kind)
+        for chain_id, max_level, metas in _chain_specs(manifest):
+            chain = EpochChain()
+            for meta in metas:
+                file_path = os.path.join(seg_dir, f"{meta['id']}.rseg")
+                try:
+                    segment = read_segment(file_path, fs=fs)
+                except SerializationError as exc:
+                    if on_bad_segment is None:
+                        raise
+                    on_bad_segment(meta, file_path, exc)
+                    continue
+                if segment.level == 0:
+                    chain.base[segment.start] = segment
+                else:
+                    chain.rollups[(segment.level, segment.start)] = segment
+            chain.max_level = max_level
+            store._attach_chain(chain_id, chain)
+        store._generation = int(manifest.get("generation", 0))
+        store._records = int(manifest.get("records", 0))
+        store._next_segment_id = int(manifest.get("next_segment_id", 0))
+        store._snapshot = int(manifest.get("snapshot", 0))
+        store._wal_seq = int(manifest.get("wal_seq", 0))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise SerializationError(
+            f"{path}: malformed store manifest ({exc!r})"
+        ) from exc
     return store
 
 
@@ -665,7 +675,6 @@ def recover_store(path: str, fs: Optional[Filesystem] = None):
     path = str(path)
     report = RecoveryReport(path=path)
     manifest = _read_manifest(path, fs)  # unrecoverable without a commit point
-    report.snapshot_loaded = int(manifest.get("snapshot", 0))
 
     def quarantine_segment(meta, file_path, error):
         if fs.exists(file_path):
@@ -685,6 +694,7 @@ def recover_store(path: str, fs: Optional[Filesystem] = None):
     store = _store_from_manifest(
         manifest, path, fs, on_bad_segment=quarantine_segment
     )
+    report.snapshot_loaded = store.snapshot
 
     # uncommitted staging leftovers and orphaned containers: garbage
     # from a crashed half-save, never referenced by the commit point
@@ -763,44 +773,49 @@ def verify_store(path: str, fs: Optional[Filesystem] = None) -> Dict[str, Any]:
 
     Returns a JSON-compatible report: manifest status, per-segment
     container health, orphaned files, and WAL frame accounting.  The
-    top-level ``ok`` is True only when a strict :func:`load` would
-    succeed and no garbage is lying around.
+    segments are read by the same :func:`_store_from_manifest` a
+    strict :func:`load` runs, so a manifest ``load`` rejects is never
+    reported ``ok``.  The top-level ``ok`` is True only when a strict
+    :func:`load` would succeed and no garbage is lying around.
     """
     fs = fs or REAL_FS
     path = str(path)
     report: Dict[str, Any] = {"path": path, "ok": True}
+    seg_report: Dict[str, Any] = {
+        "referenced": 0,
+        "ok": 0,
+        "corrupt": [],
+        "missing": [],
+    }
+
+    def record_bad_segment(meta, file_path, error):
+        if fs.exists(file_path):
+            seg_report["corrupt"].append({"id": meta["id"], "reason": str(error)})
+        else:
+            seg_report["missing"].append(meta["id"])
+
     try:
         manifest = _read_manifest(path, fs)
+        store = _store_from_manifest(
+            manifest, path, fs, on_bad_segment=record_bad_segment
+        )
     except SerializationError as exc:
         report["manifest"] = str(exc)
         report["ok"] = False
         return report
     report["manifest"] = "ok"
-    report["kind"] = manifest.get("kind", "store")
-    report["snapshot"] = int(manifest.get("snapshot", 0))
-    report["wal_seq"] = int(manifest.get("wal_seq", 0))
+    report["kind"] = store.kind
+    report["snapshot"] = store.snapshot
+    report["wal_seq"] = store.wal_seq
 
-    seg_dir = _container_dir(path, report["kind"])
     referenced = [meta["id"] for meta in _manifest_segment_metas(manifest)]
-    seg_report: Dict[str, Any] = {
-        "referenced": len(referenced),
-        "ok": 0,
-        "corrupt": [],
-        "missing": [],
-    }
-    for seg_id in referenced:
-        file_path = os.path.join(seg_dir, f"{seg_id}.rseg")
-        if not fs.exists(file_path):
-            seg_report["missing"].append(seg_id)
-            continue
-        try:
-            read_segment(file_path, fs=fs)
-        except SerializationError as exc:
-            seg_report["corrupt"].append({"id": seg_id, "reason": str(exc)})
-        else:
-            seg_report["ok"] += 1
+    seg_report["referenced"] = len(referenced)
+    seg_report["ok"] = (
+        len(referenced) - len(seg_report["corrupt"]) - len(seg_report["missing"])
+    )
     report["segments"] = seg_report
 
+    seg_dir = _container_dir(path, store.kind)
     orphans = []
     if fs.exists(seg_dir):
         live = {f"{seg_id}.rseg" for seg_id in referenced}

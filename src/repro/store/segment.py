@@ -18,7 +18,7 @@ dyadic block of ``2**ℓ`` epochs and hold the merge of their children;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Sequence
+from typing import Any, Dict
 
 from ..core.base import Summary
 from ..core.exceptions import ParameterError
@@ -29,7 +29,6 @@ __all__ = [
     "Segment",
     "build_members",
     "copy_summary",
-    "merged_segment",
 ]
 
 
@@ -108,28 +107,6 @@ class Segment:
         """One past the last covered epoch."""
         return self.start + self.span
 
-    def merge_many(self, parts: Sequence["Segment"]) -> "Segment":
-        """K-way merge ``parts`` into this segment, member for member.
-
-        Only a roll-up under construction is merged into (the engine
-        seeds it with copies, see :func:`repro.store.chain.seed_segment`).
-        Every member makes one ``merge_many`` call for the whole group,
-        even an empty one, exactly as :func:`merged_segment` does, so a
-        roll-up does not depend on how its group was delivered.
-        """
-        for name, member in self.members.items():
-            member.merge_many([p.members[name] for p in parts])
-        self.count += sum(p.count for p in parts)
-        return self
-
-    def merge(self, other: "Segment") -> "Segment":
-        """Merge one segment in: a one-part :meth:`merge_many`."""
-        return self.merge_many([other])
-
-    def size(self) -> int:
-        """Summary size, summed over members."""
-        return sum(member.size() for member in self.members.values())
-
     def key_range(self, width: float) -> tuple:
         """The half-open key range ``[lo, hi)`` this segment covers."""
         return (self.start * width, self.end * width)
@@ -201,29 +178,3 @@ def build_members(
         members[name] = summary
     return members
 
-
-def merged_segment(
-    segment_id: str,
-    level: int,
-    start: int,
-    parts: list,
-) -> Segment:
-    """Build a roll-up segment as the k-way merge of ``parts``.
-
-    ``parts`` are existing segments (left untouched); the new segment's
-    members are ``merge_many`` folds over member-wise copies, so one
-    combine/compaction pass covers the whole group.
-    """
-    if not parts:
-        raise ParameterError("cannot roll up an empty segment group")
-    members: Dict[str, Summary] = {}
-    for name in parts[0].members:
-        first = copy_summary(parts[0].members[name])
-        members[name] = first.merge_many([p.members[name] for p in parts[1:]])
-    return Segment(
-        segment_id=segment_id,
-        level=level,
-        start=start,
-        count=sum(p.count for p in parts),
-        members=members,
-    )

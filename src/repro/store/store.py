@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC
 from ..core.exceptions import ParameterError, QueryError
-from ..engine import FaultModel, RetryPolicy
-from .chain import EpochChain, check_compaction_fault_model, compact_chains
+from .chain import EpochChain, compact_chains
 from .common import StoreBase
 from .planner import QueryPlan
 from .segment import Segment, copy_summary
@@ -146,13 +145,7 @@ class SegmentStore(StoreBase):
     # Compaction: the dyadic roll-up tree
     # ------------------------------------------------------------------
 
-    def compact(
-        self,
-        *,
-        fault_model: Optional[FaultModel] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        exactly_once: bool = True,
-    ) -> Dict[str, int]:
+    def compact(self) -> Dict[str, int]:
         """Materialize the dyadic roll-up tree over the base segments.
 
         Level ``ℓ`` holds one pre-merged segment per aligned block of
@@ -161,44 +154,24 @@ class SegmentStore(StoreBase):
         below.  Blocks whose roll-up is already materialized are
         skipped, so repeated compactions are incremental.  The roll-up
         is compiled into a :class:`~repro.engine.plan.MergePlan` and run
-        by :func:`repro.engine.execute_plan` (via the shared
+        in process by :func:`repro.engine.execute_plan` (via the shared
         :func:`~repro.store.chain.compact_chains`).
 
-        ``fault_model`` runs the compaction over the engine's unreliable
-        fabric: each child delivery is retried per ``retry_policy``, and
-        with ``exactly_once`` (the default) every fresh roll-up keeps a
-        merge ledger so injected duplicate deliveries merge exactly
-        once.  A roll-up whose retries are exhausted is *dropped* — not
-        installed partially — so queries degrade to its children; its
-        block is retried by the next :meth:`compact`.  Corruption
-        injection is meaningless here (segments never cross a wire
-        during compaction) and raises
-        :class:`~repro.core.exceptions.ParameterError`.
-
         Returns counters: ``levels``, ``rollups_built``,
-        ``merge_inputs`` (summaries consumed by the new roll-ups); under
-        a fault model also ``retries`` and ``rollups_failed``.
+        ``merge_inputs`` (summaries consumed by the new roll-ups).
         """
-        check_compaction_fault_model(fault_model)
         result = compact_chains(
             [((), self._chain)],
             self._new_segment_id,
             name=f"compact[{len(self._chain.base)} segments]",
-            fault_model=fault_model,
-            retry_policy=retry_policy,
-            exactly_once=exactly_once,
         )
         if result["built"]:
             self._generation += 1
-        counters = {
+        return {
             "levels": result["levels"],
             "rollups_built": result["built"],
             "merge_inputs": result["merge_inputs"],
         }
-        if fault_model is not None:
-            counters["retries"] = result["retries"]
-            counters["rollups_failed"] = result["failed"]
-        return counters
 
     # ------------------------------------------------------------------
     # Query

@@ -61,7 +61,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 from ..core.exceptions import SerializationError
 from ..core.fsio import Filesystem, REAL_FS

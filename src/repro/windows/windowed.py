@@ -25,7 +25,6 @@ stable envelope identity for the codec stack, the stores and the CLI.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from typing import Any, Dict, List, NamedTuple, Optional, Type

@@ -14,10 +14,11 @@ refactor's contract:
   sequence, so even randomized summaries must match bit-for-bit);
 - a simulator run equals a manual replay of its schedule;
 - the executor's scalar/fault regimes account correctly (step status,
-  instrument events, duplicate injection, ledgers);
-- fault-injected store compaction is exactly-once or nothing: retries
-  converge to byte-identical roll-ups, total loss installs nothing and
-  a later plain ``compact()`` fully recovers.
+  duplicate injection, ledgers), and a builder merge hands its builder
+  every source while a fault model refuses such a plan;
+- store compaction is plain in-process maintenance: ``compact()``
+  reports only its build counters, a failed build installs no roll-up,
+  and a compaction plan refuses a fault model.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from repro.engine import (
     execute_plan,
 )
 from repro.frequency import ExactCounter, MisraGries
-from repro.store import SegmentStore
+from repro.store import SegmentStore, merged_segment
+from repro.store import chain as chain_module
+from repro.store.chain import compile_rollup_steps, dyadic_levels
 from tests.test_merge_runtime import MERGE_SPECS, SKIPPED_TYPES
 
 # ---------------------------------------------------------------------------
@@ -262,31 +265,41 @@ class TestExecutorAccounting:
         assert result.report.steps_done == 5
         assert result.value.n == total
 
-    def test_wave_path_groups_and_instruments(self):
-        # the scalar loop reports one "step" event per merge, in plan
-        # order, and "done" last
-        inputs = _counters(8)
-        total = sum(s.n for s in inputs.values())
-        events = []
-        plan = compile_fold("tree", 8)
-        result = execute_plan(
-            plan,
-            inputs,
-            instrument=lambda event, info: events.append((event, info)),
+    def test_builder_merge_receives_every_source(self):
+        inputs = _counters(3)
+        before = {slot: dumps(summary) for slot, summary in inputs.items()}
+        seen = []
+
+        def build(values):
+            seen.append(values)
+            merged = values[0].copy()
+            merged.merge_many(values[1:])
+            return merged
+
+        plan = MergePlan(
+            name="builder",
+            steps=[
+                MergeStep("merge", "dst", ("s0", "s1", "s2"), builder=build),
+                MergeStep("emit", "dst"),
+            ],
         )
-        report = result.report
-        assert report.merges == 7
-        assert report.steps_done == 7
-        kinds = [event for event, _ in events]
-        assert kinds == ["step"] * 7 + ["done"]
-        steps = [info for event, info in events if event == "step"]
-        assert [info["index"] for info in steps] == list(range(7))
-        assert [info["dst"] for info in steps] == [
-            step.slot for step in plan.merge_steps
-        ]
-        assert all(info["fan_in"] == 1 for info in steps)
-        assert events[-1][1]["merges"] == 7
-        assert result.value.n == total
+        result = execute_plan(plan, inputs)
+        assert len(seen) == 1
+        assert [id(v) for v in seen[0]] == [id(inputs[f"s{i}"]) for i in range(3)]
+        assert {slot: dumps(s) for slot, s in inputs.items()} == before
+        assert result.report.merges == 3
+        assert result.value.n == sum(s.n for s in inputs.values())
+
+    def test_fault_model_rejected_for_builder_merges(self):
+        plan = MergePlan(
+            name="builder",
+            steps=[
+                MergeStep("merge", "dst", ("s0", "s1"), builder=lambda values: values[0]),
+                MergeStep("emit", "dst"),
+            ],
+        )
+        with pytest.raises(ParameterError, match="builder merges"):
+            execute_plan(plan, _counters(2), fault_model=FaultModel(loss=0.5, rng=1))
 
     def test_duplicate_knob_double_merges(self):
         inputs = _counters(4)
@@ -340,7 +353,7 @@ class TestExecutorAccounting:
 
 
 # ---------------------------------------------------------------------------
-# Store compaction under fault injection: exactly-once or nothing
+# Store compaction: plain in-process maintenance
 # ---------------------------------------------------------------------------
 
 EPOCHS = 12
@@ -371,37 +384,50 @@ def _rollup_state(store: SegmentStore, with_ids: bool = True) -> dict:
     }
 
 
-class TestFaultInjectedCompaction:
-    def test_lossy_compact_retries_to_identical_rollups(self):
-        baseline = _filled_store()
-        clean_stats = baseline.compact()
-        lossy = _filled_store()
-        stats = lossy.compact(
-            fault_model=FaultModel(loss=0.4, rng=7),
-            retry_policy=RetryPolicy(max_attempts=20),
-        )
-        assert stats["retries"] > 0
-        assert stats["rollups_failed"] == 0
-        assert stats["rollups_built"] == clean_stats["rollups_built"]
-        assert stats["merge_inputs"] == clean_stats["merge_inputs"]
-        assert _rollup_state(lossy) == _rollup_state(baseline)
+def _failing_builder(succeed: int):
+    """``merged_segment`` that raises once it has built ``succeed`` segments."""
+    built = []
 
-    def test_total_loss_installs_nothing_and_recompact_recovers(self):
+    def build(*args):
+        if len(built) >= succeed:
+            raise RuntimeError("injected build failure")
+        built.append(args)
+        return merged_segment(*args)
+
+    return build
+
+
+def _compaction_plan(store: SegmentStore):
+    """The store's pending roll-up tree as one plan, compiled as compact() does."""
+    chain = store._chain
+    steps, inputs = [], {}
+    planned = compile_rollup_steps(
+        chain,
+        dyadic_levels(chain),
+        slot_of=lambda block: block,
+        new_segment_id=lambda level, start: f"r{level}.{start}",
+        steps=steps,
+        inputs=inputs,
+    )
+    steps.extend(MergeStep("emit", block) for block in sorted(planned))
+    return MergePlan(name="compact", steps=steps), inputs
+
+
+class TestFaultInjectedCompaction:
+    def test_total_loss_installs_nothing_and_recompact_recovers(self, monkeypatch):
         baseline = _filled_store()
         baseline.compact()
         store = _filled_store()
-        stats = store.compact(
-            fault_model=FaultModel(loss=1.0, rng=1),
-            retry_policy=RetryPolicy(max_attempts=2),
-        )
-        assert stats["rollups_built"] == 0
-        assert stats["rollups_failed"] > 0
+        monkeypatch.setattr(chain_module, "merged_segment", _failing_builder(0))
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            store.compact()
         assert store.num_rollups == 0
         # queries still work off base segments, as if never compacted
         q_store = store.query(0.0, float(EPOCHS))
         q_base = baseline.query(0.0, float(EPOCHS))
         assert q_store["count"].n == q_base["count"].n
-        # a later fault-free compact rebuilds the full tree
+        # a later compact with a working builder rebuilds the full tree
+        monkeypatch.undo()
         recovered = store.compact()
         assert recovered["rollups_built"] == baseline.num_rollups
         # the aborted compact consumed segment-id allocations, so ids
@@ -410,14 +436,17 @@ class TestFaultInjectedCompaction:
             baseline, with_ids=False
         )
 
-    def test_partial_rollups_never_served(self):
-        # moderate loss with too few retries: some roll-ups fail; every
-        # one that *was* installed covers its entire block
+    def test_partial_rollups_never_served(self, monkeypatch):
+        # a build fails midway through the tree: the roll-ups already
+        # built are discarded, never installed as a partial tree
         store = _filled_store()
-        store.compact(
-            fault_model=FaultModel(loss=0.55, rng=13),
-            retry_policy=RetryPolicy(max_attempts=2),
-        )
+        monkeypatch.setattr(chain_module, "merged_segment", _failing_builder(5))
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            store.compact()
+        assert store.num_rollups == 0
+        monkeypatch.undo()
+        store.compact()
+        assert store.num_rollups > 0
         base = store._chain.base
         for (level, start), segment in store._chain.rollups.items():
             span = 1 << level
@@ -428,15 +457,29 @@ class TestFaultInjectedCompaction:
             assert segment.members["count"].n == expected
 
     def test_corruption_injection_rejected(self):
+        # roll-ups are built in process and never serialized, so the
+        # store's compaction plan refuses wire-corruption injection
         store = _filled_store()
-        with pytest.raises(ParameterError, match="never serializes"):
-            store.compact(fault_model=FaultModel(corruption=0.5, rng=1))
+        plan, inputs = _compaction_plan(store)
+        with pytest.raises(ParameterError, match="never cross a fabric"):
+            execute_plan(
+                plan,
+                inputs,
+                serialize=True,
+                fault_model=FaultModel(corruption=0.5, rng=1),
+            )
+        assert store.num_rollups == 0
+        built = execute_plan(plan, inputs, accounting=False).outputs
+        assert len(built) == store.compact()["rollups_built"]
 
     def test_coordinator_crash_rejected(self):
         # continuous-only knob: a compaction has no coordinator to crash
         store = _filled_store()
+        plan, inputs = _compaction_plan(store)
         with pytest.raises(ParameterError, match="coordinator_crash"):
-            store.compact(fault_model=FaultModel(coordinator_crash=0.5, rng=1))
+            execute_plan(
+                plan, inputs, fault_model=FaultModel(coordinator_crash=0.5, rng=1)
+            )
         assert store.num_rollups == 0
 
     def test_fault_free_compact_reports_no_fault_keys(self):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 
 from repro.core import MergeError, ParameterError, merge_all

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import EmptySummaryError, MergeError, ParameterError, merge_all
-from repro.ranges import EpsApproximation, Intervals1D
+from repro.ranges import EpsApproximation
 
 
 class TestConstruction:

@@ -10,6 +10,7 @@ puts different bytes behind the same container framing.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
@@ -138,6 +139,38 @@ def test_manifest_byte_flips_never_serve_wrong_data(tmp_path, codec):
     # handful may land in bytes whose flip still parses to the same
     # canonical document, which the predicate proved harmless
     assert raised > len(blob) * 0.9
+
+
+def _break_manifest(manifest, how):
+    chain = manifest["chains"][0]
+    if how == "no-width":
+        del manifest["width"]
+    elif how == "int-chain-id":
+        chain["id"] = 5
+    elif how == "schema-list":
+        manifest["schema"] = list(manifest["schema"])
+    else:  # "meta-without-id"
+        del chain["segments"][0]["id"]
+
+
+@pytest.mark.parametrize(
+    "how", ["no-width", "int-chain-id", "schema-list", "meta-without-id"]
+)
+def test_malformed_checksumless_manifest_raises_typed_errors(tmp_path, how):
+    """Format-1 manifests ship without a checksum, so one that parses but
+    has a missing or mistyped field reaches the store builder: open and
+    recover raise a typed error, and verify agrees that it is broken."""
+    target, _fp = _saved_store(tmp_path, "json.v2")
+    path = target / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["checksum"]
+    _break_manifest(manifest, how)
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(SerializationError, match="malformed store manifest"):
+        SegmentStore.open(target)
+    with pytest.raises(SerializationError, match="malformed store manifest"):
+        SegmentStore.recover(target)
+    assert SegmentStore.verify(target)["ok"] is False
 
 
 @pytest.mark.parametrize("codec", CODECS)

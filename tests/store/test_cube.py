@@ -12,7 +12,7 @@ same three-way classification applies:
 
 Plus the cube-specific machinery: ingest invalidation and staleness,
 workload-aware budgeted compaction, planner degradation surfacing, the
-view cache, fault injection through the merge engine, and persistence.
+view cache, all-or-nothing compaction, and persistence.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.core import ParameterError, QueryError, SerializationError
-from repro.engine import FaultModel, RetryPolicy
+from repro.engine import FaultModel
 from repro.store import CubeStore, SegmentStore
+from repro.store import cube as cube_module
 
 from tests.test_merge_runtime import MERGE_SPECS
 
@@ -446,44 +447,44 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# Fault injection: compaction rides the merge engine's guarantees
+# Faults: compaction is in-process and all-or-nothing
 # ---------------------------------------------------------------------------
 
 
-class TestFaults:
-    def test_lossy_compaction_retries_to_correctness(self):
-        cube = _small_cube(width=4.0)
-        cube.ingest(_records(300, seed=16))
-        cube.query(0, cube.records)
-        stats = cube.compact(
-            budget=10**6,
-            fault_model=FaultModel(loss=0.3, rng=11),
-            retry_policy=RetryPolicy(max_attempts=6),
-        )
-        assert stats["retries"] > 0
-        result = cube.query(0, cube.records)
-        naive = cube.query(0, cube.records, use_rollups=False)
-        assert _canon(result.members["count"]) == _canon(naive.members["count"])
+def _failing_builder(*_args):
+    raise RuntimeError("injected build failure")
 
-    def test_exhausted_retries_leave_stale_marks_not_bad_data(self):
+
+class TestFaults:
+    def test_exhausted_retries_leave_stale_marks_not_bad_data(self, monkeypatch):
+        # a re-compaction whose cell builds fail keeps the ingest's stale
+        # marks: queries fall back to base cells and never see bad data
         cube = _small_cube(width=4.0)
         cube.ingest(_records(300, seed=17))
         cube.query(0, cube.records)
-        stats = cube.compact(
-            budget=10**6,
-            fault_model=FaultModel(loss=0.5, rng=3),
-            retry_policy=RetryPolicy(max_attempts=1),
-        )
-        assert stats["cells_failed"] > 0
+        cube.compact(budget=10**6)
+        cube.ingest(_records(80, seed=21))  # stale-marks the masks
+        monkeypatch.setattr(cube_module, "merged_segment", _failing_builder)
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            cube.compact(budget=10**6)
         result = cube.query(0, cube.records)
         naive = cube.query(0, cube.records, use_rollups=False)
+        assert result.plan.stale_epochs > 0
+        assert _canon(result.members["count"]) == _canon(naive.members["count"])
+        monkeypatch.undo()
+        cube.compact(budget=10**6)
+        result = cube.query(0, cube.records)
+        assert result.plan.stale_epochs == 0
         assert _canon(result.members["count"]) == _canon(naive.members["count"])
 
     def test_corruption_model_rejected(self):
+        # cells are built in process and never cross a fabric, so
+        # compaction takes no fault model at all
         cube = _small_cube(width=4.0)
         cube.ingest(_records(40, seed=18))
-        with pytest.raises(ParameterError):
+        with pytest.raises(TypeError, match="fault_model"):
             cube.compact(fault_model=FaultModel(corruption=0.1, rng=1))
+        assert cube.materialized_masks() == []
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,20 @@ class TestCubeCli:
         assert "ingested 40 records" in out
         assert "cells" in out  # the cube's unit, same report shape
 
+    def test_ingest_into_corrupt_manifest_reports_corruption(self, small_cube, capsys):
+        # the directory is opened through load(), which names the damage,
+        # instead of guessing the kind from a manifest it cannot read
+        target, records, keys = small_cube
+        manifest = target / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["store", "ingest", "--dir", str(target),
+                     "--dims", "region",
+                     "--input", str(records), "--keys", str(keys)]) == 1
+        err = capsys.readouterr().err
+        assert f"{target}: corrupt store manifest" in err
+        assert "flat store" not in err
+
     def test_stats_schema_matches_flat_store(self, small_cube, tmp_path, capsys):
         target, _records, _keys = small_cube
         items = tmp_path / "items.txt"

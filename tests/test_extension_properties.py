@@ -6,7 +6,6 @@ streams and split points, assert the invariant each extension claims.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import List
 
 from hypothesis import given, settings

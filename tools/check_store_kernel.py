@@ -38,7 +38,11 @@ if a known pre-refactor duplicate creeps back in:
   or a serialization copy (a ``from_dict(`` … ``.to_dict())`` round trip
   on one line, anywhere) — every merge operand the store copies goes
   through :func:`~repro.store.segment.copy_summary`, which is
-  ``Summary.copy()``; persistence decodes through ``repro.core.codecs``.
+  ``Summary.copy()``; persistence decodes through ``repro.core.codecs``;
+* a second roll-up builder (``def seed_segment`` anywhere;
+  ``def merged_segment`` outside ``chain.py``) — every ingest
+  replacement, time roll-up and cube cell is built by
+  :func:`~repro.store.chain.merged_segment`.
 
 Run from the repo root: ``python tools/check_store_kernel.py``.
 Exit status 0 = clean, 1 = duplicates found (each printed as
@@ -78,6 +82,8 @@ BANNED_DEFINITIONS = {
     r"def _fingerprint_extra\b": None,
     r"def _child_node\b": None,
     r"def copy_summary\b": "segment.py",
+    r"def seed_segment\b": None,
+    r"def merged_segment\b": "chain.py",
 }
 
 # patterns banned anywhere in a line, in every module
