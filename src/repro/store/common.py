@@ -84,6 +84,9 @@ class StoreBase:
         self._wal = None
         self._wal_seq = 0
         self._snapshot = 0
+        #: random id of the snapshot last loaded or committed; a save
+        #: reuses a directory's committed containers only under this id
+        self._snapshot_id: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Schema
@@ -484,9 +487,12 @@ class StoreBase:
     def save(self, path, fs: Any = None) -> Dict[str, int]:
         """Commit an atomic snapshot of the store to a directory.
 
-        Segments stage under temp names and the manifest rename is the
+        The containers not yet committed go into new pack files of at
+        most 1 MiB, each fsynced once, and the manifest rename is the
         single commit point (:func:`~repro.store.persistence.save`), so
-        a crash mid-save always leaves a loadable store.  With a WAL
+        a crash mid-save always leaves a loadable store and the fsync
+        count grows with the bytes written, not with the number of
+        segments.  With a WAL
         attached, log files fully covered by the committed snapshot are
         retired afterwards (``wal_retired`` in the returned counters).
         """

@@ -5,20 +5,24 @@ or raises** :class:`~repro.core.exceptions.SerializationError` —
 never returns wrong data, and never lets a raw ``struct.error`` /
 ``UnicodeDecodeError`` escape.  Swept for every codec the store can
 persist with (``json.v1`` / ``json.v2`` / ``binary.v1``), because each
-puts different bytes behind the same container framing.
+puts different bytes behind the same container framing: standalone
+containers, every byte of a pack, manifest ranges that point outside
+their pack or at the wrong container, and the manifest itself.
 """
 
 from __future__ import annotations
 
+import errno
 import json
-import os
 import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.core import SerializationError
+from repro.core.fsio import RealFilesystem
 from repro.store import SegmentStore
-from repro.store.persistence import read_segment
+from repro.store.persistence import _manifest_checksum, read_segment, write_segment
 
 CODECS = ["json.v1", "json.v2", "binary.v1"]
 
@@ -26,21 +30,28 @@ CODECS = ["json.v1", "json.v2", "binary.v1"]
 _HEADER_BYTES = 13
 
 
-def _saved_store(tmp_path, codec):
+def _store(codec):
     store = SegmentStore(width=1.0, codec=codec)
     store.add_member("count", "exact_counter", field="value")
     store.ingest(
         [{"value": i % 3} for i in range(8)],
         [float(i // 4) for i in range(8)],
     )
+    return store
+
+
+def _saved_store(tmp_path, codec):
+    store = _store(codec)
     target = tmp_path / "store"
     store.save(target)
     return target, store.fingerprint()
 
 
-def _segment_paths(target):
-    seg_dir = target / "segments"
-    return sorted(seg_dir / name for name in os.listdir(seg_dir))
+def _standalone_container(tmp_path, codec):
+    """One segment written alone by :func:`write_segment`."""
+    path = tmp_path / "one.rseg"
+    write_segment(_store(codec).segments()[0], path, codec)
+    return path
 
 
 def _open_correct_or_raises(target, fingerprint):
@@ -57,8 +68,7 @@ def _open_correct_or_raises(target, fingerprint):
 
 @pytest.mark.parametrize("codec", CODECS)
 def test_segment_truncated_at_every_byte(tmp_path, codec):
-    target, _fp = _saved_store(tmp_path, codec)
-    victim = _segment_paths(target)[0]
+    victim = _standalone_container(tmp_path, codec)
     blob = victim.read_bytes()
     reference = read_segment(victim).fingerprint()
     for cut in range(len(blob)):
@@ -73,8 +83,7 @@ def test_segment_truncated_at_every_byte(tmp_path, codec):
 def test_segment_header_bit_flips_all_detected(tmp_path, codec):
     """Every single-bit flip in every header field (magic, version,
     CRC, meta length) is rejected — none parses, none mislabels."""
-    target, _fp = _saved_store(tmp_path, codec)
-    victim = _segment_paths(target)[0]
+    victim = _standalone_container(tmp_path, codec)
     blob = victim.read_bytes()
     for offset in range(min(_HEADER_BYTES, len(blob))):
         for bit in range(8):
@@ -93,8 +102,7 @@ def test_segment_header_bit_flips_all_detected(tmp_path, codec):
 def test_segment_body_byte_flips_all_detected(tmp_path, codec):
     """The v2 container CRC covers every post-header byte, so a flip
     anywhere — member names, frame lengths, codec payloads — raises."""
-    target, _fp = _saved_store(tmp_path, codec)
-    victim = _segment_paths(target)[0]
+    victim = _standalone_container(tmp_path, codec)
     blob = victim.read_bytes()
     for offset in range(_HEADER_BYTES, len(blob)):
         flipped = bytearray(blob)
@@ -103,6 +111,192 @@ def test_segment_body_byte_flips_all_detected(tmp_path, codec):
         with pytest.raises(SerializationError):
             read_segment(victim)
     victim.write_bytes(blob)
+
+
+class _NoSyncFilesystem(RealFilesystem):
+    """Real files without fsync: the sweeps below test logic, not disks."""
+
+    def fsync(self, handle) -> None:
+        handle.flush()
+
+    def fsync_dir(self, path: str) -> None:
+        pass
+
+
+_NO_SYNC = _NoSyncFilesystem()
+
+
+def _packed_store(tmp_path, codec):
+    """A saved store with base segments and a roll-up in one pack."""
+    store = _store(codec)
+    store.compact()
+    target = tmp_path / "store"
+    store.save(target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    entries = [meta for chain in manifest["chains"] for meta in chain["segments"]]
+    (pack,) = {meta["pack"] for meta in entries}
+    return target, target / "packs" / pack, entries, store
+
+
+def _recover_copy(target, work):
+    """Recover a copy of ``target``; returns (store, report)."""
+    shutil.copytree(target, work)
+    return SegmentStore.recover(work, fs=_NO_SYNC)
+
+
+def _all_fingerprints(store):
+    return {
+        segment.segment_id: segment.fingerprint()
+        for _chain_id, chain in store._chain_index()
+        for segment in chain.segments()
+    }
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_pack_byte_flips_quarantine_exactly_one_segment(tmp_path, codec):
+    """A flip of any pack byte makes open raise; recover quarantines
+    exactly the segment whose range holds the byte (copying that range
+    into quarantine/) and every other segment survives intact."""
+    target, pack, entries, store = _packed_store(tmp_path, codec)
+    assert len(entries) >= 3
+    expected = _all_fingerprints(store)
+    blob = pack.read_bytes()
+    assert len(blob) == sum(meta["length"] for meta in entries)
+    for offset in range(len(blob)):
+        (victim,) = [
+            meta
+            for meta in entries
+            if meta["offset"] <= offset < meta["offset"] + meta["length"]
+        ]
+        flipped = bytearray(blob)
+        flipped[offset] ^= 0xFF
+        pack.write_bytes(bytes(flipped))
+        with pytest.raises(SerializationError):
+            SegmentStore.open(target)
+        work = tmp_path / f"work-{offset}"
+        recovered, report = _recover_copy(target, work)
+        (entry,) = report.segments_quarantined
+        assert entry["id"] == victim["id"], f"offset={offset}"
+        start, end = victim["offset"], victim["offset"] + victim["length"]
+        with open(entry["file"], "rb") as handle:
+            assert handle.read() == bytes(flipped[start:end])
+        survivors = _all_fingerprints(recovered)
+        assert survivors == {
+            seg_id: fp for seg_id, fp in expected.items() if seg_id != victim["id"]
+        }, f"offset={offset}"
+        shutil.rmtree(work)
+    pack.write_bytes(blob)
+    assert SegmentStore.open(target).fingerprint() == store.fingerprint()
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_pack_truncated_at_every_offset(tmp_path, codec):
+    """A torn pack makes open raise; recover quarantines exactly the
+    segments whose ranges run past the cut."""
+    target, pack, entries, store = _packed_store(tmp_path, codec)
+    expected = _all_fingerprints(store)
+    blob = pack.read_bytes()
+    for cut in range(len(blob)):
+        pack.write_bytes(blob[:cut])
+        with pytest.raises(SerializationError):
+            SegmentStore.open(target)
+        work = tmp_path / f"work-{cut}"
+        recovered, report = _recover_copy(target, work)
+        torn = {meta["id"] for meta in entries if meta["offset"] + meta["length"] > cut}
+        assert {entry["id"] for entry in report.segments_quarantined} == torn, (
+            f"cut={cut}"
+        )
+        for entry in report.segments_quarantined:  # what the cut left of it
+            start, end = entry["offset"], entry["offset"] + entry["length"]
+            with open(entry["file"], "rb") as handle:
+                assert handle.read() == blob[:cut][start:end]
+        assert _all_fingerprints(recovered) == {
+            seg_id: fp for seg_id, fp in expected.items() if seg_id not in torn
+        }, f"cut={cut}"
+        shutil.rmtree(work)
+    pack.write_bytes(blob)
+
+
+class _UnreadableFilesystem(_NoSyncFilesystem):
+    """Reads of files with one suffix fail with EIO, as on a bad sector."""
+
+    def __init__(self, suffix):
+        self.suffix = suffix
+
+    def read_bytes(self, path):
+        if str(path).endswith(self.suffix):
+            raise OSError(errno.EIO, "Input/output error", str(path))
+        return super().read_bytes(path)
+
+
+def test_unreadable_pack_is_moved_into_quarantine(tmp_path):
+    """A pack that cannot be read fails every segment in it; recover
+    moves it into quarantine/ whole instead of letting its own save's
+    GC delete it."""
+    target, pack, entries, _store_ = _packed_store(tmp_path, "binary.v1")
+    blob = pack.read_bytes()
+    _recovered, report = SegmentStore.recover(target, fs=_UnreadableFilesystem(".rpak"))
+    assert {entry["id"] for entry in report.segments_quarantined} == {
+        meta["id"] for meta in entries
+    }
+    (moved,) = {entry["file"] for entry in report.segments_quarantined}
+    assert Path(moved).parent == target / "quarantine"
+    assert Path(moved).read_bytes() == blob
+    assert not pack.exists()
+    assert SegmentStore.verify(target)["ok"]
+
+
+def test_unreadable_legacy_container_is_moved_into_quarantine(tmp_path):
+    """The same for a format-3 directory's per-segment ``.rseg`` files."""
+    target = tmp_path / "store"
+    shutil.copytree(Path(__file__).parent / "fixtures" / "format3" / "store", target)
+    originals = {p.name: p.read_bytes() for p in (target / "segments").iterdir()}
+    _recovered, report = SegmentStore.recover(target, fs=_UnreadableFilesystem(".rseg"))
+    assert len(report.segments_quarantined) == len(originals)
+    for entry in report.segments_quarantined:
+        moved = Path(entry["file"])
+        assert moved.parent == target / "quarantine"
+        assert moved.read_bytes() == originals[f"{entry['id']}.rseg"]
+    assert not list((target / "segments").iterdir())
+
+
+def _rewrite_entries(target, transform):
+    path = target / "manifest.json"
+    manifest = json.loads(path.read_text())
+    transform([meta for chain in manifest["chains"] for meta in chain["segments"]])
+    manifest["checksum"] = _manifest_checksum(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("field", ["offset", "length"])
+def test_manifest_range_past_its_pack_raises(tmp_path, codec, field):
+    target, pack, _entries, _store_ = _packed_store(tmp_path, codec)
+    size = pack.stat().st_size
+
+    def overrun(entries):
+        entries[-1][field] += size
+
+    _rewrite_entries(target, overrun)
+    with pytest.raises(SerializationError, match="past the end of its pack"):
+        SegmentStore.open(target)
+    assert SegmentStore.verify(target)["ok"] is False
+
+
+@pytest.mark.parametrize("codec", CODECS)
+def test_manifest_entry_pointing_at_another_container_raises(tmp_path, codec):
+    target, _pack, _entries, _store_ = _packed_store(tmp_path, codec)
+
+    def swap(entries):
+        first, second = entries[0], entries[1]
+        for key in ("offset", "length"):
+            first[key], second[key] = second[key], first[key]
+
+    _rewrite_entries(target, swap)
+    with pytest.raises(SerializationError, match="does not match its manifest entry"):
+        SegmentStore.open(target)
+    report = SegmentStore.verify(target)
+    assert len(report["segments"]["corrupt"]) == 2
 
 
 @pytest.mark.parametrize("codec", CODECS)

@@ -1,46 +1,49 @@
-"""Legacy (pre-chain-kernel) manifests still load, byte-identically.
+"""Legacy manifests (formats 1–3) still load, byte-identically.
 
-Manifest format 3 carries every chain explicitly under ``chains``;
-formats 1 and 2 predate the kernel — the flat store kept one implicit
-chain in a top-level ``segments`` list, and the cube nested per-mask
-``groups``.  These tests take a format-3 save, rewrite the manifest
-into each legacy shape in place (segment containers are untouched —
-the RSEG format never changed), and assert that :func:`repro.store.load`
-builds the same store: identical fingerprint, identical answers.
+Manifest format 4 keeps segment containers in packs; formats 1–3 kept
+one ``.rseg`` file per segment under ``segments/`` (flat store) or
+``cells/`` (cube).  ``fixtures/format3/`` holds a small flat store and
+a small cube saved by the format-3 writer from the ``_flat_twin`` and
+``_cube_twin`` builders below.  The tests open them — and format-1/2
+rewrites of tmp copies of them (the containers are untouched; the RSEG
+framing never changed) — and assert that :func:`repro.store.load`
+builds the same store as a freshly built twin: identical fingerprint,
+identical answers.  A save over a legacy directory converts it to
+format 4.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
+
+import pytest
 
 from repro.store import CubeStore, SegmentStore, load
 from repro.store.persistence import _manifest_checksum
 
+from .test_persistence import CountingFilesystem
 
-def _rewrite_manifest(target, transform) -> None:
-    path = target / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest = transform(manifest)
-    manifest.pop("checksum", None)
-    manifest["checksum"] = _manifest_checksum(manifest)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+FIXTURES = Path(__file__).parent / "fixtures" / "format3"
 
 
-def _populated_store() -> SegmentStore:
+def _flat_twin() -> SegmentStore:
     store = SegmentStore(width=1.0, codec="binary.v1")
     store.add_member("count", "exact_counter", field="value")
     store.add_member("hot", "misra_gries", field="value", k=8)
     store.ingest(
-        [{"value": i % 7} for i in range(96)],
-        [float(i // 4) for i in range(96)],
+        [{"value": i % 7} for i in range(32)],
+        [float(i // 4) for i in range(32)],
     )
     store.compact()
     return store
 
 
-def _populated_cube() -> CubeStore:
+def _cube_twin() -> CubeStore:
     cube = CubeStore(width=1.0, dims=("region", "device"), codec="binary.v1")
     cube.add_member("count", "exact_counter", field="value")
+    cube.add_member("hot", "misra_gries", field="value", k=8)
     for epoch in range(3):
         for region in ("eu", "us"):
             for device in ("mobile", "web"):
@@ -58,12 +61,55 @@ def _populated_cube() -> CubeStore:
     return cube
 
 
+def _flat_answers(store):
+    result = store.query(1.0, 7.0)
+    return result.n, {name: result[name].to_dict() for name in ("count", "hot")}
+
+
+def _cube_answers(cube):
+    result = cube.query(0.0, 3.0, group_by=("region",))
+    return {
+        key: {name: summary.to_dict() for name, summary in members.items()}
+        for key, members in result.groups.items()
+    }
+
+
+KINDS = {
+    "store": (_flat_twin, _flat_answers, SegmentStore, "segments"),
+    "cube": (_cube_twin, _cube_answers, CubeStore, "cells"),
+}
+
+
+def _copy_fixture(kind, tmp_path) -> Path:
+    return Path(shutil.copytree(FIXTURES / kind, tmp_path / kind))
+
+
+def _rewrite_manifest(target, transform) -> None:
+    path = target / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest = transform(manifest)
+    manifest.pop("checksum", None)
+    manifest["checksum"] = _manifest_checksum(manifest)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_format3_fixture_loads(kind):
+    build, answers, cls, legacy_dir = KINDS[kind]
+    manifest = json.loads((FIXTURES / kind / "manifest.json").read_text())
+    assert manifest["format"] == 3
+    assert (FIXTURES / kind / legacy_dir).is_dir()
+    twin = build()
+    loaded = load(FIXTURES / kind)
+    assert isinstance(loaded, cls)
+    assert loaded.fingerprint() == twin.fingerprint()
+    assert answers(loaded) == answers(twin)
+    assert cls.verify(FIXTURES / kind)["ok"]
+
+
 def test_legacy_flat_manifest_loads(tmp_path):
-    store = _populated_store()
-    target = tmp_path / "store"
-    store.save(target)
-    expected_fp = SegmentStore.open(target).fingerprint()
-    expected = store.query(3.0, 21.0)
+    target = _copy_fixture("store", tmp_path)
+    twin = _flat_twin()
 
     def to_format_1(manifest):
         (chain,) = manifest.pop("chains")
@@ -82,23 +128,13 @@ def test_legacy_flat_manifest_loads(tmp_path):
 
     loaded = load(target)
     assert isinstance(loaded, SegmentStore)
-    assert loaded.fingerprint() == expected_fp
-    after = loaded.query(3.0, 21.0)
-    assert after.n == expected.n
-    assert after["count"].to_dict() == expected["count"].to_dict()
+    assert loaded.fingerprint() == twin.fingerprint()
+    assert _flat_answers(loaded) == _flat_answers(twin)
 
 
 def test_legacy_cube_manifest_loads(tmp_path):
-    cube = _populated_cube()
-    target = tmp_path / "cube"
-    cube.save(target)
-    expected_fp = CubeStore.open(target).fingerprint()
-    expected = {
-        key: members["count"].to_dict()
-        for key, members in cube.query(
-            0.0, 3.0, group_by=("region",)
-        ).groups.items()
-    }
+    target = _copy_fixture("cube", tmp_path)
+    twin = _cube_twin()
 
     def to_format_2(manifest):
         groups = []
@@ -132,19 +168,41 @@ def test_legacy_cube_manifest_loads(tmp_path):
     _rewrite_manifest(target, to_format_2)
     loaded = load(target)
     assert isinstance(loaded, CubeStore)
-    assert loaded.fingerprint() == expected_fp
-    got = {
-        key: members["count"].to_dict()
-        for key, members in loaded.query(
-            0.0, 3.0, group_by=("region",)
-        ).groups.items()
-    }
-    assert got == expected
+    assert loaded.fingerprint() == twin.fingerprint()
+    assert _cube_answers(loaded) == _cube_answers(twin)
 
-    # a save after a legacy load rewrites the manifest at format 3 and
+    # a save after a legacy load rewrites the manifest at format 4 and
     # the round trip stays byte-identical
     loaded.save(target)
     manifest = json.loads((target / "manifest.json").read_text())
-    assert manifest["format"] == 3
+    assert manifest["format"] == 4
     assert manifest["kind"] == "cube"
-    assert CubeStore.open(target).fingerprint() == expected_fp
+    assert CubeStore.open(target).fingerprint() == twin.fingerprint()
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_save_over_format3_directory_converts_to_packs(tmp_path, kind):
+    build, answers, cls, legacy_dir = KINDS[kind]
+    target = _copy_fixture(kind, tmp_path)
+    legacy_files = sorted((target / legacy_dir).iterdir())
+    assert legacy_files and all(p.suffix == ".rseg" for p in legacy_files)
+
+    fs = CountingFilesystem()
+    report = cls.open(target).save(target, fs=fs)
+    # no snapshot id in a format-3 manifest: every segment is rewritten
+    assert report["written"] == report["segments"] > 0
+    commit = fs.log.index(("replace", str(target / "manifest.json")))
+    removed = [path for op, path in fs.log if op == "remove"]
+    assert sorted(removed) == sorted(str(p) for p in legacy_files)
+    assert all(
+        index > commit for index, (op, _path) in enumerate(fs.log) if op == "remove"
+    ), "a legacy container was deleted before the format-4 commit"
+
+    manifest = json.loads((target / "manifest.json").read_text())
+    assert manifest["format"] == 4
+    assert not list((target / legacy_dir).iterdir())
+    reopened = cls.open(target)
+    twin = build()
+    assert reopened.fingerprint() == twin.fingerprint()
+    assert answers(reopened) == answers(twin)
+    assert cls.verify(target)["ok"]

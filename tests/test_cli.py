@@ -279,6 +279,16 @@ class TestStore:
                   "--lo", "0", "--hi", "64"])
 
 
+def _damage_first_segment(target):
+    """Flip one byte inside the first segment's range of its pack."""
+    manifest = json.loads((target / "manifest.json").read_text())
+    meta = manifest["chains"][0]["segments"][0]
+    pack = target / "packs" / meta["pack"]
+    blob = bytearray(pack.read_bytes())
+    blob[meta["offset"] + meta["length"] - 1] ^= 0xFF
+    pack.write_bytes(bytes(blob))
+
+
 class TestStoreDurability:
     @pytest.fixture
     def small_store(self, tmp_path):
@@ -321,8 +331,7 @@ class TestStoreDurability:
         capsys.readouterr()
         assert main(["store", "verify", "--dir", str(target)]) == 0
         assert capsys.readouterr().out.startswith("ok:")
-        victim = sorted((target / "segments").iterdir())[0]
-        victim.write_bytes(victim.read_bytes()[:10])
+        _damage_first_segment(target)
         assert main(["store", "verify", "--dir", str(target)]) == 1
         out = capsys.readouterr().out
         assert "NOT ok" in out and "corrupt segment" in out
@@ -450,8 +459,7 @@ class TestCubeCli:
         capsys.readouterr()
         assert main(["store", "verify", "--dir", str(target)]) == 0
         assert capsys.readouterr().out.startswith("ok:")
-        victim = sorted((target / "cells").iterdir())[0]
-        victim.write_bytes(victim.read_bytes()[:10])
+        _damage_first_segment(target)
         assert main(["store", "verify", "--dir", str(target)]) == 1
         out = capsys.readouterr().out
         assert "NOT ok" in out and "corrupt segment" in out
