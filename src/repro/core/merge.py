@@ -6,7 +6,7 @@ strategies used throughout the tests and benchmarks — but since the
 engine refactor it no longer executes anything itself: each strategy is
 a *plan compiler* (see :mod:`repro.engine.compilers`) and every merge
 runs through :func:`repro.engine.execute_plan`, the same runner behind
-the distributed simulator and the store's compaction:
+the distributed simulator:
 
 - :func:`merge_chain` — the caterpillar/left-fold order, the worst case
   for non-mergeable summaries whose error grows per merge;

@@ -5,10 +5,10 @@ compile the merge schedule into a :class:`~repro.engine.plan.MergePlan`
 (one build step per node, one merge step per schedule edge — see
 :func:`repro.engine.compilers.compile_aggregation`), and hand the plan
 to :func:`repro.engine.execute_plan`, the same runner behind
-``merge_all`` folds and the store's compaction.  The engine owns leaf
-builds, the merge loop, the retry/ledger fault loop, and the per-run
-counters; this module owns what is *simulation*: the partitioning, the
-``Node`` fleet, and the aggregation-level result accounting.
+``merge_all`` folds.  The engine owns leaf builds, the merge loop, the
+retry/ledger fault loop, and the per-run counters; this module owns
+what is *simulation*: the partitioning, the ``Node`` fleet, and the
+aggregation-level result accounting.
 
 The instrumentation captures what the paper's theorems speak about:
 the merge count and tree depth (mergeable summaries must not degrade

@@ -1,4 +1,4 @@
-"""The merge engine: one plan IR and one executor for every merge DAG.
+"""The merge engine: one plan IR and one executor for merge DAGs.
 
 The paper proves that mergeable summaries survive *arbitrary* merge
 sequences; this package makes the sequence a first-class value.  A
@@ -8,14 +8,13 @@ runner that decides *how* — scalar step-by-step, or through the
 retry/ledger fault runtime — and reports what happened
 (:class:`ExecutionReport`).
 
-Call sites compile to the IR instead of hand-rolling loops:
+Two call sites compile to the IR instead of hand-rolling loops:
 ``repro.core.merge`` compiles its fold strategies
-(:data:`MERGE_STRATEGIES`), the distributed simulator compiles its
+(:data:`MERGE_STRATEGIES`), and the distributed simulator compiles its
 :class:`~repro.distributed.topology.MergeSchedule` objects
-(:func:`compile_aggregation`), and
-:meth:`repro.store.store.SegmentStore.compact` compiles its dyadic
-roll-up, whose merge steps hand their sources to the store's roll-up
-builder.
+(:func:`compile_aggregation`).  The store builds its roll-ups and
+cube cells directly with :func:`repro.store.merged_segment`, a local
+``merge_many`` per block, and never goes through a plan.
 
 Fault primitives (:class:`FaultModel`, :class:`RetryPolicy`,
 :class:`MergeLedger`, :class:`FaultStats`) live here too, with

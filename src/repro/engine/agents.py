@@ -14,9 +14,8 @@ slot is held by a :class:`SummarySlot`, the agent the distributed
   the counters the execution report aggregates.
 
 The slot's value is any merge operand — a
-:class:`~repro.core.base.Summary` — or whatever a merge step's builder
-returns (a store segment).  :func:`wrap_slot` passes a ``SummarySlot``
-through and wraps any other value in one.
+:class:`~repro.core.base.Summary`.  :func:`wrap_slot` passes a
+``SummarySlot`` through and wraps any other value in one.
 """
 
 from __future__ import annotations

@@ -9,12 +9,7 @@ Each legacy execution loop of the library is re-expressed here as a
 - :func:`compile_aggregation` — a distributed
   :class:`~repro.distributed.topology.MergeSchedule` plus its leaf
   summary factory, compiled to build steps (one per node) followed by
-  the schedule's merges and a root emit;
-
-(the store's dyadic roll-up compiler lives with the store itself —
-:meth:`repro.store.store.SegmentStore.compact` — because it reads
-private segment state; it produces the same IR and runs on the same
-executor).
+  the schedule's merges and a root emit.
 
 Compilation is where each strategy's *randomness* is consumed: the
 random-tree compiler replays the exact draw sequence of the historical

@@ -1,23 +1,21 @@
-"""``execute_plan``: the one runner every merge in the library goes through.
+"""``execute_plan``: the one runner for merge plans.
 
 The paper's mergeability guarantee is about *what* gets merged; this
-module owns *how*, once, for every call site: ``merge_all`` folds, the
-distributed simulator's schedules, and the store's dyadic compactions
-all compile to :class:`~repro.engine.plan.MergePlan` and run here, in
-the calling process.  Build and emit steps run one by one; runs of
-merge steps take one of two regimes:
+module owns *how*, once, for every plan: ``merge_all`` folds and the
+distributed simulator's schedules compile to
+:class:`~repro.engine.plan.MergePlan` and run here, in the calling
+process.  Build and emit steps run one by one; runs of merge steps
+take one of two regimes:
 
 - **scalar** — steps run one by one in plan order, each source emitted
-  and absorbed by its destination (the legacy step-by-step semantics),
-  or handed with its siblings to the step's ``builder`` (the store's
-  immutable roll-ups);
+  and absorbed in place by its destination (the legacy step-by-step
+  semantics);
 - **fault** — with a :class:`~repro.engine.faults.FaultModel`, slots
   may crash, every delivery runs :func:`~repro.engine.faults.deliver`
   (the retry-with-backoff loop against injected loss, corruption and
   duplicates), parents dedup via per-slot
   :class:`~repro.engine.faults.MergeLedger` (exactly-once merges), and
-  the report carries coverage/degradation accounting.  Builder merges
-  never cross a fabric, so a plan with one rejects a fault model.
+  the report carries coverage/degradation accounting.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-from ..core.codecs import decode_summary
 from ..core.exceptions import ParameterError
 from .agents import SummarySlot, wrap_slot
 from .faults import FaultModel, FaultStats, RetryPolicy, deliver
@@ -82,14 +79,13 @@ class ExecutionReport:
 
 @dataclass
 class ExecutionResult:
-    """Outputs plus report plus the live agents of one plan execution.
+    """Outputs plus report of one plan execution.
 
     ``outputs`` maps every emitted slot to its final value.
     """
 
     outputs: Dict[Hashable, Any]
     report: ExecutionReport
-    agents: Dict[Hashable, Any]
 
     @property
     def value(self) -> Any:
@@ -173,8 +169,8 @@ class _Run:
     # -- scalar merge path ------------------------------------------------
 
     def run_scalar(self, steps: List[MergeStep], first_index: int) -> None:
-        # hot path: merge_all and compaction run every step through this
-        # loop, so frequently-read attributes are hoisted to locals
+        # hot path: merge_all runs every step through this loop, so
+        # frequently-read attributes are hoisted to locals
         slots = self.slots
         serialize = self.serialize
         accounting = self.accounting
@@ -183,23 +179,17 @@ class _Run:
         for offset, step in enumerate(steps):
             index = first_index + offset
             srcs = step.srcs
-            if step.builder is None:
-                agent = slots[step.slot]
-                if len(srcs) == 1:
-                    agent.absorb(
-                        slots[srcs[0]].emit(serialize=serialize),
-                        serialized=serialize,
-                    )
-                else:
-                    agent.absorb_many(
-                        [slots[src].emit(serialize=serialize) for src in srcs],
-                        serialized=serialize,
-                    )
+            agent = slots[step.slot]
+            if len(srcs) == 1:
+                agent.absorb(
+                    slots[srcs[0]].emit(serialize=serialize),
+                    serialized=serialize,
+                )
             else:
-                payloads = [slots[src].emit(serialize=serialize) for src in srcs]
-                values = [decode_summary(p) for p in payloads] if serialize else payloads
-                agent = wrap_slot(step.builder(values))
-                self._install(step.slot, agent)
+                agent.absorb_many(
+                    [slots[src].emit(serialize=serialize) for src in srcs],
+                    serialized=serialize,
+                )
             if accounting:
                 for src in srcs:
                     report.covered[step.slot] |= report.covered[src]
@@ -289,9 +279,7 @@ class _Run:
             self.report.bytes_retransmitted = sum(
                 a.bytes_retransmitted for a in self.slots.values()
             )
-        return ExecutionResult(
-            outputs=self.outputs, report=self.report, agents=self.slots
-        )
+        return ExecutionResult(outputs=self.outputs, report=self.report)
 
 
 def execute_plan(
@@ -306,13 +294,11 @@ def execute_plan(
 ) -> ExecutionResult:
     """Execute ``plan`` over ``inputs`` and return outputs plus report.
 
-    ``inputs`` maps slot names to values (summaries, or store segments
-    under ``accounting=False``, since segments have no ``size()``) or
-    ready-made :class:`~repro.engine.agents.SummarySlot` agents (the
-    simulator's ``Node`` objects).  ``serialize`` round-trips every
-    emitted summary through the wire codec.  A merge step with a
-    ``builder`` hands it the list of every source's value, in order,
-    and installs what it returns as the destination's value.
+    ``inputs`` maps slot names to summaries or ready-made
+    :class:`~repro.engine.agents.SummarySlot` agents (the simulator's
+    ``Node`` objects).  ``serialize`` round-trips every emitted summary
+    through the wire codec.  A merge step absorbs its sources in place
+    into its destination's value.
 
     ``fault_model`` switches the merge phase to the retry runtime:
     deliveries retry per ``retry_policy`` against injected loss,
@@ -322,15 +308,13 @@ def execute_plan(
     at-least-once delivery).  The report's ``covered``/``crashed``/
     ``fault_stats`` then carry the degradation accounting.  A plan has
     no coordinator, so ``coordinator_crash`` raises
-    :class:`~repro.core.exceptions.ParameterError`; so does a fault
-    model over a plan with builder merges, which run in process only.
+    :class:`~repro.core.exceptions.ParameterError`.
 
     ``accounting=False`` skips the per-step size and coverage tracking
     (``report.max_size`` stays 0, ``report.covered`` stays empty) for
-    hot paths that discard the report — ``merge_all`` folds, store
-    compactions.  It is forced back on whenever ``fault_model`` is
-    given, because the fault runtime's degradation accounting *is* the
-    product there.
+    hot paths that discard the report — ``merge_all`` folds.  It is
+    forced back on whenever ``fault_model`` is given, because the fault
+    runtime's degradation accounting *is* the product there.
     """
     if fault_model is not None and fault_model.corruption and not serialize:
         raise ParameterError(
@@ -340,13 +324,6 @@ def execute_plan(
         raise ParameterError(
             "coordinator_crash applies to continuous aggregation only; a plan "
             "has no coordinator to crash (use crash= for slots)"
-        )
-    if fault_model is not None and any(
-        step.builder is not None for step in plan.merge_steps
-    ):
-        raise ParameterError(
-            "builder merges build a new value in process and never cross a "
-            "fabric; a fault model cannot apply to them"
         )
     plan.validate(inputs.keys())
     run = _Run(

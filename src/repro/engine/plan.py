@@ -11,25 +11,21 @@ representation.  A :class:`MergePlan` is an ordered list of
     Materialize a slot's value by calling the step's ``builder`` (a
     leaf node ingesting its shard, for the simulator).
 ``merge``
-    Combine the values of ``srcs`` into ``slot``.  Without a
-    ``builder`` the merge is *in place* into the value ``slot`` already
-    holds (the simulator's "absorb the child" semantics, mutating the
-    first operand exactly like the classic fold executors).  With one,
-    the builder receives the list of every source's value, in order,
-    and returns the fresh slot's value — the store's immutable roll-up
-    semantics, which leave the sources untouched.
+    Absorb the values of ``srcs`` *in place* into the value ``slot``
+    already holds (the simulator's "absorb the child" semantics,
+    mutating the first operand exactly like the classic fold
+    executors).
 ``emit``
     Mark ``slot`` as an output of the plan.
 
 Slots are arbitrary hashable names: the fold compilers use ``"s0"``,
-``"s1"``, ...; the simulator uses the node indices themselves; the
-store uses ``(level, start)`` block coordinates.
+``"s1"``, ...; the simulator uses the node indices themselves.
 
 Plans are compiled by :mod:`repro.engine.compilers` from merge
-strategies, :class:`~repro.distributed.topology.MergeSchedule` objects,
-and store roll-up states, and executed — step by step, or through a
-fault-injected retry loop — by :func:`repro.engine.execute_plan`.  The IR itself never executes
-anything.
+strategies and :class:`~repro.distributed.topology.MergeSchedule`
+objects, and executed — step by step, or through a fault-injected
+retry loop — by :func:`repro.engine.execute_plan`.  The IR itself
+never executes anything.
 """
 
 from __future__ import annotations
@@ -53,9 +49,7 @@ class MergeStep:
     ``op`` is one of :data:`OPS`.  ``slot`` is the destination (the
     built slot, the merge target, or the emitted output).  ``srcs``
     names the merge operands, in order.  ``builder`` is the leaf
-    factory for ``build`` steps, or — for a ``merge`` into a fresh
-    slot — a callable receiving the list of every source's value and
-    returning the new slot value.
+    factory of a ``build`` step; no other op takes one.
     """
 
     op: str
@@ -79,6 +73,8 @@ class MergeStep:
             raise ParameterError(f"{self.op} steps take no source slots")
         if self.op == "build" and self.builder is None:
             raise ParameterError("a build step needs a builder callable")
+        if self.op != "build" and self.builder is not None:
+            raise ParameterError(f"{self.op} steps take no builder")
 
     def describe(self) -> str:
         """One human-readable line for :meth:`MergePlan.describe`."""
@@ -86,8 +82,7 @@ class MergeStep:
             return f"build {self.slot!r}"
         if self.op == "merge":
             srcs = ", ".join(repr(s) for s in self.srcs)
-            arrow = "<-" if self.builder is None else "<=(copy)"
-            return f"merge {self.slot!r} {arrow} [{srcs}]"
+            return f"merge {self.slot!r} <- [{srcs}]"
         return f"emit  {self.slot!r}"
 
 
@@ -143,9 +138,8 @@ class MergePlan:
         """Check the plan is executable given the caller's input slots.
 
         Raises :class:`~repro.core.exceptions.ParameterError` when a
-        step reads a slot that is neither an input, nor built, nor the
-        fresh destination of an earlier merge, or when an emit names an
-        unknown slot.
+        merge or emit names a slot that is neither an input nor built
+        by an earlier step.
         """
         known: Set[Hashable] = set(inputs)
         # plans are immutable, so a (plan, input-set) pair that passed
@@ -159,13 +153,17 @@ class MergePlan:
                 known.add(step.slot)
                 continue
             if step.op == "merge":
+                if step.slot not in known:
+                    raise ParameterError(
+                        f"plan {self.name!r} step {index}: merge into "
+                        f"unknown slot {step.slot!r}"
+                    )
                 missing = [s for s in step.srcs if s not in known]
                 if missing:
                     raise ParameterError(
                         f"plan {self.name!r} step {index}: merge into "
                         f"{step.slot!r} reads unknown slot(s) {missing!r}"
                     )
-                known.add(step.slot)
                 continue
             if step.slot not in known:
                 raise ParameterError(

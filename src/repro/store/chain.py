@@ -20,30 +20,28 @@ including the ``window=``/``window_eps`` slack rule resolved by
 :func:`resolve_window`), invalidation
 (:meth:`EpochChain.drop_covering_rollups`), the one roll-up builder
 (:func:`merged_segment`: ingest replacements, time roll-ups and cube
-cells alike), and time roll-up compaction of any set of chains as one
-in-process plan (:func:`compact_chains` over
-:func:`compile_rollup_steps`) — lives here exactly once, so every
-future store feature lands once instead of twice.
+cells alike), and time roll-up compaction of any set of chains
+(:func:`compact_chains`, a plain loop over :func:`merged_segment`) —
+lives here exactly once, so every future store feature lands once
+instead of twice.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.base import Summary
 from ..core.exceptions import ParameterError, QueryError
-from ..engine import MergePlan, MergeStep, execute_plan
+# kept as a module attribute: benchmarks/e2e/tracing.py wraps it by name
+from ..engine import execute_plan  # noqa: F401
 from .planner import QueryPlan, plan_range
 from .segment import Segment, copy_summary
 
 __all__ = [
     "EpochChain",
     "merged_segment",
-    "compile_rollup_steps",
     "compact_chains",
-    "dyadic_levels",
     "resolve_window",
 ]
 
@@ -57,7 +55,7 @@ class EpochChain:
     ``base`` maps epoch -> level-0 segment; ``rollups`` maps
     ``(level, start)`` -> pre-merged segment covering the aligned block
     of ``2**level`` epochs; ``max_level`` records the tallest tree ever
-    compiled (the planner's recursion depth).
+    built (the planner's recursion depth).
     """
 
     __slots__ = ("base", "rollups", "max_level")
@@ -114,13 +112,6 @@ class EpochChain:
         return base + ups
 
 
-def dyadic_levels(chain: EpochChain) -> int:
-    """Roll-up tree height for the chain's current epoch span."""
-    lo, hi = min(chain.base), max(chain.base)
-    span = hi - lo + 1
-    return max(1, math.ceil(math.log2(span))) if span > 1 else 1
-
-
 def merged_segment(
     segment_id: str,
     level: int,
@@ -149,66 +140,6 @@ def merged_segment(
         count=sum(p.count for p in parts),
         members=members,
     )
-
-
-def compile_rollup_steps(
-    chain: EpochChain,
-    levels: int,
-    *,
-    slot_of: Callable[[Block], Any],
-    new_segment_id: Callable[[int, int], str],
-    steps: List[MergeStep],
-    inputs: Dict[Any, Segment],
-) -> Set[Block]:
-    """Compile one chain's incremental dyadic roll-up into merge steps.
-
-    Jobs are discovered level by level exactly like the historical loop
-    — same block iteration, same skip of materialized roll-ups, same
-    segment-id allocation order — but a job may reference a *planned*
-    sibling from the level below as a source slot, which is what lets
-    the whole tree execute as one plan.
-
-    ``slot_of`` maps a ``(level, start)`` block to the caller's plan
-    slot (:func:`compact_chains` prefixes the chain id so many chains
-    share one plan).  Merge steps are appended to ``steps`` and their
-    source segments to ``inputs``; the caller appends the ``emit``
-    steps so it controls their ordering.  Returns the set of planned
-    blocks.
-    """
-    lo, hi = min(chain.base), max(chain.base)
-    planned: Set[Block] = set()
-    for level in range(1, levels + 1):
-        block = 1 << level
-        half = block >> 1
-        first = (lo // block) * block
-        for start in range(first, hi + 1, block):
-            if (level, start) in chain.rollups:
-                continue
-            srcs: List[Any] = []
-            for child_start in (start, start + half):
-                child = (level - 1, child_start)
-                if level - 1 >= 1 and child in planned:
-                    srcs.append(slot_of(child))
-                    continue
-                node = chain.node(level - 1, child_start)
-                if node is not None:
-                    child_slot = slot_of(child)
-                    inputs[child_slot] = node
-                    srcs.append(child_slot)
-            if not srcs:
-                continue
-            steps.append(
-                MergeStep(
-                    "merge",
-                    slot_of((level, start)),
-                    tuple(srcs),
-                    builder=partial(
-                        merged_segment, new_segment_id(level, start), level, start
-                    ),
-                )
-            )
-            planned.add((level, start))
-    return planned
 
 
 def resolve_window(
@@ -249,54 +180,51 @@ def resolve_window(
 
 
 def compact_chains(
-    chains: Sequence[Tuple[Tuple[Any, ...], EpochChain]],
+    chains: Sequence[EpochChain],
     new_segment_id: Callable[[int, int], str],
-    *,
-    name: str,
 ) -> Dict[str, int]:
-    """Build the missing dyadic roll-ups of every chain as one merge plan.
+    """Build the missing dyadic roll-ups of every chain, in process.
 
-    The time-axis compaction of both store kinds.  Each non-empty
-    chain's incremental tree is compiled by :func:`compile_rollup_steps`
-    under slots ``chain_id + (level, start)`` — the flat store's one
-    chain has id ``()``, so its slots are bare blocks — and the whole
-    plan runs once, in process, through
-    :func:`repro.engine.execute_plan`; every roll-up it builds is
-    installed and each chain's ``max_level`` rises to the compiled
-    height.
+    The time-axis compaction of both store kinds.  Chains are visited
+    in the given order and each non-empty chain's tree level by level;
+    a block whose roll-up is materialized is skipped, and each missing
+    one is built by :func:`merged_segment` from its (at most two)
+    children, materialized or built earlier in this call.  Nothing is
+    installed until every roll-up is built, so a failed build leaves
+    every chain as it was.  Each chain's ``max_level`` then rises to
+    its tree height.
 
-    Returns ``levels`` (the tallest tree compiled), ``built`` and
+    Returns ``levels`` (the tallest tree), ``built`` and
     ``merge_inputs`` (summaries consumed by the new roll-ups).
     """
-    steps: List[MergeStep] = []
-    inputs: Dict[Any, Segment] = {}
-    heights: Dict[Tuple[Any, ...], Tuple[EpochChain, int]] = {}
-    for chain_id, chain in chains:
+    counters = {"levels": 0, "built": 0, "merge_inputs": 0}
+    trees: List[Tuple[EpochChain, int, Dict[Block, Segment]]] = []
+    for chain in chains:
         if not chain.base:
             continue
-        levels = dyadic_levels(chain)
-        heights[chain_id] = (chain, levels)
-        planned = compile_rollup_steps(
-            chain,
-            levels,
-            slot_of=lambda block, chain_id=chain_id: chain_id + block,
-            new_segment_id=new_segment_id,
-            steps=steps,
-            inputs=inputs,
-        )
-        steps.extend(MergeStep("emit", chain_id + block) for block in sorted(planned))
-    counters = {
-        "levels": max((levels for _chain, levels in heights.values()), default=0),
-        "built": 0,
-        "merge_inputs": 0,
-    }
-    if steps:
-        plan = MergePlan(name=name, steps=steps)
-        result = execute_plan(plan, inputs, accounting=False)
-        for slot, segment in result.outputs.items():
-            heights[slot[:-2]][0].rollups[slot[-2:]] = segment
-        counters["built"] = len(result.outputs)
-        counters["merge_inputs"] = plan.num_merges
-    for chain, levels in heights.values():
+        lo, hi = min(chain.base), max(chain.base)
+        levels = max(1, math.ceil(math.log2(hi - lo + 1)))
+        built: Dict[Block, Segment] = {}
+        for level in range(1, levels + 1):
+            block = 1 << level
+            for start in range((lo // block) * block, hi + 1, block):
+                if (level, start) in chain.rollups:
+                    continue
+                parts = []
+                for child in ((level - 1, start), (level - 1, start + block // 2)):
+                    node = built.get(child) or chain.node(*child)
+                    if node is not None:
+                        parts.append(node)
+                if not parts:
+                    continue
+                built[level, start] = merged_segment(
+                    new_segment_id(level, start), level, start, parts
+                )
+                counters["merge_inputs"] += len(parts)
+        trees.append((chain, levels, built))
+    for chain, levels, built in trees:
+        chain.rollups.update(built)
         chain.max_level = max(chain.max_level, levels)
+        counters["levels"] = max(counters["levels"], levels)
+        counters["built"] += len(built)
     return counters

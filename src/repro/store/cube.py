@@ -15,7 +15,7 @@ answer carrying exactly the guarantees of a from-scratch build.
 Structurally the cube is *many* instances of the same storage kernel
 the flat store is one of: every cell chain — full-key or materialized
 coarse — is an :class:`~repro.store.chain.EpochChain`, so per-chain
-planning, invalidation, and roll-up compilation are literally the flat
+planning, invalidation, and roll-up compaction are literally the flat
 store's code.  The cube planner covers a query along two axes:
 
 - **time** — each contributing cell chain is covered dyadically by
@@ -38,11 +38,9 @@ cells for exactly those epochs (counted in
 
 All cube maintenance — building roll-up cells across the dimension
 lattice, then the dyadic time tree within every chain through the same
-:func:`~repro.store.chain.compact_chains` the flat store calls —
-compiles into :class:`~repro.engine.plan.MergePlan` objects run in
-process by :func:`repro.engine.execute_plan`, and every cell is built
-by the store's one roll-up builder,
-:func:`~repro.store.chain.merged_segment`.
+:func:`~repro.store.chain.compact_chains` the flat store calls — runs
+in process, and every cell is built by the store's one roll-up
+builder, :func:`~repro.store.chain.merged_segment`.
 
 Which masks to materialize is the Storyboard question:
 :meth:`CubeStore.compact` takes a cell ``budget`` and a ``workload``
@@ -59,7 +57,6 @@ over the last atomic snapshot exactly as the flat store does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from typing import (
     Any,
@@ -76,7 +73,6 @@ from typing import (
 from ..core.base import Summary
 from ..core.codecs import DEFAULT_CODEC
 from ..core.exceptions import ParameterError, QueryError
-from ..engine import MergePlan, MergeStep, execute_plan
 from .chain import EpochChain, compact_chains, merged_segment
 from .common import StoreBase
 from .segment import Segment, copy_summary
@@ -333,7 +329,7 @@ class CubeStore(StoreBase):
         return dropped
 
     # ------------------------------------------------------------------
-    # Compaction: dimension lattice + dyadic time tree, one merge plan
+    # Compaction: dimension lattice + dyadic time tree
     # ------------------------------------------------------------------
 
     def _normalize_workload(
@@ -457,12 +453,14 @@ class CubeStore(StoreBase):
     ) -> Dict[str, int]:
         """Materialize dimension roll-ups and time roll-up trees.
 
-        Two phases, each one :class:`~repro.engine.plan.MergePlan` run
-        in process by :func:`repro.engine.execute_plan`:
+        Two phases, each of which builds every cell before it
+        installs any, so a failed build leaves that phase's cells as
+        they were:
 
         1. **dimension cells** — for every chosen mask, each missing or
-           stale (coarse key, epoch) cell is rebuilt as the k-way merge
-           of its matching base cells;
+           stale (coarse key, epoch) cell is rebuilt by
+           :func:`~repro.store.chain.merged_segment` as the k-way merge
+           of its matching base cells, in ``repr`` order of the cells;
         2. **time roll-ups** — every non-empty chain (base and roll-up)
            gets its incremental dyadic tree from the same
            :func:`~repro.store.chain.compact_chains` the flat store
@@ -493,8 +491,7 @@ class CubeStore(StoreBase):
         counters.update(choice_stats)
 
         # phase 1: dimension roll-up cells across the lattice
-        pending: Dict[Tuple[Mask, Key, int], List[Tuple[str, Key, int]]] = {}
-        inputs: Dict[Any, Segment] = {}
+        pending: Dict[Tuple[Mask, Key, int], List[Segment]] = {}
         for key, group in self._groups.items():
             for mask in chosen:
                 coarse = self._project(key, mask)
@@ -505,49 +502,30 @@ class CubeStore(StoreBase):
                     exists = cell_chain is not None and epoch in cell_chain.base
                     if exists and epoch not in stale:
                         continue
-                    src = ("base", key, epoch)
-                    inputs[src] = segment
-                    pending.setdefault((mask, coarse, epoch), []).append(src)
-        if pending:
-            targets = sorted(pending, key=repr)
-            steps = [
-                MergeStep(
-                    "merge",
-                    ("cell", mask, coarse, epoch),
-                    tuple(pending[mask, coarse, epoch]),
-                    builder=partial(merged_segment, self._new_segment_id(0, epoch), 0, epoch),
-                )
-                for mask, coarse, epoch in targets
-            ]
-            steps.extend(MergeStep("emit", ("cell",) + target) for target in targets)
-            plan = MergePlan(
-                name=f"cube-cells[{len(pending)} cells, {len(chosen)} masks]",
-                steps=steps,
-            )
-            result = execute_plan(plan, inputs, accounting=False)
-            for (_tag, mask, coarse, epoch), segment in result.outputs.items():
-                chain = self._masks.setdefault(mask, {}).setdefault(
-                    coarse, EpochChain()
-                )
-                chain.base[epoch] = segment
-                chain.drop_covering_rollups(epoch)
-                stale_epochs = self._stale.get(mask, {}).get(coarse)
-                if stale_epochs is not None:
-                    stale_epochs.discard(epoch)
-                    if not stale_epochs:
-                        del self._stale[mask][coarse]
-            counters["dim_cells_built"] = len(result.outputs)
-            counters["merge_inputs"] = plan.num_merges
-        else:
+                    pending.setdefault((mask, coarse, epoch), []).append(segment)
+        cells = []
+        for mask, coarse, epoch in sorted(pending, key=repr):
+            parts = pending[mask, coarse, epoch]
+            segment = merged_segment(self._new_segment_id(0, epoch), 0, epoch, parts)
+            cells.append((mask, coarse, epoch, segment))
+        for mask, coarse, epoch, segment in cells:
+            chain = self._masks.setdefault(mask, {}).setdefault(coarse, EpochChain())
+            chain.base[epoch] = segment
+            chain.drop_covering_rollups(epoch)
+            stale_epochs = self._stale.get(mask, {}).get(coarse)
+            if stale_epochs is not None:
+                stale_epochs.discard(epoch)
+                if not stale_epochs:
+                    del self._stale[mask][coarse]
+        if not cells:
             for mask in chosen:
                 self._masks.setdefault(mask, {})
+        counters["dim_cells_built"] = len(cells)
+        counters["merge_inputs"] = sum(len(parts) for parts in pending.values())
 
         # phase 2: dyadic time trees inside every chain
-        chains = self._chain_index()
         trees = compact_chains(
-            chains,
-            self._new_segment_id,
-            name=f"cube-time[{len(chains)} chains]",
+            [chain for _key, chain in self._chain_index()], self._new_segment_id
         )
         counters["time_rollups_built"] = trees["built"]
         counters["merge_inputs"] += trees["merge_inputs"]

@@ -6,7 +6,8 @@ guarantee: records are partitioned by a numeric key (a timestamp,
 usually) into ``width``-wide *epochs*, each epoch's records are folded
 into an immutable level-0 :class:`~repro.store.segment.Segment`
 holding one summary per configured member, and :meth:`compact` rolls
-adjacent segments up into a dyadic tree of pre-merged segments.  A
+adjacent segments up into a dyadic tree of pre-merged segments, each
+the local ``merge_many`` of its children.  A
 range query is then compiled by :mod:`repro.store.planner` into
 ``O(log S)`` pre-merged nodes instead of an ``O(S)`` scan — and because
 every summary is mergeable, the roll-up answers carry exactly the same
@@ -152,19 +153,14 @@ class SegmentStore(StoreBase):
         ``2**ℓ`` epochs that contains data; each is the k-way
         ``merge_many`` of its (at most two) children from the level
         below.  Blocks whose roll-up is already materialized are
-        skipped, so repeated compactions are incremental.  The roll-up
-        is compiled into a :class:`~repro.engine.plan.MergePlan` and run
-        in process by :func:`repro.engine.execute_plan` (via the shared
-        :func:`~repro.store.chain.compact_chains`).
+        skipped, so repeated compactions are incremental.  The roll-ups
+        are built in process by the shared
+        :func:`~repro.store.chain.compact_chains`.
 
         Returns counters: ``levels``, ``rollups_built``,
         ``merge_inputs`` (summaries consumed by the new roll-ups).
         """
-        result = compact_chains(
-            [((), self._chain)],
-            self._new_segment_id,
-            name=f"compact[{len(self._chain.base)} segments]",
-        )
+        result = compact_chains([self._chain], self._new_segment_id)
         if result["built"]:
             self._generation += 1
         return {

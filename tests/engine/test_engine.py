@@ -1,24 +1,23 @@
-"""Engine suite: the shared plan IR + executor behind every merge path.
+"""Engine suite: the shared plan IR + executor behind merge plans.
 
-PR-5 routes all three historical execution loops — ``merge_all`` folds,
-the distributed simulator, and store compaction — through one compiled
-:class:`~repro.engine.plan.MergePlan` and one
-:func:`~repro.engine.execute_plan` runner.  This suite pins the
-refactor's contract:
+``merge_all`` folds and the distributed simulator run through one
+compiled :class:`~repro.engine.plan.MergePlan` and one
+:func:`~repro.engine.execute_plan` runner.  This suite pins that
+contract:
 
-- the IR validates its own shape (bad steps, unreadable slots, plans
-  that emit nothing);
+- the IR validates its own shape (bad steps, a builder on a merge or
+  emit, unreadable slots, merges into unknown slots, plans that emit
+  nothing);
 - for **every registered summary type**, each fold strategy executed
   through the engine is byte-identical to an in-test replica of the
   legacy loop it replaced (the engine performs the *same* merge
   sequence, so even randomized summaries must match bit-for-bit);
 - a simulator run equals a manual replay of its schedule;
 - the executor's scalar/fault regimes account correctly (step status,
-  duplicate injection, ledgers), and a builder merge hands its builder
-  every source while a fault model refuses such a plan;
-- store compaction is plain in-process maintenance: ``compact()``
-  reports only its build counters, a failed build installs no roll-up,
-  and a compaction plan refuses a fault model.
+  duplicate injection, ledgers).
+
+Store compaction builds its roll-ups without the engine; its tests live
+in ``tests/store/test_store.py`` and ``tests/store/test_cube.py``.
 """
 
 from __future__ import annotations
@@ -42,9 +41,6 @@ from repro.engine import (
     execute_plan,
 )
 from repro.frequency import ExactCounter, MisraGries
-from repro.store import SegmentStore, merged_segment
-from repro.store import chain as chain_module
-from repro.store.chain import compile_rollup_steps, dyadic_levels
 from tests.test_merge_runtime import MERGE_SPECS, SKIPPED_TYPES
 
 # ---------------------------------------------------------------------------
@@ -91,17 +87,22 @@ class TestPlanIR:
         with pytest.raises(ParameterError, match="emits nothing"):
             plan.validate(["s0", "s1"])
 
-    def test_fresh_merge_destination_becomes_known(self):
-        # a copy-on-write merge introduces its destination for later steps
+    def test_merge_into_unknown_slot_rejected(self):
+        # a merge absorbs in place, so its destination must already hold
+        # a value: a typed ParameterError, not a KeyError mid-execution
         plan = MergePlan(
-            name="rollup",
-            steps=(
-                MergeStep("merge", "up", ("a", "b"), builder=lambda first: first),
-                MergeStep("merge", "top", ("up", "c"), builder=lambda first: first),
-                MergeStep("emit", "top"),
-            ),
+            "x", [MergeStep("merge", "ghost", ("s0",)), MergeStep("emit", "ghost")]
         )
-        plan.validate(["a", "b", "c"])
+        with pytest.raises(ParameterError, match="merge into unknown slot 'ghost'"):
+            plan.validate(["s0"])
+        with pytest.raises(ParameterError, match="merge into unknown slot"):
+            execute_plan(plan, _counters(1))
+
+    def test_builder_only_on_build_steps(self):
+        with pytest.raises(ParameterError, match="merge steps take no builder"):
+            MergeStep("merge", "s0", ("s1",), builder=lambda values: values[0])
+        with pytest.raises(ParameterError, match="emit steps take no builder"):
+            MergeStep("emit", "s0", builder=lambda: None)
 
     def test_describe_lists_every_step(self):
         plan = compile_fold("tree", 4)
@@ -265,42 +266,6 @@ class TestExecutorAccounting:
         assert result.report.steps_done == 5
         assert result.value.n == total
 
-    def test_builder_merge_receives_every_source(self):
-        inputs = _counters(3)
-        before = {slot: dumps(summary) for slot, summary in inputs.items()}
-        seen = []
-
-        def build(values):
-            seen.append(values)
-            merged = values[0].copy()
-            merged.merge_many(values[1:])
-            return merged
-
-        plan = MergePlan(
-            name="builder",
-            steps=[
-                MergeStep("merge", "dst", ("s0", "s1", "s2"), builder=build),
-                MergeStep("emit", "dst"),
-            ],
-        )
-        result = execute_plan(plan, inputs)
-        assert len(seen) == 1
-        assert [id(v) for v in seen[0]] == [id(inputs[f"s{i}"]) for i in range(3)]
-        assert {slot: dumps(s) for slot, s in inputs.items()} == before
-        assert result.report.merges == 3
-        assert result.value.n == sum(s.n for s in inputs.values())
-
-    def test_fault_model_rejected_for_builder_merges(self):
-        plan = MergePlan(
-            name="builder",
-            steps=[
-                MergeStep("merge", "dst", ("s0", "s1"), builder=lambda values: values[0]),
-                MergeStep("emit", "dst"),
-            ],
-        )
-        with pytest.raises(ParameterError, match="builder merges"):
-            execute_plan(plan, _counters(2), fault_model=FaultModel(loss=0.5, rng=1))
-
     def test_duplicate_knob_double_merges(self):
         inputs = _counters(4)
         expected_extra = sum(
@@ -350,141 +315,6 @@ class TestExecutorAccounting:
         )
         assert result.report.fault_stats.duplicates_merged == 4
         assert result.value.n > clean.n
-
-
-# ---------------------------------------------------------------------------
-# Store compaction: plain in-process maintenance
-# ---------------------------------------------------------------------------
-
-EPOCHS = 12
-
-
-def _filled_store() -> SegmentStore:
-    store = SegmentStore(width=1.0)
-    store.add_member("count", "exact_counter", field="value")
-    store.add_member("hh", "misra_gries", field="value", k=8)
-    gen = np.random.default_rng(21)
-    records, keys = [], []
-    for epoch in range(EPOCHS):
-        for value in gen.integers(0, 12, size=15).tolist():
-            records.append({"value": value})
-            keys.append(epoch + 0.5)
-    store.ingest(records, keys)
-    return store
-
-
-def _rollup_state(store: SegmentStore, with_ids: bool = True) -> dict:
-    return {
-        key: (
-            segment.segment_id if with_ids else None,
-            segment.count,
-            {name: s.to_dict() for name, s in segment.members.items()},
-        )
-        for key, segment in store._chain.rollups.items()
-    }
-
-
-def _failing_builder(succeed: int):
-    """``merged_segment`` that raises once it has built ``succeed`` segments."""
-    built = []
-
-    def build(*args):
-        if len(built) >= succeed:
-            raise RuntimeError("injected build failure")
-        built.append(args)
-        return merged_segment(*args)
-
-    return build
-
-
-def _compaction_plan(store: SegmentStore):
-    """The store's pending roll-up tree as one plan, compiled as compact() does."""
-    chain = store._chain
-    steps, inputs = [], {}
-    planned = compile_rollup_steps(
-        chain,
-        dyadic_levels(chain),
-        slot_of=lambda block: block,
-        new_segment_id=lambda level, start: f"r{level}.{start}",
-        steps=steps,
-        inputs=inputs,
-    )
-    steps.extend(MergeStep("emit", block) for block in sorted(planned))
-    return MergePlan(name="compact", steps=steps), inputs
-
-
-class TestFaultInjectedCompaction:
-    def test_total_loss_installs_nothing_and_recompact_recovers(self, monkeypatch):
-        baseline = _filled_store()
-        baseline.compact()
-        store = _filled_store()
-        monkeypatch.setattr(chain_module, "merged_segment", _failing_builder(0))
-        with pytest.raises(RuntimeError, match="injected build failure"):
-            store.compact()
-        assert store.num_rollups == 0
-        # queries still work off base segments, as if never compacted
-        q_store = store.query(0.0, float(EPOCHS))
-        q_base = baseline.query(0.0, float(EPOCHS))
-        assert q_store["count"].n == q_base["count"].n
-        # a later compact with a working builder rebuilds the full tree
-        monkeypatch.undo()
-        recovered = store.compact()
-        assert recovered["rollups_built"] == baseline.num_rollups
-        # the aborted compact consumed segment-id allocations, so ids
-        # legitimately differ; the summarized state must not
-        assert _rollup_state(store, with_ids=False) == _rollup_state(
-            baseline, with_ids=False
-        )
-
-    def test_partial_rollups_never_served(self, monkeypatch):
-        # a build fails midway through the tree: the roll-ups already
-        # built are discarded, never installed as a partial tree
-        store = _filled_store()
-        monkeypatch.setattr(chain_module, "merged_segment", _failing_builder(5))
-        with pytest.raises(RuntimeError, match="injected build failure"):
-            store.compact()
-        assert store.num_rollups == 0
-        monkeypatch.undo()
-        store.compact()
-        assert store.num_rollups > 0
-        base = store._chain.base
-        for (level, start), segment in store._chain.rollups.items():
-            span = 1 << level
-            expected = sum(
-                base[e].count for e in range(start, start + span) if e in base
-            )
-            assert segment.count == expected
-            assert segment.members["count"].n == expected
-
-    def test_corruption_injection_rejected(self):
-        # roll-ups are built in process and never serialized, so the
-        # store's compaction plan refuses wire-corruption injection
-        store = _filled_store()
-        plan, inputs = _compaction_plan(store)
-        with pytest.raises(ParameterError, match="never cross a fabric"):
-            execute_plan(
-                plan,
-                inputs,
-                serialize=True,
-                fault_model=FaultModel(corruption=0.5, rng=1),
-            )
-        assert store.num_rollups == 0
-        built = execute_plan(plan, inputs, accounting=False).outputs
-        assert len(built) == store.compact()["rollups_built"]
-
-    def test_coordinator_crash_rejected(self):
-        # continuous-only knob: a compaction has no coordinator to crash
-        store = _filled_store()
-        plan, inputs = _compaction_plan(store)
-        with pytest.raises(ParameterError, match="coordinator_crash"):
-            execute_plan(
-                plan, inputs, fault_model=FaultModel(coordinator_crash=0.5, rng=1)
-            )
-        assert store.num_rollups == 0
-
-    def test_fault_free_compact_reports_no_fault_keys(self):
-        stats = _filled_store().compact()
-        assert set(stats) == {"levels", "rollups_built", "merge_inputs"}
 
 
 def test_skipped_types_documented():

@@ -23,6 +23,7 @@ import pytest
 from repro.core import ParameterError, QueryError, SerializationError
 from repro.engine import FaultModel
 from repro.store import CubeStore, SegmentStore
+from repro.store import chain as chain_module
 from repro.store import cube as cube_module
 
 from tests.test_merge_runtime import MERGE_SPECS
@@ -476,6 +477,57 @@ class TestFaults:
         result = cube.query(0, cube.records)
         assert result.plan.stale_epochs == 0
         assert _canon(result.members["count"]) == _canon(naive.members["count"])
+
+    def test_failed_time_rollup_phase_installs_no_rollup(self, monkeypatch):
+        # phase 2 fails after the first chain's whole tree and one
+        # roll-up of the next were built: no chain gets a roll-up, the
+        # answers equal the base-cell scan, and a later compact() gives
+        # the roll-ups of an uninterrupted run
+        workload = [{}, {"group_by": ["region"]}]
+
+        def filled():
+            cube = _small_cube(width=4.0)
+            cube.ingest(_records(300, seed=23))
+            return cube
+
+        def rollup_states(cube):
+            return [
+                (chain_id, chain.max_level, {
+                    block: (segment.count, _canon(segment.members["count"]))
+                    for block, segment in chain.rollups.items()
+                })
+                for chain_id, chain in cube._chain_index()
+            ]
+
+        baseline = filled()
+        baseline.compact(workload=workload)
+        first_tree = len(baseline._chain_index()[0][1].rollups)
+        real_builder = chain_module.merged_segment
+        built = []
+
+        def failing(*args):
+            if len(built) > first_tree:
+                raise RuntimeError("injected build failure")
+            built.append(args)
+            return real_builder(*args)
+
+        cube = filled()
+        monkeypatch.setattr(chain_module, "merged_segment", failing)
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            cube.compact(workload=workload)
+        chains = cube._chain_index()
+        assert len(chains) > 2 and len(built) == first_tree + 1
+        assert all(not chain.rollups for _id, chain in chains)
+        assert all(chain.max_level == 0 for _id, chain in chains)
+        for group_by in ((), ("region",)):
+            served = cube.query(0, cube.records, group_by=group_by)
+            naive = cube.query(0, cube.records, group_by=group_by, use_rollups=False)
+            assert served.keys() == naive.keys()
+            for key in naive.keys():
+                assert _canon(served[key]["count"]) == _canon(naive[key]["count"])
+        monkeypatch.undo()
+        cube.compact(workload=workload)
+        assert rollup_states(cube) == rollup_states(baseline)
 
     def test_corruption_model_rejected(self):
         # cells are built in process and never cross a fabric, so

@@ -26,7 +26,8 @@ import numpy as np
 import pytest
 
 from repro.core import ParameterError, QueryError, registered_names
-from repro.store import SegmentStore, fan_in_bound
+from repro.store import SegmentStore, fan_in_bound, merged_segment
+from repro.store import chain as chain_module
 from tests.test_merge_runtime import MERGE_SPECS, SKIPPED_TYPES
 
 # ---------------------------------------------------------------------------
@@ -222,6 +223,47 @@ class TestQueryResult:
             store.query(3.0, 3.0)
 
 
+COMPACT_EPOCHS = 12
+
+
+def _filled_store() -> SegmentStore:
+    store = SegmentStore(width=1.0)
+    store.add_member("count", "exact_counter", field="value")
+    store.add_member("hh", "misra_gries", field="value", k=8)
+    gen = np.random.default_rng(21)
+    records, keys = [], []
+    for epoch in range(COMPACT_EPOCHS):
+        for value in gen.integers(0, 12, size=15).tolist():
+            records.append({"value": value})
+            keys.append(epoch + 0.5)
+    store.ingest(records, keys)
+    return store
+
+
+def _rollup_state(store: SegmentStore, with_ids: bool = True) -> dict:
+    return {
+        key: (
+            segment.segment_id if with_ids else None,
+            segment.count,
+            {name: s.to_dict() for name, s in segment.members.items()},
+        )
+        for key, segment in store._chain.rollups.items()
+    }
+
+
+def _failing_builder(succeed: int):
+    """``merged_segment`` that raises once it has built ``succeed`` segments."""
+    built = []
+
+    def build(*args):
+        if len(built) >= succeed:
+            raise RuntimeError("injected build failure")
+        built.append(args)
+        return merged_segment(*args)
+
+    return build
+
+
 class TestCompact:
     def test_compact_is_incremental(self):
         store = _counter_store()
@@ -241,6 +283,52 @@ class TestCompact:
             "rollups_built": 0,
             "merge_inputs": 0,
         }
+
+    def test_total_loss_installs_nothing_and_recompact_recovers(self, monkeypatch):
+        baseline = _filled_store()
+        baseline.compact()
+        store = _filled_store()
+        monkeypatch.setattr(chain_module, "merged_segment", _failing_builder(0))
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            store.compact()
+        assert store.num_rollups == 0
+        # queries still work off base segments, as if never compacted
+        q_store = store.query(0.0, float(COMPACT_EPOCHS))
+        q_base = baseline.query(0.0, float(COMPACT_EPOCHS))
+        assert q_store["count"].n == q_base["count"].n
+        # a later compact with a working builder rebuilds the full tree
+        monkeypatch.undo()
+        recovered = store.compact()
+        assert recovered["rollups_built"] == baseline.num_rollups
+        # the aborted compact consumed segment-id allocations, so ids
+        # legitimately differ; the summarized state must not
+        assert _rollup_state(store, with_ids=False) == _rollup_state(
+            baseline, with_ids=False
+        )
+
+    def test_partial_rollups_never_served(self, monkeypatch):
+        # a build fails midway through the tree: the roll-ups already
+        # built are discarded, never installed as a partial tree
+        store = _filled_store()
+        monkeypatch.setattr(chain_module, "merged_segment", _failing_builder(5))
+        with pytest.raises(RuntimeError, match="injected build failure"):
+            store.compact()
+        assert store.num_rollups == 0
+        monkeypatch.undo()
+        store.compact()
+        assert store.num_rollups > 0
+        base = store._chain.base
+        for (level, start), segment in store._chain.rollups.items():
+            span = 1 << level
+            expected = sum(
+                base[e].count for e in range(start, start + span) if e in base
+            )
+            assert segment.count == expected
+            assert segment.members["count"].n == expected
+
+    def test_fault_free_compact_reports_no_fault_keys(self):
+        stats = _filled_store().compact()
+        assert set(stats) == {"levels", "rollups_built", "merge_inputs"}
 
 
 # ---------------------------------------------------------------------------

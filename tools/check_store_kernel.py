@@ -22,10 +22,13 @@ if a known pre-refactor duplicate creeps back in:
   invalidation behind its ``_after_put`` hook;
 * per-store roll-up compilers and compaction loops
   (``def _compile_rollup`` / ``def _rollup_steps`` /
-  ``def _compile_compaction`` anywhere; ``def compile_rollup_steps``
-  and ``def compact_chains`` outside ``chain.py``) — time roll-ups of
-  any set of chains are built by
-  :func:`~repro.store.chain.compact_chains`;
+  ``def _compile_compaction`` / ``def compile_rollup_steps`` anywhere;
+  ``def compact_chains`` outside ``chain.py``) — time roll-ups of any
+  set of chains are built by :func:`~repro.store.chain.compact_chains`;
+* roll-ups compiled into the engine's plan IR (a ``MergeStep(`` or
+  ``MergePlan(`` anywhere in the store package) — the store builds
+  every roll-up and cube cell directly with
+  :func:`~repro.store.chain.merged_segment`;
 * per-store window/slack arithmetic (``def _resolve_window`` and
   ``def _window_range`` anywhere; ``def resolve_window`` outside
   ``chain.py``) — the slack rule lives only in
@@ -74,7 +77,7 @@ BANNED_DEFINITIONS = {
     r"def _compile_rollup\w*\b": None,
     r"def _rollup_steps\b": None,
     r"def _compile_compaction\b": None,
-    r"def compile_rollup_steps\b": "chain.py",
+    r"def compile_rollup_steps\b": None,
     r"def compact_chains\b": "chain.py",
     r"def _resolve_window\b": None,
     r"def _window_range\b": None,
@@ -87,7 +90,7 @@ BANNED_DEFINITIONS = {
 }
 
 # patterns banned anywhere in a line, in every module
-BANNED_EXPRESSIONS = [r"from_dict\(.*\.to_dict\(\)\)"]
+BANNED_EXPRESSIONS = [r"from_dict\(.*\.to_dict\(\)\)", r"\bMerge(Step|Plan)\("]
 
 
 def main() -> int:
