@@ -1,8 +1,8 @@
 """Shared timers and the snapshot gate of the CI-gated benchmarks.
 
 The gated benches (``bench_store``, ``bench_cube``, ``bench_windows``,
-``bench_engine``, ``bench_durability``, ``bench_merge_runtime``) time,
-gate and report the same way:
+``bench_durability``, ``bench_merge_runtime``) time, gate and report
+the same way:
 
 - :func:`best_of` and :func:`paired_best` — best-of-``repeats`` wall
   time with the garbage collector paused, so a collection triggered by

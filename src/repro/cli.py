@@ -213,24 +213,30 @@ def _cmd_types(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from .engine import compile_aggregation, compile_fold
+    from .core.topology import build_topology
 
     if args.topology is not None:
-        from .distributed import build_topology
-
         schedule = build_topology(
             args.topology, args.nodes, rng=args.seed if args.seed is not None else 0
         )
-        plan = compile_aggregation(schedule)
     else:
         strategy = args.strategy or "tree"
-        if args.seed is not None and not MERGE_STRATEGIES[strategy].uses_rng:
+        if args.seed is not None and strategy != "random":
             raise SystemExit(
                 f"--seed is only meaningful with a randomized strategy, "
                 f"not {strategy!r}"
             )
-        plan = compile_fold(strategy, args.count, rng=args.seed)
-    print(plan.describe())
+        if strategy == "kway":
+            # the star's fan-in, taken by one merge_many instead of pairs
+            star = build_topology("star", args.count)
+            print(f"kway: leaves={star.leaves}, one merge_many, root=0")
+            if star.steps:
+                srcs = ", ".join(str(src) for _, src in star.steps)
+                print(f"    0. merge 0 <- {srcs}")
+            return 0
+        topology = "balanced" if strategy == "tree" else strategy
+        schedule = build_topology(topology, args.count, rng=args.seed)
+    print(schedule.describe())
     return 0
 
 
@@ -689,17 +695,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser(
         "plan",
-        help="compile a merge plan and print it without executing anything",
+        help="print a merge schedule without executing anything",
     )
     mode = plan.add_mutually_exclusive_group()
     mode.add_argument(
         "--strategy", default=None, choices=sorted(MERGE_STRATEGIES),
-        help="fold strategy to compile (default: tree)",
+        help="fold strategy to print (default: tree)",
     )
     mode.add_argument(
         "--topology", default=None,
         choices=["balanced", "chain", "star", "kary", "random"],
-        help="compile a distributed aggregation schedule instead of a fold",
+        help="print a distributed aggregation schedule instead of a fold",
     )
     plan.add_argument("--count", type=int, default=8,
                       help="number of fold inputs (with --strategy)")

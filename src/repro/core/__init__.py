@@ -1,4 +1,4 @@
-"""Core framework: the mergeable-summary protocol and merge executors."""
+"""Core framework: the mergeable-summary protocol, merge schedules and folds."""
 
 from .base import Summary, normalize_batch
 from .bundle import SummaryBundle
@@ -24,7 +24,6 @@ from .codecs import (
 )
 from .merge import (
     MERGE_STRATEGIES,
-    MergeStrategy,
     merge_all,
     merge_chain,
     merge_kway,
@@ -50,7 +49,6 @@ __all__ = [
     "SerializationError",
     "EmptySummaryError",
     "MERGE_STRATEGIES",
-    "MergeStrategy",
     "merge_all",
     "merge_chain",
     "merge_tree",

@@ -23,7 +23,9 @@ Registered codecs
 ``json.v2``
     The current JSON envelope: format 2 plus a CRC32 ``checksum`` over
     the canonical state JSON (end-to-end corruption detection, from the
-    fault-tolerance work).  This is the default codec.
+    fault-tolerance work).  This is the default codec.  Every format-2
+    envelope has been written with its checksum, so one without it is
+    rejected: a damaged key must not switch the integrity check off.
 
 ``binary.v1``
     A compact binary codec: struct-packed header (magic, version, type
@@ -156,6 +158,10 @@ def from_envelope(envelope: Dict[str, Any]) -> Summary:
                 f"payload checksum mismatch (stored {expected!r}, computed "
                 f"{actual}): summary state corrupted in transit or at rest"
             )
+    elif version >= 2:
+        raise SerializationError(
+            f"format-{version} summary envelope carries no checksum"
+        )
     return _restore(name, state)
 
 

@@ -1,19 +1,21 @@
-"""Merge strategies, executed through the shared merge engine.
+"""Merge strategies: folds that replay one merge schedule.
 
 The paper's central claim is that its summaries keep their guarantees
-under *any* merge sequence.  This module exposes the reduction
-strategies used throughout the tests and benchmarks — but since the
-engine refactor it no longer executes anything itself: each strategy is
-a *plan compiler* (see :mod:`repro.engine.compilers`) and every merge
-runs through :func:`repro.engine.execute_plan`, the same runner behind
-the distributed simulator:
+under *any* merge sequence.  A sequence is plain data here — a
+:class:`~repro.core.topology.MergeSchedule` of ``(dst, src)`` pairs —
+and the reduction strategies used throughout the tests and benchmarks
+build one from :mod:`repro.core.topology`, the same shapes the
+distributed simulator runs, and replay it:
 
-- :func:`merge_chain` — the caterpillar/left-fold order, the worst case
-  for non-mergeable summaries whose error grows per merge;
-- :func:`merge_tree` — balanced binary reduction, the friendly case
-  (all merges roughly equal weight);
-- :func:`merge_random_tree` — a uniformly random binary merge tree, the
-  "arbitrary sequence" the definition of mergeability quantifies over;
+- :func:`merge_chain` — the caterpillar/left-fold order
+  (:func:`~repro.core.topology.chain`), the worst case for
+  non-mergeable summaries whose error grows per merge;
+- :func:`merge_tree` — balanced binary reduction
+  (:func:`~repro.core.topology.balanced_tree`), the friendly case (all
+  merges roughly equal weight);
+- :func:`merge_random_tree` — a uniformly random binary merge tree
+  (:func:`~repro.core.topology.random_tree`), the "arbitrary sequence"
+  the definition of mergeability quantifies over;
 - :func:`merge_kway` — one s-way :meth:`~repro.core.base.Summary.merge_many`
   call (single combine pass, no intermediate compactions);
 - :func:`merge_all` — strategy dispatcher over :data:`MERGE_STRATEGIES`.
@@ -23,22 +25,19 @@ never touch later inputs more than once, mirroring how an in-network
 aggregation consumes child summaries.  Callers that need the inputs
 preserved should pass copies.
 
-``rng`` is validated against the strategy: it belongs to ``"random"``,
-and passing it to a strategy that cannot honor it raises
+``rng`` belongs to ``"random"``; passing it to another strategy raises
 :class:`~repro.core.exceptions.ParameterError` instead of being
 silently dropped.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
-from ..engine.compilers import MERGE_STRATEGIES, MergeStrategy, fold_slots
-from ..engine.executor import execute_plan
 from .base import Summary
 from .exceptions import MergeError, ParameterError
 from .rng import RngLike
+from .topology import MergeSchedule, balanced_tree, chain, random_tree
 
 __all__ = [
     "merge_chain",
@@ -46,7 +45,6 @@ __all__ = [
     "merge_random_tree",
     "merge_kway",
     "merge_all",
-    "MergeStrategy",
     "MERGE_STRATEGIES",
 ]
 
@@ -56,30 +54,10 @@ def _require_nonempty(summaries: Sequence[Summary]) -> None:
         raise MergeError("cannot merge an empty list of summaries")
 
 
-@lru_cache(maxsize=256)
-def _cached_fold_plan(strategy: str, count: int):
-    """Deterministic fold plans depend only on (strategy, count)."""
-    return MERGE_STRATEGIES[strategy].compile(fold_slots(count), None)
-
-
-def _run_fold(
-    strategy: str,
-    summaries: Sequence[Summary],
-    rng: RngLike = None,
-) -> Summary:
-    """Compile the strategy over the summaries and execute the plan."""
-    _require_nonempty(summaries)
-    slots = fold_slots(len(summaries))
-    descriptor = MERGE_STRATEGIES[strategy]
-    if descriptor.uses_rng:
-        plan = descriptor.compile(slots, rng)
-    else:
-        # plans are immutable programs: reuse the compiled shape
-        plan = _cached_fold_plan(strategy, len(summaries))
-    # the fold result is the merged summary alone; skip the report's
-    # size/coverage accounting on this hot path
-    result = execute_plan(plan, dict(zip(slots, summaries)), accounting=False)
-    return result.value
+def _replay(schedule: MergeSchedule, summaries: Sequence[Summary]) -> Summary:
+    for dst, src in schedule.steps:
+        summaries[dst].merge(summaries[src])
+    return summaries[schedule.root]
 
 
 def merge_chain(summaries: Sequence[Summary]) -> Summary:
@@ -88,7 +66,8 @@ def merge_chain(summaries: Sequence[Summary]) -> Summary:
     Produces a maximally unbalanced (depth ``m-1``) merge tree — the
     adversarial shape for summaries that are only "one-way" mergeable.
     """
-    return _run_fold("chain", summaries)
+    _require_nonempty(summaries)
+    return _replay(chain(len(summaries)), summaries)
 
 
 def merge_tree(summaries: Sequence[Summary]) -> Summary:
@@ -98,18 +77,21 @@ def merge_tree(summaries: Sequence[Summary]) -> Summary:
     the inputs have equal weight — the "equal-weight merge" model of
     paper Section 3.1.
     """
-    return _run_fold("tree", summaries)
+    _require_nonempty(summaries)
+    return _replay(balanced_tree(len(summaries)), summaries)
 
 
 def merge_random_tree(summaries: Sequence[Summary], rng: RngLike = None) -> Summary:
     """Merge along a uniformly random binary tree.
 
     Repeatedly picks two distinct surviving summaries at random and
-    merges them, realizing an arbitrary merge sequence.  Deterministic
-    under a fixed ``rng`` seed (the randomness is consumed at plan
-    compile time; execution replays the realized tree).
+    merges the later-positioned one into the earlier, realizing an
+    arbitrary merge sequence.  Deterministic under a fixed ``rng``
+    seed: the randomness is spent building the schedule, and the
+    replay is deterministic.
     """
-    return _run_fold("random", summaries, rng=rng)
+    _require_nonempty(summaries)
+    return _replay(random_tree(len(summaries), rng), summaries)
 
 
 def merge_kway(summaries: Sequence[Summary]) -> Summary:
@@ -119,7 +101,18 @@ def merge_kway(summaries: Sequence[Summary]) -> Summary:
     sum / register max / compaction cascade for the whole fan-in
     instead of ``s - 1`` sequential merges.
     """
-    return _run_fold("kway", summaries)
+    _require_nonempty(summaries)
+    return summaries[0].merge_many(summaries[1:])
+
+
+#: strategy registry: ``merge_all`` dispatch, CLI choices, docs; only
+#: ``"random"`` takes an ``rng``
+MERGE_STRATEGIES = {
+    "chain": merge_chain,
+    "tree": merge_tree,
+    "random": merge_random_tree,
+    "kway": merge_kway,
+}
 
 
 def merge_all(
@@ -136,14 +129,15 @@ def merge_all(
     ignoring it.
     """
     try:
-        descriptor = MERGE_STRATEGIES[strategy]
+        fold = MERGE_STRATEGIES[strategy]
     except KeyError:
         raise ParameterError(
             f"unknown merge strategy {strategy!r}; choose from {sorted(MERGE_STRATEGIES)}"
         ) from None
-    if rng is not None and not descriptor.uses_rng:
+    if strategy == "random":
+        return fold(summaries, rng=rng)
+    if rng is not None:
         raise ParameterError(
-            f"strategy {strategy!r} does not use rng; only "
-            f"{sorted(n for n, s in MERGE_STRATEGIES.items() if s.uses_rng)} do"
+            f"strategy {strategy!r} does not use rng; only ['random'] does"
         )
-    return _run_fold(strategy, summaries, rng=rng)
+    return fold(summaries)

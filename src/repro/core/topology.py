@@ -1,9 +1,13 @@
-"""Merge topologies: the shape of the aggregation DAG.
+"""Merge topologies: the shape of a merge sequence.
 
 A topology over ``m`` leaves prescribes the exact sequence of pairwise
-merges that reduces ``m`` per-node summaries to one root summary.  The
-paper's definition of mergeability quantifies over *all* such shapes;
-the builders here produce the shapes the benchmarks sweep:
+merges that reduces ``m`` summaries to one root summary.  The paper's
+definition of mergeability quantifies over *all* such shapes; the
+builders here produce the shapes the folds and benchmarks sweep, and
+are the only copy of each shape: ``merge_all``'s ``chain``, ``tree``
+and ``random`` strategies replay :func:`chain`, :func:`balanced_tree`
+and :func:`random_tree`, and the distributed simulator replays any of
+them over its nodes.
 
 - :func:`balanced_tree` — depth ``ceil(log2 m)``, all merges between
   near-equal weights (the friendly shape);
@@ -18,7 +22,8 @@ the builders here produce the shapes the benchmarks sweep:
 A schedule is a list of ``(dst, src)`` leaf-index pairs: "merge the
 summary currently held by ``src`` into the one held by ``dst``".  After
 the schedule runs, the summary at index ``schedule.root`` covers all
-leaves.
+leaves.  Every builder raises
+:class:`~repro.core.exceptions.ParameterError` for fewer than one leaf.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from ..core.exceptions import ParameterError
-from ..core.rng import RngLike, resolve_rng
+from .exceptions import ParameterError
+from .rng import RngLike, resolve_rng
 
 __all__ = [
     "MergeSchedule",
@@ -41,6 +46,11 @@ __all__ = [
 ]
 
 
+def _check_leaves(leaves: int) -> None:
+    if leaves < 1:
+        raise ParameterError(f"leaves must be >= 1, got {leaves!r}")
+
+
 @dataclass(frozen=True)
 class MergeSchedule:
     """An ordered list of pairwise merges over ``leaves`` summaries."""
@@ -51,8 +61,7 @@ class MergeSchedule:
     root: int = 0
 
     def __post_init__(self) -> None:
-        if self.leaves < 1:
-            raise ParameterError(f"leaves must be >= 1, got {self.leaves!r}")
+        _check_leaves(self.leaves)
         if len(self.steps) != self.leaves - 1:
             raise ParameterError(
                 f"a schedule over {self.leaves} leaves needs exactly "
@@ -87,9 +96,20 @@ class MergeSchedule:
             depths[dst] = max(depths[dst], depths[src]) + 1
         return depths[self.root]
 
+    def describe(self) -> str:
+        """A header line, then one ``merge dst <- src`` line per step."""
+        lines = [
+            f"schedule {self.name!r}: leaves={self.leaves}, "
+            f"merges={len(self.steps)}, depth={self.depth}, root={self.root}"
+        ]
+        for index, (dst, src) in enumerate(self.steps):
+            lines.append(f"  {index:>3}. merge {dst} <- {src}")
+        return "\n".join(lines)
+
 
 def balanced_tree(leaves: int) -> MergeSchedule:
     """Pairwise balanced binary reduction."""
+    _check_leaves(leaves)
     steps: List[Tuple[int, int]] = []
     level = list(range(leaves))
     while len(level) > 1:
@@ -117,6 +137,7 @@ def star(leaves: int) -> MergeSchedule:
 
 def kary_tree(leaves: int, arity: int = 4) -> MergeSchedule:
     """Fan-in ``arity`` reduction (sensor-network style)."""
+    _check_leaves(leaves)
     if arity < 2:
         raise ParameterError(f"arity must be >= 2, got {arity!r}")
     steps: List[Tuple[int, int]] = []
@@ -135,6 +156,7 @@ def kary_tree(leaves: int, arity: int = 4) -> MergeSchedule:
 
 def random_tree(leaves: int, rng: RngLike = None) -> MergeSchedule:
     """A uniformly random binary merge tree (seeded)."""
+    _check_leaves(leaves)
     gen = resolve_rng(rng)
     steps: List[Tuple[int, int]] = []
     alive = list(range(leaves))

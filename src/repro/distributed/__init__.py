@@ -26,7 +26,7 @@ from .partition import (
     UniformRandomPartitioner,
 )
 from .simulator import AggregationResult, run_aggregation
-from .topology import (
+from ..core.topology import (
     TOPOLOGIES,
     MergeSchedule,
     balanced_tree,

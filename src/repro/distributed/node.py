@@ -1,10 +1,12 @@
 """A simulated aggregation node.
 
 Each node owns a local data shard, builds its local summary, and — when
-the merge schedule says so — receives a child's *serialized* summary,
-deserializes it, and merges it in.  Serializing on every hop is how a
-real deployment works and doubles as a continuous integration test of
-the wire format; it can be disabled for speed.
+``run_aggregation``'s replay of the merge schedule reaches a
+``(dst, src)`` step naming it as ``dst`` — receives a child's
+*serialized* summary, deserializes it, and merges it in.  Serializing
+on every hop is how a real deployment works and doubles as a
+continuous integration test of the wire format; it can be disabled
+for speed.
 
 Everything but the shard comes from the engine's one slot agent,
 :class:`~repro.engine.agents.SummarySlot`: the payload cache that makes
@@ -17,7 +19,7 @@ double-counted.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -81,7 +83,3 @@ class Node(SummarySlot):
     ) -> bool:
         self._require_summary()
         return super().absorb(payload, serialized, delivery_id)
-
-    def absorb_many(self, payloads: Sequence[Any], serialized: bool = True) -> int:
-        self._require_summary()
-        return super().absorb_many(payloads, serialized)

@@ -1,14 +1,10 @@
 """End-to-end distributed aggregation simulator.
 
-``run_aggregation`` wires the pieces together: partition the dataset,
-compile the merge schedule into a :class:`~repro.engine.plan.MergePlan`
-(one build step per node, one merge step per schedule edge — see
-:func:`repro.engine.compilers.compile_aggregation`), and hand the plan
-to :func:`repro.engine.execute_plan`, the same runner behind
-``merge_all`` folds.  The engine owns leaf builds, the merge loop, the
-retry/ledger fault loop, and the per-run counters; this module owns
-what is *simulation*: the partitioning, the ``Node`` fleet, and the
-aggregation-level result accounting.
+``run_aggregation`` is the whole run: partition the dataset, build one
+:class:`~repro.distributed.node.Node` summary per shard, then replay the
+:class:`~repro.core.topology.MergeSchedule` step by step, each step one
+child shipped to its parent and absorbed there — the same schedules
+``merge_all``'s folds replay in one process.
 
 The instrumentation captures what the paper's theorems speak about:
 the merge count and tree depth (mergeable summaries must not degrade
@@ -18,29 +14,31 @@ root).
 
 A :class:`~repro.engine.faults.FaultModel` turns the simulator into an
 unreliable fabric: messages drop, payloads corrupt, nodes crash,
-retransmissions duplicate.  Deliveries then run through a
-retry-with-backoff loop, parents dedup via per-delivery merge ledgers
-(exactly-once semantics), and the result carries *graceful degradation*
-accounting — which leaves actually reached the root and what fraction
-of the data the answer covers — instead of silently reporting a summary
-of less data than asked for.
+retransmissions duplicate.  Each step's delivery then runs through
+:func:`~repro.engine.faults.deliver`, the retry-with-backoff loop;
+parents dedup via per-delivery merge ledgers (exactly-once semantics),
+and the result carries *graceful degradation* accounting — which
+leaves actually reached the root and what fraction of the data the
+answer covers — instead of silently reporting a summary of less data
+than asked for.
 """
 
 from __future__ import annotations
 
+import inspect
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional
 
 import numpy as np
 
 from ..core import Summary
 from ..core.exceptions import ParameterError
-from ..engine import MergeLedger, execute_plan
-from ..engine.compilers import compile_aggregation
-from ..engine.faults import FaultModel, FaultStats, RetryPolicy
+from ..core.topology import MergeSchedule
+from ..engine.faults import FaultModel, FaultStats, MergeLedger, RetryPolicy, deliver
 from .node import Node
 from .partition import Partitioner
-from .topology import MergeSchedule
 
 __all__ = ["AggregationResult", "run_aggregation"]
 
@@ -78,6 +76,26 @@ class AggregationResult:
     fault_stats: Optional[FaultStats] = None
     #: bytes re-sent for already-serialized generations (retry overhead)
     bytes_retransmitted: int = 0
+
+
+def _factory_takes_node_index(factory: Callable[..., object]) -> bool:
+    """True when ``factory`` wants the node index (one required arg).
+
+    Factories may accept the node index to derive per-node RNG streams
+    (``lambda i: KLLQuantiles(200, rng=1000 + i)``); zero-argument
+    factories are called as before.
+    """
+    try:
+        signature = inspect.signature(factory)
+    except (TypeError, ValueError):
+        return False
+    required = [
+        p
+        for p in signature.parameters.values()
+        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+        and p.default is p.empty
+    ]
+    return len(required) == 1
 
 
 def _validate_schedule_indices(schedule: MergeSchedule, node_count: int) -> None:
@@ -136,64 +154,100 @@ def run_aggregation(
             f"{schedule.leaves} leaves"
         )
     _validate_schedule_indices(schedule, len(shards))
-    nodes: List[Node] = [
-        Node(node_id=i, shard=shard) for i, shard in enumerate(shards)
-    ]
+    if fault_model is not None and fault_model.corruption and not serialize:
+        raise ParameterError(
+            "corruption injection garbles wire payloads; it requires serialize=True"
+        )
+    if fault_model is not None and fault_model.coordinator_crash:
+        raise ParameterError(
+            "coordinator_crash applies to continuous aggregation only; a "
+            "one-shot aggregation has no coordinator to crash (use crash= "
+            "for nodes)"
+        )
     use_ledger = fault_model is not None and exactly_once
+    nodes: List[Node] = [
+        Node(node_id=i, shard=shard, ledger=MergeLedger() if use_ledger else None)
+        for i, shard in enumerate(shards)
+    ]
+    takes_index = _factory_takes_node_index(summary_factory)
 
-    plan = compile_aggregation(schedule, summary_factory)
-    result = execute_plan(
-        plan,
-        {i: node for i, node in enumerate(nodes)},
-        serialize=serialize,
-        fault_model=fault_model,
-        retry_policy=retry_policy,
-        ledger_factory=MergeLedger if use_ledger else None,
-    )
-    report = result.report
+    max_size = 0
+    t0 = time.perf_counter()
+    for node in nodes:
+        if takes_index:
+            node.build(partial(summary_factory, node.node_id))
+        else:
+            node.build(summary_factory)
+        max_size = max(max_size, node.summary.size())
+    build_seconds = time.perf_counter() - t0
+
+    root = schedule.root
+    merges = 0
+    stats = None
+    delivered_leaves = list(range(schedule.leaves))
+    t0 = time.perf_counter()
+    if fault_model is None:
+        for dst, src in schedule.steps:
+            nodes[dst].absorb(nodes[src].emit(serialize), serialized=serialize)
+            max_size = max(max_size, nodes[dst].summary.size())
+        merges = len(schedule.steps)
+    else:
+        stats = FaultStats()
+        policy = retry_policy or RetryPolicy()
+        crashed = set()
+        # node -> leaves whose data that node's summary now covers
+        covered = [{i} for i in range(schedule.leaves)]
+        for index, (dst, src) in enumerate(schedule.steps):
+            # crash draws: src before dst; the root is recovered
+            # out-of-band (repro.distributed.recovery), so never drawn
+            for node_id in (src, dst):
+                if (
+                    node_id != root
+                    and node_id not in crashed
+                    and fault_model.draw_crash()
+                ):
+                    crashed.add(node_id)
+                    stats.nodes_crashed += 1
+                    stats.crashed_nodes.append(node_id)
+            if src in crashed or dst in crashed:
+                continue
+            landed = deliver(
+                partial(nodes[src].emit, serialize),
+                partial(
+                    nodes[dst].absorb,
+                    serialized=serialize,
+                    delivery_id=f"step{index}:{src}->{dst}",
+                ),
+                fault_model,
+                policy,
+                stats,
+                serialize,
+            )
+            if landed:
+                covered[dst] |= covered[src]
+                merges += 1
+                max_size = max(max_size, nodes[dst].summary.size())
+        delivered_leaves = sorted(covered[root])
+    merge_seconds = time.perf_counter() - t0
 
     shard_sizes = [len(shard) for shard in shards]
     total_records = sum(shard_sizes)
-    root = nodes[schedule.root].summary
-    assert root is not None
-
-    if fault_model is not None:
-        delivered_leaves = sorted(report.covered[schedule.root])
-        delivered_records = sum(shard_sizes[i] for i in delivered_leaves)
-        stats = report.fault_stats
-        return AggregationResult(
-            summary=root,
-            nodes=schedule.leaves,
-            merges=report.merges,
-            depth=schedule.depth,
-            max_size_en_route=report.max_size,
-            bytes_shipped=report.bytes_shipped,
-            build_seconds=report.build_seconds,
-            merge_seconds=report.merge_seconds,
-            duplicated_deliveries=stats.duplicates_delivered,
-            delivered_leaves=delivered_leaves,
-            delivered_records=delivered_records,
-            coverage=delivered_records / total_records if total_records else 1.0,
-            lost_leaves=sorted(set(range(schedule.leaves)) - set(delivered_leaves)),
-            shard_sizes=shard_sizes,
-            fault_stats=stats,
-            bytes_retransmitted=report.bytes_retransmitted,
-        )
-
+    delivered_records = sum(shard_sizes[i] for i in delivered_leaves)
     return AggregationResult(
-        summary=root,
+        summary=nodes[root].summary,
         nodes=schedule.leaves,
-        merges=report.merges,
+        merges=merges,
         depth=schedule.depth,
-        max_size_en_route=report.max_size,
-        bytes_shipped=report.bytes_shipped,
-        build_seconds=report.build_seconds,
-        merge_seconds=report.merge_seconds,
-        delivered_leaves=list(range(schedule.leaves)),
-        delivered_records=total_records,
-        coverage=1.0,
-        lost_leaves=[],
+        max_size_en_route=max_size,
+        bytes_shipped=sum(node.bytes_sent for node in nodes),
+        build_seconds=build_seconds,
+        merge_seconds=merge_seconds,
+        duplicated_deliveries=stats.duplicates_delivered if stats else 0,
+        delivered_leaves=delivered_leaves,
+        delivered_records=delivered_records,
+        coverage=delivered_records / total_records if total_records else 1.0,
+        lost_leaves=sorted(set(range(schedule.leaves)) - set(delivered_leaves)),
         shard_sizes=shard_sizes,
-        fault_stats=None,
-        bytes_retransmitted=report.bytes_retransmitted,
+        fault_stats=stats,
+        bytes_retransmitted=sum(node.bytes_retransmitted for node in nodes),
     )

@@ -1,37 +1,27 @@
-"""The merge engine: one plan IR and one executor for merge DAGs.
+"""The merge engine: the slot agent and the fault fabric merges run on.
 
 The paper proves that mergeable summaries survive *arbitrary* merge
-sequences; this package makes the sequence a first-class value.  A
-:class:`MergePlan` (of :class:`MergeStep` build/merge/emit ops over
-named slots) says *what* to merge; :func:`execute_plan` is the single
-runner that decides *how* — scalar step-by-step, or through the
-retry/ledger fault runtime — and reports what happened
-(:class:`ExecutionReport`).
+sequences, and a sequence is plain data: a
+:class:`~repro.core.topology.MergeSchedule` of ``(dst, src)`` pairs.
+``merge_all``'s folds replay one in process, and the distributed
+simulator (:func:`~repro.distributed.run_aggregation`) replays one
+over its nodes.  This package holds what a replay that ships summaries
+needs:
 
-Two call sites compile to the IR instead of hand-rolling loops:
-``repro.core.merge`` compiles its fold strategies
-(:data:`MERGE_STRATEGIES`), and the distributed simulator compiles its
-:class:`~repro.distributed.topology.MergeSchedule` objects
-(:func:`compile_aggregation`).  The store builds its roll-ups and
-cube cells directly with :func:`repro.store.merged_segment`, a local
-``merge_many`` per block, and never goes through a plan.
+- :class:`SummarySlot` — the agent holding one merge operand, which
+  emits it (optionally through the wire codec, caching each
+  generation's bytes) and absorbs children, deduplicating through an
+  optional :class:`MergeLedger`;
+- the fault primitives (:class:`FaultModel`, :class:`RetryPolicy`,
+  :class:`MergeLedger`, :class:`FaultStats`) and :func:`deliver`, the
+  one retry/ledger loop that both the simulator and the continuous
+  coordinator run; :mod:`repro.distributed` exports them as well.
 
-Fault primitives (:class:`FaultModel`, :class:`RetryPolicy`,
-:class:`MergeLedger`, :class:`FaultStats`) live here too, with
-:func:`deliver`, the one retry/ledger loop that both the executor and
-the continuous coordinator run; :mod:`repro.distributed` exports them
-as well.
+The store builds its roll-ups and cube cells directly with
+:func:`repro.store.merged_segment`, a local ``merge_many`` per block.
 """
 
-from .agents import SummarySlot, wrap_slot
-from .compilers import (
-    MERGE_STRATEGIES,
-    MergeStrategy,
-    compile_aggregation,
-    compile_fold,
-    fold_slots,
-)
-from .executor import ExecutionReport, ExecutionResult, execute_plan
+from .agents import SummarySlot
 from .faults import (
     FaultModel,
     FaultStats,
@@ -40,21 +30,9 @@ from .faults import (
     corrupt_payload,
     deliver,
 )
-from .plan import MergePlan, MergeStep
 
 __all__ = [
-    "MergePlan",
-    "MergeStep",
-    "execute_plan",
-    "ExecutionReport",
-    "ExecutionResult",
-    "MergeStrategy",
-    "MERGE_STRATEGIES",
-    "compile_fold",
-    "compile_aggregation",
-    "fold_slots",
     "SummarySlot",
-    "wrap_slot",
     "FaultModel",
     "FaultStats",
     "MergeLedger",

@@ -1,31 +1,30 @@
-"""Slot agents: the one participant protocol the executor speaks.
+"""Slot agents: the one participant protocol a merge replay speaks.
 
-:func:`~repro.engine.execute_plan` never merges values directly — every
-slot is held by a :class:`SummarySlot`, the agent the distributed
-:class:`~repro.distributed.node.Node` extends with its shard:
+Every participant that ships its summary — a simulator
+:class:`~repro.distributed.node.Node`, a continuous-aggregation delta —
+is a :class:`SummarySlot`:
 
 - ``emit(serialize)`` — ship the slot's value (optionally through the
   wire codec, with per-generation payload caching so retransmissions
   charge ``bytes_retransmitted`` instead of re-serializing);
-- ``absorb(payload, serialized, delivery_id)`` / ``absorb_many(...)`` —
-  merge one child or a k-way fan-in, deduplicating single deliveries
-  via the optional :class:`~repro.engine.faults.MergeLedger`;
+- ``absorb(payload, serialized, delivery_id)`` — merge one child,
+  deduplicating deliveries via the optional
+  :class:`~repro.engine.faults.MergeLedger`;
 - ``merges_performed`` / ``bytes_sent`` / ``bytes_retransmitted`` —
-  the counters the execution report aggregates.
+  the counters a run's result aggregates.
 
 The slot's value is any merge operand — a
-:class:`~repro.core.base.Summary`.  :func:`wrap_slot` passes a
-``SummarySlot`` through and wraps any other value in one.
+:class:`~repro.core.base.Summary`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Tuple
 
 from ..core.codecs import DEFAULT_CODEC, decode_summary, encode_summary
 from .faults import MergeLedger
 
-__all__ = ["SummarySlot", "wrap_slot"]
+__all__ = ["SummarySlot"]
 
 
 class SummarySlot:
@@ -116,26 +115,3 @@ class SummarySlot:
         if delivery_id is not None and self.ledger is not None:
             self.ledger.witness(delivery_id)
         return True
-
-    def absorb_many(self, payloads: Sequence[Any], serialized: bool = True) -> int:
-        """Merge a whole fan-in in one k-way ``merge_many`` pass.
-
-        The call is made even for an empty group.  Returns the number
-        of children merged.
-        """
-        children = (
-            [decode_summary(p) for p in payloads] if serialized else list(payloads)
-        )
-        self.summary.merge_many(children)
-        self.merges_performed += len(children)
-        return len(children)
-
-
-def wrap_slot(value: Any) -> SummarySlot:
-    """Adapt an input value to the agent protocol.
-
-    A :class:`SummarySlot` (such as the simulator's ``Node``) passes
-    through with its shard and byte bookkeeping intact; any other value
-    is wrapped in a fresh one.
-    """
-    return value if isinstance(value, SummarySlot) else SummarySlot(value)

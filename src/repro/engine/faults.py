@@ -20,12 +20,11 @@ to **exactly-once merge** semantics, which is what additive summaries
 idempotence.  :class:`RetryPolicy` models the exponential-backoff loop;
 delays are *accounted*, never slept, so simulations stay fast.
 
-:func:`deliver` is the one retry loop over this fabric.  The merge
-engine's :func:`~repro.engine.execute_plan` runs every fault-injected
-plan step through it (a ``merge_all`` fold, a simulator schedule), and
-so does the continuous coordinator of
-:mod:`repro.distributed.continuous`.  :mod:`repro.distributed` exports
-these primitives as well.
+:func:`deliver` is the one retry loop over this fabric.  The simulator
+(:func:`~repro.distributed.run_aggregation`) runs every step of a
+fault-injected schedule through it, and so does the continuous
+coordinator of :mod:`repro.distributed.continuous`.
+:mod:`repro.distributed` exports these primitives as well.
 """
 
 from __future__ import annotations

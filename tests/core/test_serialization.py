@@ -188,10 +188,16 @@ class TestChecksum:
         restored = from_envelope(legacy)
         assert restored.n == 3
 
-    def test_checksumless_v2_payload_still_loads(self):
-        envelope = to_envelope(MisraGries(8).extend([1, 2]))
+    def test_checksumless_v2_payload_rejected(self):
+        # every format-2 envelope is written with its checksum, so a
+        # missing one is damage: it must not switch the check off
+        envelope = to_envelope(MisraGries(8).extend([1, 2, 3, 3, 4] * 5))
         del envelope["checksum"]
-        assert from_envelope(envelope).n == 2
+        envelope["state"]["n"] = 999
+        with pytest.raises(SerializationError, match="no checksum"):
+            from_envelope(envelope)
+        with pytest.raises(SerializationError, match="no checksum"):
+            loads(json.dumps(envelope))
 
     def test_single_digit_flip_anywhere_is_detected(self):
         payload = dumps(MisraGries(8).extend([1, 1, 2, 3, 3, 3]))

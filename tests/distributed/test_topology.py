@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ParameterError
 from repro.distributed import (
+    TOPOLOGIES,
     MergeSchedule,
     balanced_tree,
     build_topology,
@@ -94,3 +95,26 @@ class TestBuildTopology:
     def test_unknown_raises(self):
         with pytest.raises(ParameterError, match="unknown topology"):
             build_topology("pentagram", 4)
+
+    @pytest.mark.parametrize("leaves", [0, -2])
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_fewer_than_one_leaf_rejected(self, name, leaves):
+        # a typed error from every builder, never an IndexError
+        with pytest.raises(ParameterError, match="leaves must be >= 1"):
+            build_topology(name, leaves, rng=0)
+
+
+class TestDescribe:
+    def test_header_then_one_line_per_step(self):
+        schedule = balanced_tree(5)
+        lines = schedule.describe().splitlines()
+        assert lines[0] == "schedule 'balanced': leaves=5, merges=4, depth=3, root=0"
+        assert lines[1:] == [
+            f"  {i:>3}. merge {dst} <- {src}"
+            for i, (dst, src) in enumerate(schedule.steps)
+        ]
+
+    def test_single_leaf_has_no_steps(self):
+        assert chain(1).describe().splitlines() == [
+            "schedule 'chain': leaves=1, merges=0, depth=0, root=0"
+        ]

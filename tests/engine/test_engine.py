@@ -1,20 +1,18 @@
-"""Engine suite: the shared plan IR + executor behind merge plans.
+"""Engine suite: folds and the simulator replay one merge schedule.
 
-``merge_all`` folds and the distributed simulator run through one
-compiled :class:`~repro.engine.plan.MergePlan` and one
-:func:`~repro.engine.execute_plan` runner.  This suite pins that
-contract:
+``merge_all``'s ``chain``/``tree``/``random`` folds replay a
+:class:`~repro.core.topology.MergeSchedule` in process, and the
+distributed simulator replays one over its nodes.  This suite pins
+that contract:
 
-- the IR validates its own shape (bad steps, a builder on a merge or
-  emit, unreadable slots, merges into unknown slots, plans that emit
-  nothing);
-- for **every registered summary type**, each fold strategy executed
-  through the engine is byte-identical to an in-test replica of the
-  legacy loop it replaced (the engine performs the *same* merge
-  sequence, so even randomized summaries must match bit-for-bit);
-- a simulator run equals a manual replay of its schedule;
-- the executor's scalar/fault regimes account correctly (step status,
-  duplicate injection, ledgers).
+- for **every registered summary type**, each fold strategy is
+  byte-identical to an in-test replica of the legacy loop it replaced
+  (the fold performs the *same* merge sequence, so even randomized
+  summaries must match bit-for-bit);
+- a simulator run equals a manual replay of its schedule, and crash
+  injection never takes the schedule's root;
+- the simulator's fault-free and fault-injected replays account
+  correctly (merge counts, coverage, duplicate injection, ledgers).
 
 Store compaction builds its roll-ups without the engine; its tests live
 in ``tests/store/test_store.py`` and ``tests/store/test_cube.py``.
@@ -22,105 +20,24 @@ in ``tests/store/test_store.py`` and ``tests/store/test_cube.py``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.core import ParameterError, dumps
+from repro.core import MERGE_STRATEGIES, ParameterError, dumps
 from repro.core.merge import merge_all
 from repro.core.rng import resolve_rng
-from repro.distributed import ContiguousPartitioner, build_topology, run_aggregation
-from repro.engine import (
-    MERGE_STRATEGIES,
-    FaultModel,
-    MergeLedger,
-    MergePlan,
-    MergeStep,
-    RetryPolicy,
-    compile_aggregation,
-    compile_fold,
-    execute_plan,
+from repro.distributed import (
+    ContiguousPartitioner,
+    MergeSchedule,
+    build_topology,
+    chain,
+    run_aggregation,
 )
+from repro.engine import FaultModel, RetryPolicy
 from repro.frequency import ExactCounter, MisraGries
 from tests.test_merge_runtime import MERGE_SPECS, SKIPPED_TYPES
-
-# ---------------------------------------------------------------------------
-# Plan IR
-# ---------------------------------------------------------------------------
-
-
-class TestPlanIR:
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ParameterError, match="unknown plan op"):
-            MergeStep("frobnicate", "s0")
-
-    def test_merge_needs_sources(self):
-        with pytest.raises(ParameterError, match="at least one source"):
-            MergeStep("merge", "s0")
-
-    def test_merge_destination_not_a_source(self):
-        with pytest.raises(ParameterError, match="appears in its own sources"):
-            MergeStep("merge", "s0", ("s0", "s1"))
-
-    def test_build_needs_builder(self):
-        with pytest.raises(ParameterError, match="needs a builder"):
-            MergeStep("build", "s0")
-
-    def test_emit_takes_no_sources(self):
-        with pytest.raises(ParameterError, match="take no source"):
-            MergeStep("emit", "s0", ("s1",))
-
-    def test_validate_flags_unknown_source(self):
-        plan = MergePlan(
-            name="bad",
-            steps=(MergeStep("merge", "s0", ("ghost",)), MergeStep("emit", "s0")),
-        )
-        with pytest.raises(ParameterError, match="unknown slot"):
-            plan.validate(["s0"])
-
-    def test_validate_flags_unknown_emit(self):
-        plan = MergePlan(name="bad", steps=(MergeStep("emit", "ghost"),))
-        with pytest.raises(ParameterError, match="emit of unknown"):
-            plan.validate(["s0"])
-
-    def test_validate_requires_an_output(self):
-        plan = MergePlan(name="bad", steps=(MergeStep("merge", "s0", ("s1",)),))
-        with pytest.raises(ParameterError, match="emits nothing"):
-            plan.validate(["s0", "s1"])
-
-    def test_merge_into_unknown_slot_rejected(self):
-        # a merge absorbs in place, so its destination must already hold
-        # a value: a typed ParameterError, not a KeyError mid-execution
-        plan = MergePlan(
-            "x", [MergeStep("merge", "ghost", ("s0",)), MergeStep("emit", "ghost")]
-        )
-        with pytest.raises(ParameterError, match="merge into unknown slot 'ghost'"):
-            plan.validate(["s0"])
-        with pytest.raises(ParameterError, match="merge into unknown slot"):
-            execute_plan(plan, _counters(1))
-
-    def test_builder_only_on_build_steps(self):
-        with pytest.raises(ParameterError, match="merge steps take no builder"):
-            MergeStep("merge", "s0", ("s1",), builder=lambda values: values[0])
-        with pytest.raises(ParameterError, match="emit steps take no builder"):
-            MergeStep("emit", "s0", builder=lambda: None)
-
-    def test_describe_lists_every_step(self):
-        plan = compile_fold("tree", 4)
-        text = plan.describe()
-        assert "fold:tree[4]" in text
-        assert text.count("merge") >= 3
-        assert "emit" in text
-
-    def test_compile_fold_unknown_strategy(self):
-        with pytest.raises(ParameterError, match="unknown merge strategy"):
-            compile_fold("bogus", 4)
-
-    def test_every_strategy_compiles_and_emits_one_output(self):
-        for name, descriptor in MERGE_STRATEGIES.items():
-            plan = descriptor.compile([f"s{i}" for i in range(5)], rng=1)
-            assert len(plan.outputs) == 1, name
-            plan.validate([f"s{i}" for i in range(5)])
-
 
 # ---------------------------------------------------------------------------
 # Fold equivalence vs the legacy loops, for every registered type
@@ -227,94 +144,90 @@ class TestAggregationEquivalence:
         assert dumps(result.summary) == dumps(replicas[schedule.root])
 
     def test_compiled_schedule_protects_the_root(self):
-        schedule = build_topology("balanced", 8, rng=1)
-        plan = compile_aggregation(schedule)
-        assert plan.protected == frozenset({schedule.root})
-        assert len(plan.build_steps) == schedule.leaves
-        assert len(plan.merge_steps) == len(schedule.steps)
+        # every other node crashes at its first draw; the root (not 0
+        # here) is never drawn, so it keeps exactly its own shard
+        data = np.arange(10) % 4
+        schedule = MergeSchedule("hand", 4, [(2, 0), (2, 1), (2, 3)], root=2)
+        result = run_aggregation(
+            data, ContiguousPartitioner(), ExactCounter, schedule,
+            fault_model=FaultModel(crash=1.0, rng=1),
+        )
+        assert result.delivered_leaves == [2]
+        assert 2 not in result.fault_stats.crashed_nodes
+        assert sorted(result.fault_stats.crashed_nodes) == [0, 1, 3]
+        assert result.merges == 0
+        assert result.summary.n == result.shard_sizes[2]
+        root_shard = ContiguousPartitioner().split(data, 4)[2]
+        assert result.summary.counters() == dict(Counter(root_shard.tolist()))
 
 
 # ---------------------------------------------------------------------------
-# Executor regimes and accounting
+# The simulator's replay and its accounting
 # ---------------------------------------------------------------------------
 
 
-def _counters(count: int, per: int = 40):
-    inputs = {}
-    for i in range(count):
-        feed = np.random.default_rng(300 + i).integers(0, 9, size=per).tolist()
-        inputs[f"s{i}"] = ExactCounter().extend(feed)
-    return inputs
+def _chain_run(count: int, per: int = 40, **kwargs):
+    """``count`` ExactCounter shards of ``per`` items merged along ``chain``."""
+    data = np.concatenate(
+        [np.random.default_rng(300 + i).integers(0, 9, size=per) for i in range(count)]
+    )
+    return run_aggregation(
+        data, ContiguousPartitioner(), ExactCounter, chain(count), **kwargs
+    )
 
 
 class TestExecutorAccounting:
+    """``run_aggregation`` executes a schedule step by step; what it reports."""
+
     def test_knob_validation(self):
-        plan = compile_fold("chain", 2)
-        inputs = _counters(2)
         with pytest.raises(ParameterError, match="must be in"):
             FaultModel(duplicate=1.5)
         with pytest.raises(ParameterError, match="requires serialize"):
-            execute_plan(
-                plan, inputs, fault_model=FaultModel(corruption=0.5, rng=1)
-            )
+            _chain_run(2, fault_model=FaultModel(corruption=0.5, rng=1))
 
     def test_scalar_report_counts_steps(self):
-        inputs = _counters(6)
-        total = sum(s.n for s in inputs.values())  # before s0 absorbs the rest
-        result = execute_plan(compile_fold("chain", 6), inputs)
-        assert result.report.merges == 5
-        assert result.report.steps_done == 5
-        assert result.value.n == total
+        result = _chain_run(6)
+        assert result.merges == 5
+        assert result.delivered_leaves == list(range(6))
+        assert result.summary.n == sum(result.shard_sizes) == 240
 
     def test_duplicate_knob_double_merges(self):
-        inputs = _counters(4)
-        expected_extra = sum(
-            inputs[f"s{i}"].n for i in range(1, 4)
-        )
-        clean = sum(s.n for s in inputs.values())
         # no ledger: bare at-least-once delivery, every duplicate lands
-        result = execute_plan(
-            compile_fold("chain", 4), _counters(4),
-            fault_model=FaultModel(duplicate=1.0, rng=5),
+        result = _chain_run(
+            4, fault_model=FaultModel(duplicate=1.0, rng=5), exactly_once=False
         )
-        assert result.report.fault_stats.duplicates_delivered == 3
-        assert result.value.n == clean + expected_extra
+        assert result.fault_stats.duplicates_delivered == 3
+        assert result.summary.n == sum(result.shard_sizes) + sum(result.shard_sizes[1:])
 
     def test_total_loss_marks_steps_failed_but_keeps_inputs(self):
-        inputs = _counters(4)
-        own = inputs["s0"].n
-        result = execute_plan(
-            compile_fold("chain", 4), inputs,
+        result = _chain_run(
+            4,
             fault_model=FaultModel(loss=1.0, rng=2),
             retry_policy=RetryPolicy(max_attempts=2),
         )
-        assert result.report.steps_failed == 3
-        assert result.report.fault_stats.deliveries_failed == 3
-        # the destination survives with only its own data
-        assert result.value.n == own
-        assert result.report.covered["s0"] == {"s0"}
+        assert result.fault_stats.deliveries_failed == 3
+        assert result.merges == 0
+        # the root survives with only its own data
+        assert result.summary.n == result.shard_sizes[0]
+        assert result.delivered_leaves == [0]
+        assert result.coverage == 0.25
 
     def test_ledger_suppresses_injected_duplicates(self):
-        clean = execute_plan(compile_fold("chain", 5), _counters(5)).value
-        result = execute_plan(
-            compile_fold("chain", 5), _counters(5),
-            fault_model=FaultModel(duplicate=1.0, rng=3),
-            ledger_factory=MergeLedger,
-        )
-        stats = result.report.fault_stats
+        clean = _chain_run(5).summary
+        result = _chain_run(5, fault_model=FaultModel(duplicate=1.0, rng=3))
+        stats = result.fault_stats
         assert stats.duplicates_delivered == 4
         assert stats.duplicates_suppressed == 4
         assert stats.duplicates_merged == 0
-        assert dumps(result.value) == dumps(clean)
+        assert dumps(result.summary) == dumps(clean)
 
     def test_without_ledger_duplicates_land(self):
-        clean = execute_plan(compile_fold("chain", 5), _counters(5)).value
-        result = execute_plan(
-            compile_fold("chain", 5), _counters(5),
-            fault_model=FaultModel(duplicate=1.0, rng=3),
+        clean = _chain_run(5).summary
+        result = _chain_run(
+            5, fault_model=FaultModel(duplicate=1.0, rng=3), exactly_once=False
         )
-        assert result.report.fault_stats.duplicates_merged == 4
-        assert result.value.n > clean.n
+        assert result.fault_stats.duplicates_merged == 4
+        assert result.summary.n > clean.n
 
 
 def test_skipped_types_documented():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.distributed import balanced_tree, kary_tree
 
 
 @pytest.fixture
@@ -192,6 +194,54 @@ class TestSimulate:
         assert main(["simulate", "--type", "misra_gries", "--arg", "k=8",
                      "--input", str(small), "--nodes", "16"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("topology", ["balanced", "kary", "random"])
+    def test_simulate_zero_nodes_fails(self, stream_file, topology, capsys):
+        assert main(["simulate", "--type", "misra_gries", "--arg", "k=8",
+                     "--input", str(stream_file), "--nodes", "0",
+                     "--topology", topology]) == 1
+        assert "error: leaves must be >= 1" in capsys.readouterr().err
+
+
+class TestPlan:
+    @staticmethod
+    def _pairs(text):
+        return [tuple(map(int, m)) for m in re.findall(r"merge (\d+) <- (\d+)$", text, re.M)]
+
+    def test_tree_prints_the_schedule_merge_all_replays(self, capsys):
+        assert main(["plan", "--strategy", "tree", "--count", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out == balanced_tree(5).describe() + "\n"
+        assert self._pairs(out) == balanced_tree(5).steps
+
+    def test_random_strategy_is_seeded(self, capsys):
+        assert main(["plan", "--strategy", "random", "--count", "6",
+                     "--seed", "11"]) == 0
+        out = capsys.readouterr().out
+        assert self._pairs(out) == [(0, 5), (1, 2), (0, 3), (0, 1), (0, 4)]
+
+    def test_kway_prints_one_fan_in(self, capsys):
+        assert main(["plan", "--strategy", "kway", "--count", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "kway: leaves=4, one merge_many, root=0",
+            "    0. merge 0 <- 1, 2, 3",
+        ]
+
+    def test_kary_topology(self, capsys):
+        assert main(["plan", "--topology", "kary", "--nodes", "9"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("schedule '4-ary': leaves=9, merges=8")
+        assert self._pairs(out) == kary_tree(9).steps
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--count", "0"], ["--strategy", "kway", "--count", "0"],
+         ["--topology", "balanced", "--nodes", "0"]],
+    )
+    def test_fewer_than_one_leaf_fails(self, argv, capsys):
+        assert main(["plan", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestStore:

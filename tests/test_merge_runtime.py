@@ -654,17 +654,3 @@ class TestNodePayloadCache:
         node = Node(node_id=0, shard=np.random.default_rng(1).random(256))
         node.build(lambda: MergeableQuantiles(16, rng=7))
         assert node.emit(serialize=True) == node.emit(serialize=True)
-
-    def test_absorb_many_merges_group_at_once(self):
-        from repro.frequency import ExactCounter
-
-        parent = self._built_node()
-        children = []
-        for i in range(1, 4):
-            child = Node(node_id=i, shard=np.array([i, i]))
-            child.build(ExactCounter)
-            children.append(child.emit(serialize=True))
-        merged = parent.absorb_many(children)
-        assert merged == 3
-        assert parent.merges_performed == 3
-        assert parent.summary.n == 4 + 6

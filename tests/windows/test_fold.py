@@ -1,9 +1,9 @@
 """Folds over windowed operands run on the one merge path.
 
 A :class:`~repro.windows.WindowedSummary` is itself mergeable, so
-``merge_all`` and every compiled fold plan
-(``execute_plan(compile_fold(...))``) merge windowed operands through
-``merge``/``merge_many`` like any other summary, with the engine's
+``merge_all`` and the distributed simulator (``run_aggregation``
+replaying a merge schedule) merge windowed operands through
+``merge``/``merge_many`` like any other summary, with the simulator's
 fault/retry/ledger machinery for free.  The acceptance bar: the direct
 and serialized payload paths produce *byte-identical* results, fold
 orders agree on everything observable, and a faulty fabric that
@@ -14,18 +14,21 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import MergeError, merge_all
-from repro.engine import (
+from repro.distributed import (
+    ContiguousPartitioner,
     FaultModel,
-    MergeLedger,
     RetryPolicy,
-    compile_fold,
-    execute_plan,
-    fold_slots,
+    build_topology,
+    run_aggregation,
 )
 from repro.frequency import CountMin, ExactCounter, MisraGries
+
+#: the items ``_parts`` feeds, in order: node ``i`` holds part ``i``
+ITEMS = np.arange(200) % 17
 
 
 def _parts(k=5, chunk=40, window=None):
@@ -41,10 +44,15 @@ def _parts(k=5, chunk=40, window=None):
     return parts
 
 
-def _fold(parts, strategy="chain", **kwargs):
-    """Execute the compiled ``strategy`` fold plan over ``parts``."""
-    plan = compile_fold(strategy, len(parts))
-    return execute_plan(plan, dict(zip(fold_slots(len(parts)), parts)), **kwargs)
+def _aggregate(topology="chain", **kwargs):
+    """The simulator over ``ITEMS`` on 5 nodes, one windowed part each."""
+    return run_aggregation(
+        ITEMS,
+        ContiguousPartitioner(),
+        lambda: CountMin(32, 3, seed=1).windowed(eps=0.25, granularity=4),
+        build_topology(topology, 5),
+        **kwargs,
+    )
 
 
 def _state(win) -> str:
@@ -65,13 +73,11 @@ def _fingerprint(win):
 
 class TestPlanShape:
     def test_compiles_to_engine_ir(self):
-        # no windowed fold of its own: the generic tree plan runs it
-        parts = _parts()
-        result = _fold(parts, "tree")
-        assert result.report.merges == 4
-        assert result.report.steps_done == 4
-        assert type(result.value) is type(parts[0])
-        assert result.value.n == 200
+        # no windowed fold of its own: the generic tree schedule runs it
+        result = _aggregate("balanced")
+        assert result.merges == 4
+        assert type(result.summary) is type(_parts()[0])
+        assert result.summary.n == 200
 
     def test_empty_operand_list_rejected(self):
         with pytest.raises(MergeError, match="empty list"):
@@ -92,8 +98,8 @@ class TestPlanShape:
 
 class TestFoldSemantics:
     def test_serialize_payload_path_byte_identical(self):
-        direct = _fold(_parts()).value
-        serialized = _fold(_parts(), serialize=True).value
+        direct = _aggregate().summary
+        serialized = _aggregate(serialize=True).summary
         assert _state(direct) == _state(serialized)
 
     def test_agrees_with_chain_merge(self):
@@ -159,34 +165,29 @@ class TestFoldSemantics:
 class TestFaultPath:
     def test_retry_recovers_lost_partials(self):
         reference = merge_all(_parts(), "chain")
-        recovered = _fold(
-            _parts(),
+        recovered = _aggregate(
             fault_model=FaultModel(loss=0.4, rng=7),
             retry_policy=RetryPolicy(max_attempts=20),
         )
-        assert recovered.report.fault_stats.messages_lost > 0
-        assert _state(reference) == _state(recovered.value)
+        assert recovered.fault_stats.messages_lost > 0
+        assert recovered.coverage == 1.0
+        assert _state(reference) == _state(recovered.summary)
 
     def test_ledger_deduplicates_replayed_merges(self):
         reference = merge_all(_parts(), "chain")
-        deduped = _fold(
-            _parts(),
-            fault_model=FaultModel(duplicate=1.0, rng=3),
-            ledger_factory=MergeLedger,
-        )
-        assert deduped.report.fault_stats.duplicates_suppressed == 4
-        assert _state(reference) == _state(deduped.value)
+        deduped = _aggregate(fault_model=FaultModel(duplicate=1.0, rng=3))
+        assert deduped.fault_stats.duplicates_suppressed == 4
+        assert _state(reference) == _state(deduped.summary)
 
     def test_total_loss_reports_partial_coverage(self):
-        # nothing reaches the accumulator: the report says it covers
-        # only its own operand, so no caller mistakes it for the fold
-        parts = _parts()
+        # nothing reaches the root: the result says it covers only its
+        # own part, so no caller mistakes it for the fold
         alone = _state(_parts()[0])
-        result = _fold(
-            parts,
+        result = _aggregate(
             fault_model=FaultModel(loss=1.0, rng=1),
             retry_policy=RetryPolicy(max_attempts=2),
         )
-        assert result.report.covered["s0"] == {"s0"}
-        assert result.report.steps_failed == 4
-        assert _state(result.value) == alone
+        assert result.delivered_leaves == [0]
+        assert result.fault_stats.deliveries_failed == 4
+        assert result.coverage == 0.2
+        assert _state(result.summary) == alone

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Dead-duplication guard for the chain-kernel refactor.
+"""Dead-duplication guard for the chain kernel and the merge schedules.
 
 The storage kernel (``repro.store.chain`` + ``repro.store.common`` +
 the kind-generic ``repro.store.persistence``) exists so that the flat
@@ -47,6 +47,17 @@ if a known pre-refactor duplicate creeps back in:
   replacement, time roll-up and cube cell is built by
   :func:`~repro.store.chain.merged_segment`.
 
+It also scans all of ``src/repro`` for the deleted merge-plan IR and
+for second copies of the merge shapes: ``merge_all``'s folds and the
+distributed simulator both replay a
+:class:`~repro.core.topology.MergeSchedule`, so
+
+* ``class MergePlan``, ``class MergeStep``, ``def execute_plan``,
+  ``def compile_fold``, ``def compile_aggregation`` and
+  ``def _compile_(chain|tree|random|kway)`` are banned everywhere;
+* ``def balanced_tree`` and ``def random_tree`` may appear only in
+  ``core/topology.py``, the one copy of every shape.
+
 Run from the repo root: ``python tools/check_store_kernel.py``.
 Exit status 0 = clean, 1 = duplicates found (each printed as
 ``path:line: pattern``).
@@ -92,34 +103,60 @@ BANNED_DEFINITIONS = {
 # patterns banned anywhere in a line, in every module
 BANNED_EXPRESSIONS = [r"from_dict\(.*\.to_dict\(\)\)", r"\bMerge(Step|Plan)\("]
 
+REPRO_PKG = pathlib.Path("src/repro")
+
+# the same, relative to src/repro, for the whole package
+BANNED_REPRO_DEFINITIONS = {
+    r"class MergePlan\b": None,
+    r"class MergeStep\b": None,
+    r"def execute_plan\b": None,
+    r"def compile_fold\b": None,
+    r"def compile_aggregation\b": None,
+    r"def _compile_(chain|tree|random|kway)\b": None,
+    r"def balanced_tree\b": "core/topology.py",
+    r"def random_tree\b": "core/topology.py",
+}
+
+
+def scan(package, definitions, expressions):
+    """``(path, line, pattern, allowed)`` for every banned line under ``package``."""
+    violations = []
+    for path in sorted(package.rglob("*.py")):
+        rel = path.relative_to(package).as_posix()
+        for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for pattern, allowed in definitions.items():
+                if re.match(r"\s*" + pattern, line) and rel != allowed:
+                    violations.append((path.as_posix(), lineno, pattern, allowed))
+            for pattern in expressions:
+                if re.search(pattern, line):
+                    violations.append((path.as_posix(), lineno, pattern, None))
+    return violations
+
 
 def main() -> int:
     if not STORE_PKG.is_dir():
         print(f"error: {STORE_PKG} not found (run from the repo root)")
         return 2
-    violations = []
-    for path in sorted(STORE_PKG.rglob("*.py")):
-        rel = path.relative_to(STORE_PKG).as_posix()
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            for pattern, allowed in BANNED_DEFINITIONS.items():
-                if re.match(r"\s*" + pattern, line) and rel != allowed:
-                    violations.append((path.as_posix(), lineno, pattern, allowed))
-            for pattern in BANNED_EXPRESSIONS:
-                if re.search(pattern, line):
-                    violations.append((path.as_posix(), lineno, pattern, None))
+    violations = scan(STORE_PKG, BANNED_DEFINITIONS, BANNED_EXPRESSIONS)
+    violations += scan(REPRO_PKG, BANNED_REPRO_DEFINITIONS, [])
     for path, lineno, pattern, allowed in violations:
-        where = f"only {allowed} may define this" if allowed else "kernel owns this"
-        print(f"{path}:{lineno}: duplicated kernel surface {pattern!r} ({where})")
+        where = f"only {allowed} may define this" if allowed else "banned everywhere"
+        print(f"{path}:{lineno}: duplicated surface {pattern!r} ({where})")
     if violations:
         print(
             f"\n{len(violations)} duplication(s): the chain kernel "
             "(chain.py/common.py/persistence.py) is the single home for "
-            "ingest, roll-up compaction, window slack, and store persistence."
+            "ingest, roll-up compaction, window slack, and store persistence; "
+            "core/topology.py is the single home of every merge shape, and "
+            "no merge-plan IR exists."
         )
         return 1
-    print("store kernel clean: no duplicated chain/persistence surface")
+    print(
+        "store kernel clean: no duplicated chain/persistence surface, "
+        "no merge-plan IR, one copy of each merge shape"
+    )
     return 0
 
 
