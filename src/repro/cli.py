@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -215,25 +216,25 @@ def _cmd_types(args: argparse.Namespace) -> int:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from .core.topology import build_topology
 
+    strategy = args.topology or args.strategy or "tree"
+    if args.seed is not None and strategy != "random":
+        raise SystemExit(
+            f"--seed is only meaningful with a randomized strategy, "
+            f"not {strategy!r}"
+        )
     if args.topology is not None:
         schedule = build_topology(
             args.topology, args.nodes, rng=args.seed if args.seed is not None else 0
         )
+    elif strategy == "kway":
+        # the star's fan-in, taken by one merge_many instead of pairs
+        star = build_topology("star", args.count)
+        print(f"kway: leaves={star.leaves}, one merge_many, root=0")
+        if star.steps:
+            srcs = ", ".join(str(src) for _, src in star.steps)
+            print(f"    0. merge 0 <- {srcs}")
+        return 0
     else:
-        strategy = args.strategy or "tree"
-        if args.seed is not None and strategy != "random":
-            raise SystemExit(
-                f"--seed is only meaningful with a randomized strategy, "
-                f"not {strategy!r}"
-            )
-        if strategy == "kway":
-            # the star's fan-in, taken by one merge_many instead of pairs
-            star = build_topology("star", args.count)
-            print(f"kway: leaves={star.leaves}, one merge_many, root=0")
-            if star.steps:
-                srcs = ", ".join(str(src) for _, src in star.steps)
-                print(f"    0. merge 0 <- {srcs}")
-            return 0
         topology = "balanced" if strategy == "tree" else strategy
         schedule = build_topology(topology, args.count, rng=args.seed)
     print(schedule.describe())
@@ -255,6 +256,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     cls = get_summary_class(args.type)
     kwargs = _parse_args_kv(args.arg)
     data = np.array(_read_items(args.input))
+    seeded = "rng" not in kwargs and "rng" in inspect.signature(cls).parameters
+
+    def factory(index: int):
+        # one coin stream per leaf, derived from --seed and the node
+        # index; hash seeds (seed=) stay shared, as merges require
+        if seeded:
+            return cls(**kwargs, rng=np.random.default_rng([args.seed, index]))
+        return cls(**kwargs)
+
     fault_model = FaultModel(
         loss=args.loss,
         crash=args.crash,
@@ -265,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     result = run_aggregation(
         data,
         PARTITIONERS[args.partitioner](),
-        lambda: cls(**kwargs),
+        factory,
         build_topology(args.topology, args.nodes, rng=args.seed),
         serialize=True,
         fault_model=fault_model,

@@ -95,9 +95,9 @@ class QuantileSummary(Summary):
         _, values, cumweights = view
         targets = np.array([check_quantile(q) for q in qs]) * self._n
         idx = np.minimum(
-            np.searchsorted(cumweights, targets, side="left"), len(values) - 1
+            cumweights.searchsorted(targets, side="left"), len(values) - 1
         )
-        return [float(v) for v in values[idx]]
+        return values[idx].tolist()
 
     def median(self) -> float:
         """The estimated median (``quantile(0.5)``)."""

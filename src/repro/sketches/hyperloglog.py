@@ -42,6 +42,10 @@ def _bit_length_u64(x: np.ndarray) -> np.ndarray:
     return np.where(hi > 0, np.frexp(hi)[1] + 32, np.frexp(lo)[1])
 
 
+#: 2**-r for every rank a register can hold: 0 (empty) up to 65 - 4 at p=4
+_RANK_WEIGHTS = 2.0 ** -np.arange(65 - 4 + 1)
+
+
 def _alpha(m: int) -> float:
     if m == 16:
         return 0.673
@@ -95,9 +99,11 @@ class HyperLogLog(Summary):
 
     def distinct(self) -> float:
         """Estimated number of distinct items observed."""
-        registers = self._registers.astype(np.float64)
-        estimate = _alpha(self.m) * self.m * self.m / np.sum(2.0**-registers)
-        zeros = int(np.count_nonzero(self._registers == 0))
+        # one pass: a rank histogram dotted with 2**-r; every term is
+        # dyadic, so the sum equals the per-register one on real sketches
+        ranks = np.bincount(self._registers, minlength=len(_RANK_WEIGHTS))
+        estimate = _alpha(self.m) * self.m * self.m / ranks.dot(_RANK_WEIGHTS)
+        zeros = int(ranks[0])
         if estimate <= 2.5 * self.m and zeros:
             return self.m * math.log(self.m / zeros)  # linear counting
         return float(estimate)

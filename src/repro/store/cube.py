@@ -57,7 +57,7 @@ over the last atomic snapshot exactly as the flat store does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import (
     Any,
     Dict,
@@ -83,6 +83,14 @@ __all__ = ["CubeStore", "CubePlan", "CubeResult"]
 Key = Tuple[Any, ...]
 #: a roll-up mask: the subset of dimensions kept, in cube dimension order
 Mask = Tuple[str, ...]
+
+
+def _check_scalar(dim: str, value: Any) -> None:
+    """Dimension values, ingested or filtered on, are JSON scalars."""
+    if value is not None and not isinstance(value, (str, int, float, bool)):
+        raise ParameterError(
+            f"dimension {dim!r} must be a JSON scalar, got {type(value).__name__}"
+        )
 
 
 @dataclass
@@ -245,6 +253,11 @@ class CubeStore(StoreBase):
         self._epoch_keys: Dict[int, Set[Key]] = {}
         #: query-shape log for workload-aware compaction
         self._query_log: Dict[Mask, int] = {}
+        #: per source mask (``None`` = base cells): how many of its chains
+        #: are indexed, and (position, value) -> chain keys in chain order
+        self._posting_index: Dict[
+            Optional[Mask], Tuple[int, Dict[Tuple[int, Any], List[Key]]]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Schema
@@ -300,11 +313,7 @@ class CubeStore(StoreBase):
                     f"record {index} is missing dimension field {dim!r}"
                 )
             value = record[dim]
-            if value is not None and not isinstance(value, (str, int, float, bool)):
-                raise ParameterError(
-                    f"dimension {dim!r} must be a JSON scalar, "
-                    f"got {type(value).__name__}"
-                )
+            _check_scalar(dim, value)
             key.append(value)
         return tuple(key)
 
@@ -544,9 +553,55 @@ class CubeStore(StoreBase):
         if not where:
             return ()
         self._as_mask(where)  # validates dimension names
+        for dim, value in where.items():
+            _check_scalar(dim, value)
         return tuple(
             (dim, where[dim]) for dim in self.dims if dim in where
         )
+
+    def _postings(self, mask: Optional[Mask]) -> Dict[Tuple[int, Any], List[Key]]:
+        """Posting index of one source mask (``None`` = base cells).
+
+        Maps ``(position, value)`` to the keys of the chains holding
+        that value, in chain insertion order.  Chains are never removed,
+        so the chains added since the last call are the tail of the
+        mask's chain dict: the index only ever appends them.
+        """
+        chains = self._groups if mask is None else self._masks[mask]
+        indexed, postings = self._posting_index.get(mask, (0, {}))
+        if indexed < len(chains):
+            for key in islice(chains, indexed, None):
+                for item in enumerate(key):
+                    postings.setdefault(item, []).append(key)
+            self._posting_index[mask] = (len(chains), postings)
+        return postings
+
+    def _select_chains(
+        self, mask: Optional[Mask], where_items: Tuple[Tuple[str, Any], ...]
+    ) -> Iterable[Tuple[Key, EpochChain]]:
+        """The ``(key, chain)`` pairs of a source mask that ``where`` keeps.
+
+        Returns them in chain insertion order, as a scan of the mask's
+        chains with an ``==`` filter would.  A filter walks the shortest
+        posting list among its items, and a filter on more than one
+        dimension tests each key it finds on every item, so it costs the
+        chains it keeps, not the chains there are.
+        """
+        chains = self._groups if mask is None else self._masks[mask]
+        if not where_items:
+            return chains.items()
+        if any(value != value for _dim, value in where_items):
+            return ()  # NaN == NaN is false: no key matches, not even its own NaN
+        source = self.dims if mask is None else mask
+        where_idx = [(source.index(dim), value) for dim, value in where_items]
+        postings = self._postings(mask)
+        keys = min((postings.get(item, ()) for item in where_idx), key=len)
+        if len(where_idx) > 1:
+            keys = [
+                key for key in keys
+                if all(key[i] == value for i, value in where_idx)
+            ]
+        return [(key, chains[key]) for key in keys]
 
     def query(
         self,
@@ -645,9 +700,8 @@ class CubeStore(StoreBase):
             return tuple(key[i] for i in group_idx)
 
         chosen: Dict[Key, List[Segment]] = {}
-        chains = self._groups if serving is None else self._masks[serving]
-        for key, chain in chains.items():
-            if not matches(key) or not chain.base:
+        for key, chain in self._select_chains(serving, where_items):
+            if not chain.base:
                 continue
             sub = chain.plan(
                 lo_epoch, hi_epoch, use_rollups=use_rollups, slack_lo=slack_lo

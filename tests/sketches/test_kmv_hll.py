@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -158,3 +159,34 @@ class TestRankKernel:
         for item in items:
             looped.update(item)
         assert np.array_equal(batched._registers, looped._registers)
+
+
+def _per_register_estimate(hll: HyperLogLog) -> float:
+    """The estimator summed register by register: the histogram's reference."""
+    m = hll.m
+    alpha = {16: 0.673, 32: 0.697, 64: 0.709}.get(m, 0.7213 / (1.0 + 1.079 / m))
+    estimate = alpha * m * m / np.sum(2.0 ** -hll._registers.astype(np.float64))
+    zeros = int(np.count_nonzero(hll._registers == 0))
+    if estimate <= 2.5 * m and zeros:
+        return m * math.log(m / zeros)
+    return float(estimate)
+
+
+class TestRankHistogramEstimate:
+    """``distinct()`` from one rank histogram is bit-equal to the per-register sum."""
+
+    @pytest.mark.parametrize("p", range(4, 19))
+    def test_real_streams(self, p):
+        rng = np.random.default_rng(100 + p)
+        for size in (1, 50, 3_000, 200_000):
+            hll = HyperLogLog(p=p, seed=p)
+            hll.update_batch(rng.integers(0, 2**62, size=size).tolist())
+            assert hll.distinct() == _per_register_estimate(hll)
+
+    @pytest.mark.parametrize("p", range(4, 19))
+    def test_all_zero_and_all_max_rank_registers(self, p):
+        empty = HyperLogLog(p=p)
+        assert empty.distinct() == _per_register_estimate(empty) == 0.0
+        full = HyperLogLog(p=p)
+        full._registers[:] = 65 - p  # the largest rank a register can hold
+        assert full.distinct() == _per_register_estimate(full)

@@ -17,6 +17,8 @@ view cache, all-or-nothing compaction, and persistence.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,14 @@ class TestValidation:
         with pytest.raises(ParameterError):
             cube.ingest([{"region": ["eu"], "device": "ios", "v": 1}])
 
+    @pytest.mark.parametrize("bad", [["eu"], {"eu": 1}, ("eu",), b"eu"])
+    def test_non_scalar_where_value(self, bad):
+        # rejected before the view-cache key is hashed or an index read
+        cube = _small_cube()
+        cube.ingest(_records(8))
+        with pytest.raises(ParameterError, match="JSON scalar"):
+            cube.query(0, 1, where={"region": bad})
+
     def test_unknown_where_dimension(self):
         cube = _small_cube()
         cube.ingest(_records(8))
@@ -267,6 +277,139 @@ class TestResultShape:
         cube.ingest(_records(8))
         result = cube.query(100, 120)
         assert result.members["count"].n == 0
+
+
+# ---------------------------------------------------------------------------
+# Chain selection: the posting index selects what an == scan selects
+# ---------------------------------------------------------------------------
+
+SELECT_DIMS = ("region", "service", "flag")
+#: per dimension, the values records draw from; 1, 1.0 and True are
+#: hash-equal, so a key holding one of them shares a chain with the others
+SELECT_POOLS = (
+    ("eu", "us", "ap", 1, None),
+    ("s0", "s1", True, 2.5, 0),
+    (True, "x", None, False, 1.0),
+)
+#: where values probed on every dimension besides its pool: an absent
+#: value and every spelling of the hash-equal 1/True and 0/False
+SELECT_PROBES = ("absent", 1, 1.0, True, 0, 0.0, False)
+
+
+def _select_records(n: int, seed: int, width: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    records = [
+        {
+            **{
+                dim: pool[int(rng.integers(0, width))]
+                for dim, pool in zip(SELECT_DIMS, SELECT_POOLS)
+            },
+            "v": int(rng.integers(0, 9)),
+        }
+        for _ in range(n)
+    ]
+    return records, rng.integers(0, 8, size=n).astype(float).tolist()
+
+
+def _assert_selection_matches_scan(cube: CubeStore) -> int:
+    """Every source mask x every dimension subset x every where value
+    combination: the index returns the scan's (key, chain) pairs, in
+    the scan's order.  Returns the number of filters checked."""
+    checked = 0
+    for mask in [None, *cube.materialized_masks()]:
+        source = cube.dims if mask is None else mask
+        chains = cube._groups if mask is None else cube._masks[mask]
+        for r in range(len(source) + 1):
+            for dims in combinations(source, r):
+                idx = [source.index(dim) for dim in dims]
+                pools = [
+                    SELECT_POOLS[SELECT_DIMS.index(dim)] + SELECT_PROBES
+                    for dim in dims
+                ]
+                for values in product(*pools):
+                    where = tuple(zip(dims, values))
+                    got = cube._select_chains(mask, where)
+                    want = [
+                        (key, chain)
+                        for key, chain in chains.items()
+                        if all(key[i] == value for i, value in zip(idx, values))
+                    ]
+                    assert [(k, id(c)) for k, c in got] == [
+                        (k, id(c)) for k, c in want
+                    ], (mask, where)
+                    checked += 1
+    return checked
+
+
+class TestChainSelection:
+    WORKLOAD = [
+        {},
+        {"group_by": ["region"]},
+        {"group_by": ["service", "flag"]},
+        {"where": ["region", "flag"]},
+    ]
+
+    def _cube(self) -> CubeStore:
+        cube = CubeStore(width=1.0, dims=SELECT_DIMS)
+        cube.add_member("count", "exact_counter", field="v")
+        return cube
+
+    def test_index_matches_scan_through_the_store_lifecycle(self, tmp_path):
+        path = str(tmp_path / "cube")
+        cube = self._cube()
+        cube.ingest(*_select_records(120, seed=31, width=3))
+        assert _assert_selection_matches_scan(cube) > 0
+
+        cube.compact(workload=self.WORKLOAD)  # first mask chains
+        assert len(cube.materialized_masks()) >= 3
+        _assert_selection_matches_scan(cube)
+        mask_chains = {m: len(c) for m, c in cube._masks.items()}
+
+        # new full keys, and re-ingest into cells the masks already cover
+        base_chains = len(cube._groups)
+        cube.ingest(*_select_records(200, seed=32, width=5))
+        assert len(cube._groups) > base_chains
+        assert cube.query(0, 8).plan.stale_epochs > 0
+        _assert_selection_matches_scan(cube)
+
+        cube.compact(workload=self.WORKLOAD)  # new chains in indexed masks
+        assert any(len(cube._masks[m]) > n for m, n in mask_chains.items())
+        _assert_selection_matches_scan(cube)
+
+        cube.save(path)
+        restored = CubeStore.open(path)
+        assert restored.fingerprint() == cube.fingerprint()
+        _assert_selection_matches_scan(restored)
+
+        durable = CubeStore.open_durable(path)
+        records, keys = _select_records(60, seed=33, width=5)
+        for record in records[::2]:
+            record["region"] = "wal-only"  # chains only the log holds
+        durable.ingest(records, keys)
+        durable.wal.close()
+        recovered, _report = CubeStore.recover(path)
+        assert recovered.fingerprint() == durable.fingerprint()
+        assert any(key[0] == "wal-only" for key in recovered._groups)
+        _assert_selection_matches_scan(recovered)
+
+    def test_hash_equal_where_values_select_the_same_chains(self):
+        cube = CubeStore(width=1.0, dims=("service",))
+        cube.add_member("count", "exact_counter", field="v")
+        cube.ingest([{"service": True, "v": 1}, {"service": "s0", "v": 2}])
+        for value in (True, 1, 1.0):
+            result = cube.query(0, 1, where={"service": value})
+            assert result.members["count"].n == 1
+        assert cube.query(0, 1, where={"service": 0}).members["count"].n == 0
+
+    def test_nan_where_value_selects_nothing(self):
+        # NaN equals nothing, not even itself, so no chain matches it
+        nan = float("nan")
+        cube = CubeStore(width=1.0, dims=("region", "flag"))
+        cube.add_member("count", "exact_counter", field="v")
+        cube.ingest([{"region": nan, "flag": 1, "v": 1}])
+        for where in ((("region", nan),), (("region", nan), ("flag", 1))):
+            assert list(cube._select_chains(None, where)) == []
+        assert cube.query(0, 1, where={"region": nan}).members["count"].n == 0
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,25 @@ class TestSimulate:
                      "--input", str(small), "--nodes", "16"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--type", "kll_quantiles", "--arg", "k=32"],
+         ["--type", "bottom_k_sample", "--arg", "k=16", "--loss", "0.2"]],
+    )
+    def test_simulate_seed_fixes_the_root_bytes(self, stream_file, tmp_path, argv):
+        # randomized summaries get per-leaf generators derived from --seed
+        roots = []
+        for run in range(2):
+            out = tmp_path / f"root{run}.json"
+            assert main(["simulate", *argv, "--input", str(stream_file),
+                         "--nodes", "8", "--seed", "7", "--out", str(out)]) == 0
+            roots.append(out.read_bytes())
+        assert roots[0] == roots[1]
+        other = tmp_path / "other.json"
+        assert main(["simulate", *argv, "--input", str(stream_file),
+                     "--nodes", "8", "--seed", "8", "--out", str(other)]) == 0
+        assert other.read_bytes() != roots[0]
+
     @pytest.mark.parametrize("topology", ["balanced", "kary", "random"])
     def test_simulate_zero_nodes_fails(self, stream_file, topology, capsys):
         assert main(["simulate", "--type", "misra_gries", "--arg", "k=8",
@@ -233,6 +252,25 @@ class TestPlan:
         out = capsys.readouterr().out
         assert out.startswith("schedule '4-ary': leaves=9, merges=8")
         assert self._pairs(out) == kary_tree(9).steps
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--strategy", "chain", "--count", "3"],
+         ["--topology", "chain", "--nodes", "3"],
+         ["--topology", "balanced", "--nodes", "3"]],
+    )
+    def test_seed_on_a_deterministic_shape_fails(self, argv, capsys):
+        with pytest.raises(SystemExit, match="only meaningful with a randomized"):
+            main(["plan", *argv, "--seed", "3"])
+        assert capsys.readouterr().out == ""
+
+    def test_random_topology_is_seeded(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(["plan", "--topology", "random", "--nodes", "6",
+                         "--seed", "3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0].startswith("schedule 'random'")
 
     @pytest.mark.parametrize(
         "argv",
