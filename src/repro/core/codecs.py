@@ -26,6 +26,10 @@ Registered codecs
     fault-tolerance work).  This is the default codec.  Every format-2
     envelope has been written with its checksum, so one without it is
     rejected: a damaged key must not switch the integrity check off.
+    The state is stored in its canonical form, so a reader checks the
+    CRC over the state bytes as stored and parses only those; envelopes
+    from older writers (state keys in ``to_dict`` order) are checked by
+    re-encoding the parsed state.
 
 ``binary.v1``
     A compact binary codec: struct-packed header (magic, version, type
@@ -44,9 +48,10 @@ from __future__ import annotations
 
 import abc
 import json
+import re
 import struct
 import zlib
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .base import Summary
 from .exceptions import ReproError, SerializationError
@@ -66,6 +71,7 @@ __all__ = [
     "dumps",
     "loads",
     "state_checksum",
+    "trailing_checksum",
     "to_envelope",
     "from_envelope",
 ]
@@ -101,6 +107,19 @@ def _registered_state(summary: Summary) -> tuple:
             "@register_summary before serializing"
         )
     return name, summary.to_dict()
+
+
+def _canonical_payload(summary: Summary) -> Tuple[str, str]:
+    """``(registry name, canonical state JSON)``, what the checksummed
+    codecs store; raise for states JSON cannot carry."""
+    name, state = _registered_state(summary)
+    try:
+        return name, _canonical_state(state)
+    except (TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"summary state of {type(summary).__name__} is not "
+            f"JSON-compatible: {exc}"
+        ) from exc
 
 
 def _restore(name: Any, state: Any) -> Summary:
@@ -269,11 +288,96 @@ class JsonCodecV1(_JsonCodec):
     _version = 1
 
 
+_CHECKSUM_SUFFIX = b',"checksum":'
+
+
+def trailing_checksum(data: bytes) -> Optional[Tuple[int, int]]:
+    """``(offset, N)`` when ``data`` ends in ``,"checksum":N}`` with ``N``
+    written as a JSON integer, ``offset`` being where that suffix starts;
+    ``None`` otherwise.
+
+    The canonical writers splice their checksum in last this way: the
+    ``json.v2`` envelope and the store manifest.
+    """
+    end = data.rfind(_CHECKSUM_SUFFIX)
+    digits = data[end + len(_CHECKSUM_SUFFIX) : -1]
+    if (
+        end < 0
+        or not data.endswith(b"}")
+        or not digits.isdigit()
+        or (digits[:1] == b"0" and len(digits) > 1)
+    ):
+        return None
+    return end, int(digits)
+
+
+#: how :meth:`JsonCodecV2.encode` starts a payload,
+#: ``{"format":2,"type":"<name>","state":<canonical state>,"checksum":N}``
+_V2_HEAD = b'{"format":2,"type":"'
+_V2_STATE = b'","state":'
+#: a type name that stands for itself inside a JSON string
+_PLAIN_NAME = re.compile(rb"[\w.\-]+")
+
+
+def _stored_state(payload: Payload) -> Optional[Tuple[str, Any]]:
+    """``(type name, state)`` of a payload in the layout ``encode`` writes
+    whose CRC over the state bytes, as stored, matches its checksum.
+
+    ``None`` for any other payload, including one whose state slice
+    fails the CRC or does not parse: the caller then runs the full
+    envelope check, so this path decides nothing that check would not.
+    """
+    if isinstance(payload, str):
+        try:
+            payload = payload.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    elif not isinstance(payload, bytes):
+        return None
+    if not payload.startswith(_V2_HEAD):
+        return None
+    start = payload.find(_V2_STATE, len(_V2_HEAD))
+    tail = trailing_checksum(payload)
+    if start < 0 or tail is None or tail[0] <= start + len(_V2_STATE):
+        return None
+    end, checksum = tail
+    name = payload[len(_V2_HEAD) : start]
+    if not _PLAIN_NAME.fullmatch(name):
+        return None
+    stored = memoryview(payload)[start + len(_V2_STATE) : end]
+    if zlib.crc32(stored) != checksum:
+        return None
+    try:
+        state = json.loads(str(stored, "utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        return None
+    return name.decode("ascii"), state
+
+
 class JsonCodecV2(_JsonCodec):
     """Current JSON envelope: format 2 with CRC32 state checksum."""
 
     name = "json.v2"
     _version = 2
+
+    def encode(self, summary: Summary) -> str:
+        # the same bytes as dumping to_envelope() with the state's keys
+        # sorted, but the state is serialized once: its canonical text is
+        # both what the checksum covers and what the envelope carries
+        name, canonical = _canonical_payload(summary)
+        checksum = zlib.crc32(canonical.encode("utf-8"))
+        return (
+            f'{{"format":2,"type":{json.dumps(name)},"state":{canonical},'
+            f'"checksum":{checksum}}}'
+        )
+
+    def decode(self, payload: Payload) -> Summary:
+        stored = _stored_state(payload)
+        if stored is None:
+            # any other layout (older writers, format 1, damage): parse
+            # the whole envelope and check the re-encoded state
+            return super().decode(payload)
+        return _restore(*stored)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +413,8 @@ class BinaryCodecV1(Codec):
     _version = 1
 
     def encode(self, summary: Summary) -> bytes:
-        type_name, state = _registered_state(summary)
-        try:
-            raw = _canonical_state(state).encode("utf-8")
-        except (TypeError, ValueError) as exc:
-            raise SerializationError(
-                f"summary state of {type(summary).__name__} is not "
-                f"JSON-compatible: {exc}"
-            ) from exc
+        type_name, canonical = _canonical_payload(summary)
+        raw = canonical.encode("utf-8")
         body = zlib.compress(raw, level=6)
         name_bytes = type_name.encode("utf-8")
         header = _BINARY_HEADER.pack(

@@ -287,5 +287,14 @@ class KLLQuantiles(QuantileSummary):
         sketch._levels = [[float(v) for v in buffer] for buffer in payload["levels"]]
         if not sketch._levels:
             sketch._levels = [[]]
-        sketch._n = payload["n"]
+        # every sample at level i stands for 2**i items, and compaction,
+        # weighted updates and merges all keep that total equal to n
+        n = payload["n"]
+        weight = sum(len(buffer) << level for level, buffer in enumerate(sketch._levels))
+        if type(n) is not int or n != weight:
+            raise ParameterError(
+                f"n must be the integer total weight of the levels, {weight}; "
+                f"got {n!r}"
+            )
+        sketch._n = n
         return sketch

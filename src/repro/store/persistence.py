@@ -115,7 +115,7 @@ import zlib
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.codecs import decode_summary, encode_summary
+from ..core.codecs import decode_summary, encode_summary, trailing_checksum
 from ..core.exceptions import SerializationError
 from ..core.fsio import Filesystem, REAL_FS, write_file_durable
 from .chain import EpochChain
@@ -374,6 +374,17 @@ def _manifest_checksum(manifest: Dict[str, Any]) -> int:
     return zlib.crc32(_canonical_manifest(manifest)) & 0xFFFFFFFF
 
 
+def _stored_checksum_matches(raw: bytes) -> bool:
+    """True when ``raw`` is laid out as :func:`save` writes a manifest —
+    canonical body, checksum spliced in last — and the CRC over that
+    body, as stored, equals the checksum."""
+    tail = trailing_checksum(raw)
+    if tail is None:
+        return False
+    end, checksum = tail
+    return zlib.crc32(b"}", zlib.crc32(memoryview(raw)[:end])) == checksum
+
+
 def _read_manifest(path: str, fs: Filesystem) -> Dict[str, Any]:
     manifest_path = _manifest_path(path)
     try:
@@ -393,7 +404,9 @@ def _read_manifest(path: str, fs: Filesystem) -> Dict[str, Any]:
             f"{path}: unsupported store manifest format "
             f"{manifest.get('format')!r}"
         )
-    if "checksum" in manifest:
+    # a format-4 manifest is checked over the bytes read; other layouts
+    # (formats 1-3) by re-encoding the parsed body
+    if "checksum" in manifest and not _stored_checksum_matches(raw):
         expected = manifest["checksum"]
         actual = _manifest_checksum(manifest)
         if actual != expected:

@@ -2,18 +2,46 @@
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+from repro.core import codecs
 from repro.workloads import zipf_stream
+
+# A long fuzzing budget for property tests that do not pin their own
+# max_examples (tests/test_decode_fuzz.py); loaded only on request:
+#   HYPOTHESIS_PROFILE=long python -m pytest tests/test_decode_fuzz.py
+settings.register_profile("long", max_examples=5_000, deadline=None)
+if os.environ.get("HYPOTHESIS_PROFILE") == "long":
+    settings.load_profile("long")
 
 
 @pytest.fixture
 def rng():
     """A seeded generator; tests stay deterministic."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def reference_checks(monkeypatch):
+    """The JSON envelopes checked by re-encoding their parsed state.
+
+    A ``json.v2`` payload whose state is stored canonically is checked
+    over its stored bytes and never shows up here.
+    """
+    calls = []
+    original = codecs.from_envelope
+
+    def counting(envelope):
+        calls.append(envelope)
+        return original(envelope)
+
+    monkeypatch.setattr(codecs, "from_envelope", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

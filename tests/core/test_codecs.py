@@ -8,6 +8,10 @@ checked combinatorially:
   codec with **byte-identical** ``to_dict()`` state;
 - :func:`decode_summary` auto-detects each codec's payloads;
 - legacy payloads (format-1 envelopes, no checksum) still load;
+- ``json.v2`` writes the state in canonical form, byte-identical to
+  dumping the envelope with the state's keys sorted, and reads it with
+  a CRC over the stored state bytes; envelopes whose state is not
+  stored canonically still load through the re-encode check;
 - corruption — bit flips, truncation, wrong magic, checksum edits —
   is detected, never silently decoded.
 """
@@ -31,6 +35,7 @@ from repro.core import (
 from repro.core.codecs import (
     _BINARY_MAGIC,
     DEFAULT_CODEC,
+    from_envelope,
     state_checksum,
     to_envelope,
 )
@@ -109,6 +114,90 @@ class TestConformanceMatrix:
         text = encode_summary(bulky, codec="json.v2").encode("utf-8")
         binary = encode_summary(bulky, codec="binary.v1")
         assert len(binary) < len(text)
+
+
+def _sorted_keys(value):
+    """``value`` with every dict's keys in sorted order, at every level."""
+    if isinstance(value, dict):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_sorted_keys(item) for item in value]
+    return value
+
+
+class TestJsonV2Layout:
+    """The json.v2 payload is canonical, and read over its stored bytes."""
+
+    def test_payload_is_the_envelope_with_sorted_state_keys(self, instances, monkeypatch):
+        for name, summary in instances.items():
+            state = summary.to_dict()
+            # pin the state: randomized types draw a new seed per to_dict
+            monkeypatch.setattr(summary, "to_dict", lambda state=state: state)
+            payload = encode_summary(summary, "json.v2")
+            envelope = {
+                "format": 2,
+                "type": name,
+                "state": _sorted_keys(state),
+                "checksum": state_checksum(state),
+            }
+            assert payload == json.dumps(envelope, separators=(",", ":")), name
+            # sorting the keys moves bytes but never changes the length
+            envelope["state"] = state
+            assert len(payload) == len(json.dumps(envelope, separators=(",", ":")))
+            # today's reference check accepts it, with the same state
+            restored = from_envelope(json.loads(payload))
+            assert type(restored) is type(summary), name
+            assert _canonical_state(restored) == _canonical_state(summary), name
+
+    def test_canonical_payload_skips_the_reencode(self, instances, reference_checks):
+        for name, summary in instances.items():
+            payload = encode_summary(summary, "json.v2")
+            for form in (payload, payload.encode("utf-8")):
+                restored = decode_summary(form)
+                assert _canonical_state(restored) == _canonical_state(summary), name
+        assert reference_checks == []
+
+    def test_state_in_to_dict_order_loads_through_the_reencode(
+        self, instances, reference_checks
+    ):
+        """Envelopes of earlier writers kept the state's own key order."""
+        for name, summary in instances.items():
+            state = summary.to_dict()
+            payload = json.dumps(
+                {"format": 2, "type": name, "state": state,
+                 "checksum": state_checksum(state)},
+                separators=(",", ":"),
+            )
+            reference_checks.clear()
+            restored = decode_summary(payload.encode("utf-8"))
+            assert _canonical_state(restored) == _canonical_state(summary), name
+            stored_canonically = json.dumps(state) == json.dumps(_sorted_keys(state))
+            assert len(reference_checks) == (0 if stored_canonically else 1), name
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.replace('"n":3', '"n":4'),  # state byte, checksum kept
+            lambda p: p.replace('"checksum":', '"checksum":1'),
+            lambda p: p[:-1],
+            lambda p: p.replace('"checksum":', '"chksum":'),
+        ],
+        ids=["state", "checksum", "truncated", "checksum-key"],
+    )
+    def test_damaged_payload_is_rejected(self, edit):
+        payload = encode_summary(MisraGries(4).extend([1, 2, 2]), "json.v2")
+        damaged = edit(payload)
+        assert damaged != payload
+        for form in (damaged, damaged.encode("utf-8")):
+            with pytest.raises(SerializationError):
+                decode_summary(form)
+
+    def test_benign_edit_is_accepted_by_the_reencode(self, reference_checks):
+        """An edit that parses to the same state passes, as it always did."""
+        payload = encode_summary(MisraGries(4).extend([1, 2, 2]), "json.v2")
+        spaced = payload.replace('"state":{', '"state": {')
+        assert decode_summary(spaced).n == 3
+        assert len(reference_checks) == 1
 
 
 class TestAutoDetection:

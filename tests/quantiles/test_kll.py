@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.core import EmptySummaryError, MergeError, ParameterError, merge_all
+from repro.core import EmptySummaryError, MergeError, ParameterError, decode_summary, merge_all
 from repro.quantiles import ExactQuantiles, KLLQuantiles, MergeableQuantiles
 from repro.workloads import value_stream
 
@@ -199,3 +202,55 @@ class TestLazyGenerator:
         payload["seed"] = -1
         with pytest.raises(ValueError):
             KLLQuantiles.from_dict(payload)
+
+
+class TestImpossibleStates:
+    """A decoded state must be one some sketch can hold."""
+
+    @staticmethod
+    def _weight(payload):
+        return sum(len(buffer) << level for level, buffer in enumerate(payload["levels"]))
+
+    def test_reachable_states_keep_n_equal_to_the_level_weight(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            sketch = KLLQuantiles(8 + trial % 24, rng=trial)
+            sketch.update_batch(rng.random(int(rng.integers(0, 400))))
+            sketch.update_batch(rng.random(7), weights=rng.integers(1, 1_000, size=7))
+            sketch.update(0.5, weight=int(rng.integers(1, 2**20)))
+            other = KLLQuantiles(sketch.k, rng=trial + 100).extend(rng.random(300))
+            merged = merge_all([sketch, other])
+            for candidate in (sketch, merged):
+                payload = candidate.to_dict()
+                assert payload["n"] == self._weight(payload)
+                assert KLLQuantiles.from_dict(payload).n == candidate.n
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"n": -5, "levels": [[1.0]]},
+            {"n": 2, "levels": [[1.0]]},
+            {"n": 0, "levels": [[1.0]]},
+            {"n": 2, "levels": [[1.0], [2.0]]},
+            {"n": 1.0, "levels": [[1.0]]},
+            {"n": True, "levels": [[1.0]]},
+            {"n": "1", "levels": [[1.0]]},
+            {"n": 1, "levels": []},
+        ],
+    )
+    def test_impossible_states_raise(self, edit):
+        payload = {"k": 200, "n": 0, "levels": [[]], "seed": 1}
+        payload.update(edit)
+        with pytest.raises(ParameterError):
+            KLLQuantiles.from_dict(payload)
+
+    def test_negative_n_is_rejected_through_the_codec(self):
+        state = {"k": 200, "n": -5, "levels": [[1.0]], "seed": 1}
+        canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+        payload = json.dumps(
+            {"format": 2, "type": "kll_quantiles", "state": state,
+             "checksum": zlib.crc32(canonical.encode("utf-8"))},
+            separators=(",", ":"),
+        )
+        with pytest.raises(ParameterError):
+            decode_summary(payload)

@@ -10,16 +10,24 @@ framing never changed) — and assert that :func:`repro.store.load`
 builds the same store as a freshly built twin: identical fingerprint,
 identical answers.  A save over a legacy directory converts it to
 format 4.
+
+``fixtures/format4_json_v2/`` holds a flat store and a cube saved with
+``codec="json.v2"`` by the writer that kept each state's keys in
+``to_dict`` order (``generate.py`` there names the commit).  Their
+payloads load through the re-encode check, with segment fingerprints
+and answers equal to those pinned in ``expected.json``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from repro.core import codecs
 from repro.store import CubeStore, SegmentStore, load
 from repro.store.persistence import _manifest_checksum
 
@@ -206,3 +214,56 @@ def test_save_over_format3_directory_converts_to_packs(tmp_path, kind):
     assert reopened.fingerprint() == twin.fingerprint()
     assert answers(reopened) == answers(twin)
     assert cls.verify(target)["ok"]
+
+
+# ---------------------------------------------------------------------------
+# json.v2 payloads written before states were stored canonically
+# ---------------------------------------------------------------------------
+
+JSON_V2_FIXTURES = Path(__file__).parent / "fixtures" / "format4_json_v2"
+
+
+def _fixture_generator():
+    spec = importlib.util.spec_from_file_location(
+        "format4_json_v2_generate", JSON_V2_FIXTURES / "generate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", ["cube", "store"])
+def test_old_json_v2_fixture_loads_through_reencode_check(kind, reference_checks):
+    generate = _fixture_generator()
+    expected = json.loads((JSON_V2_FIXTURES / "expected.json").read_text())[kind]
+    manifest = json.loads((JSON_V2_FIXTURES / kind / "manifest.json").read_text())
+    assert manifest["format"] == 4 and manifest["codec"] == "json.v2"
+
+    loaded = load(JSON_V2_FIXTURES / kind)
+    # the old writer kept each state's keys in to_dict order, so those
+    # payloads fail the stored-bytes CRC and take the re-encode check
+    checked = {envelope["type"] for envelope in reference_checks}
+    assert {"kll_quantiles", "misra_gries", "hyperloglog"} <= checked
+    assert generate.segment_fingerprints(loaded) == expected["segments"]
+    assert generate.answers(JSON_V2_FIXTURES / kind) == expected["answers"]
+    assert type(loaded).verify(JSON_V2_FIXTURES / kind)["ok"]
+
+
+@pytest.mark.parametrize("kind", ["cube", "store"])
+def test_resaved_json_v2_fixture_skips_reencode_check(
+    kind, tmp_path, monkeypatch, reference_checks
+):
+    generate = _fixture_generator()
+    target = tmp_path / kind
+    load(JSON_V2_FIXTURES / kind).save(target)  # rewrites every payload
+    reference_checks.clear()
+
+    fast = generate.segment_fingerprints(load(target))
+    assert reference_checks == []
+    fast_answers = generate.answers(target)
+
+    # the same directory read through the re-encode check alone
+    monkeypatch.setattr(codecs, "_stored_state", lambda payload: None)
+    assert generate.segment_fingerprints(load(target)) == fast
+    assert reference_checks
+    assert generate.answers(target) == fast_answers

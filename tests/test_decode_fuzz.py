@@ -1,0 +1,244 @@
+"""Differential decode fuzzer: stored-bytes checks against re-encoding.
+
+``json.v2`` payloads and format-4 manifests are checked with a CRC over
+the bytes as stored; the reference check parses the whole document and
+CRCs its re-encoded canonical form.  For every single-byte flip,
+truncation or insertion of a valid payload (``json.v1``, ``json.v2``
+and ``binary.v1`` of three summary types) or of a saved manifest, the
+decoder must agree with the reference: both raise a
+:class:`~repro.core.exceptions.ReproError`, or both return the same
+canonical state (for a manifest, a store with the same segment
+fingerprints).  Any other exception fails the test.
+
+Tier-1 runs each case with the default example budget; the CI profile
+``HYPOTHESIS_PROFILE=long`` (registered in ``tests/conftest.py``) runs
+this module with a much larger one.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import ReproError, SerializationError, decode_summary, encode_summary
+from repro.core.codecs import _BINARY_MAGIC, from_envelope, get_codec
+from repro.core.fsio import REAL_FS
+from repro.frequency import MisraGries
+from repro.quantiles import KLLQuantiles
+from repro.sketches import HyperLogLog
+from repro.store import SegmentStore
+from repro.store.persistence import (
+    _ACCEPTED_MANIFEST_FORMATS,
+    _manifest_checksum,
+    _read_manifest,
+    _store_from_manifest,
+)
+
+
+def _summaries():
+    rng = np.random.default_rng(23)
+    return {
+        "misra_gries": MisraGries(8).extend(rng.zipf(1.3, 300).tolist()),
+        "kll_quantiles": KLLQuantiles(8, rng=4).extend(rng.random(120)),
+        "hyperloglog": HyperLogLog(p=4, seed=2).extend(range(200)),
+    }
+
+
+def _corpus():
+    corpus = {}
+    for name, summary in _summaries().items():
+        for codec in ("json.v1", "json.v2", "binary.v1"):
+            payload = encode_summary(summary, codec)
+            if isinstance(payload, str):
+                payload = payload.encode("utf-8")
+            corpus[f"{codec}-{name}"] = payload
+    return corpus
+
+
+CORPUS = _corpus()
+
+
+def _reference_decode(payload):
+    """Today's check before stored-bytes CRCs: parse, re-encode, compare."""
+    if isinstance(payload, bytes) and payload.startswith(_BINARY_MAGIC):
+        return get_codec("binary.v1").decode(payload)
+    if isinstance(payload, bytes):
+        try:
+            payload = payload.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(str(exc)) from exc
+    try:
+        envelope = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise SerializationError(str(exc)) from exc
+    return from_envelope(envelope)
+
+
+def _outcome(decode, payload):
+    """``None`` for a typed rejection, else the decoded canonical state."""
+    try:
+        summary = decode(payload)
+    except ReproError:
+        return None
+    return summary.registry_name, json.dumps(summary.to_dict(), sort_keys=True)
+
+
+def _mutations(size):
+    return st.one_of(
+        st.tuples(st.just("flip"), st.integers(0, size - 1), st.integers(1, 255)),
+        st.tuples(st.just("truncate"), st.integers(0, size - 1), st.just(0)),
+        st.tuples(st.just("insert"), st.integers(0, size), st.integers(0, 255)),
+    )
+
+
+def _mutate(data, mutation):
+    kind, at, byte = mutation
+    if kind == "flip":
+        out = bytearray(data)
+        out[at] ^= byte
+        return bytes(out)
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + bytes([byte]) + data[at:]
+
+
+def _assert_payload_agrees(payload):
+    forms = [payload]
+    try:
+        forms.append(payload.decode("utf-8"))  # the wire passes text too
+    except UnicodeDecodeError:
+        pass
+    for form in forms:
+        assert _outcome(decode_summary, form) == _outcome(_reference_decode, form)
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_intact_payload_decodes(case):
+    expected = _outcome(_reference_decode, CORPUS[case])
+    assert expected is not None
+    assert _outcome(decode_summary, CORPUS[case]) == expected
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_payload_matches_reference(case, data):
+    payload = CORPUS[case]
+    _assert_payload_agrees(_mutate(payload, data.draw(_mutations(len(payload)))))
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CORPUS if c.startswith("json.v2")))
+def test_every_low_bit_flip_and_truncation_matches_reference(case):
+    """Exhaustive over positions: every state byte is covered at least once."""
+    payload = CORPUS[case]
+    for at in range(len(payload)):
+        _assert_payload_agrees(_mutate(payload, ("flip", at, 1)))
+        _assert_payload_agrees(payload[:at])
+
+
+# ---------------------------------------------------------------------------
+# Manifests
+# ---------------------------------------------------------------------------
+
+
+class _ManifestBytes:
+    """A filesystem whose every file holds ``data`` (the manifest reader
+    reads one file)."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def read_bytes(self, _path):
+        return self.data
+
+
+def _reference_manifest(raw):
+    """The manifest check before stored-bytes CRCs: parse, re-encode."""
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SerializationError(str(exc)) from exc
+    if not isinstance(manifest, dict):
+        raise SerializationError("not an object")
+    if manifest.get("format") not in _ACCEPTED_MANIFEST_FORMATS:
+        raise SerializationError("format")
+    if "checksum" in manifest and manifest["checksum"] != _manifest_checksum(manifest):
+        raise SerializationError("checksum")
+    return manifest
+
+
+@pytest.fixture(scope="module")
+def saved_store(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "store"
+    store = SegmentStore(width=1.0, codec="json.v2")
+    store.add_member("hot", "misra_gries", field="value", k=4)
+    store.ingest([{"value": i % 5} for i in range(24)], [float(i // 4) for i in range(24)])
+    store.compact()
+    store.save(path)
+    return path, (path / "manifest.json").read_bytes()
+
+
+def _manifest_outcome(read, raw):
+    try:
+        return read(raw)
+    except ReproError:
+        return None
+
+
+def _fingerprints(manifest, path):
+    try:
+        store = _store_from_manifest(manifest, str(path), REAL_FS)
+    except ReproError:
+        return None
+    return [
+        segment.fingerprint()
+        for _chain_id, chain in store._chain_index()
+        for segment in chain.segments()
+    ]
+
+
+def _assert_manifest_agrees(raw, path):
+    fast = _manifest_outcome(lambda r: _read_manifest(str(path), _ManifestBytes(r)), raw)
+    reference = _manifest_outcome(_reference_manifest, raw)
+    assert (fast is None) == (reference is None)
+    if fast is not None:
+        assert fast == reference
+        assert _fingerprints(fast, path) == _fingerprints(reference, path)
+
+
+def test_intact_manifest_reads(saved_store):
+    path, raw = saved_store
+    manifest = _read_manifest(str(path), _ManifestBytes(raw))
+    assert manifest["format"] == 4
+    assert manifest == _reference_manifest(raw)
+    assert _fingerprints(manifest, path)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_matches_reference(saved_store, data):
+    path, raw = saved_store
+    _assert_manifest_agrees(_mutate(raw, data.draw(_mutations(len(raw)))), path)
+
+
+def test_every_manifest_low_bit_flip_and_truncation_matches_reference(saved_store):
+    path, raw = saved_store
+    for at in range(len(raw)):
+        _assert_manifest_agrees(_mutate(raw, ("flip", at, 1)), path)
+        _assert_manifest_agrees(raw[:at], path)
+
+
+def test_crc_valid_manifest_in_another_layout_is_reencoded(saved_store):
+    """A pretty-printed manifest is checked the old way, and still loads."""
+    path, raw = saved_store
+    manifest = json.loads(raw)
+    pretty = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
+    assert _read_manifest(str(path), _ManifestBytes(pretty)) == manifest
+    manifest["records"] += 1
+    tampered = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
+    with pytest.raises(SerializationError, match="checksum mismatch"):
+        _read_manifest(str(path), _ManifestBytes(tampered))
