@@ -26,7 +26,8 @@ the paper is relative to this quantity.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+import weakref
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +98,11 @@ class Summary(abc.ABC):
     #: auto-derived ``windowed.<name>`` combinator variants.  Drives the
     #: ``kind`` filter of :func:`repro.core.registry.registered_names`.
     summary_kind: str = "base"
+
+    #: ``(weak reference to the summary this one was copied from, n at
+    #: the copy)``, set by :meth:`_share_answer` and consumed by the
+    #: first :meth:`_kept_answer`; never pickled
+    _source: Optional[Tuple["weakref.ReferenceType[Summary]", int]] = None
 
     def __init__(self) -> None:
         self._n = 0
@@ -206,6 +212,61 @@ class Summary(abc.ABC):
         including any RNG draw ``to_dict`` makes, without serializing.
         """
         return type(self).from_dict(self.to_dict())
+
+    # ------------------------------------------------------------------
+    # Answer state kept across copies
+    # ------------------------------------------------------------------
+
+    def _share_answer(self, clone: "Summary", attr: str) -> None:
+        """Let ``clone``, a fresh copy of ``self``, reuse ``self``'s answer state.
+
+        ``attr`` names the attribute where the type keeps the state its
+        queries answer from, an ``(n, ...)`` tuple built for one ``n``.
+        If ``self`` holds it for its current ``n``, the clone shares it
+        now; otherwise the clone keeps a weak link to ``self``, which
+        its first :meth:`_kept_answer` consumes.  The link is weak so
+        that a replaced summary stays collectable.
+        """
+        state = getattr(self, attr)
+        if state is not None and state[0] == self._n:
+            setattr(clone, attr, state)
+        else:
+            clone._source = (weakref.ref(self), self._n)
+
+    def _kept_answer(self, attr: str, build: Callable[[Any], Any]) -> Any:
+        """The answer state in ``attr`` for the current ``n``, built once.
+
+        ``build(summary)`` returns the state for ``summary``'s current
+        ``n`` as an ``(n, ...)`` tuple, or ``None``.  A copy whose link
+        is still good (neither it nor its source has moved ``n`` since
+        the copy) takes the state from its source, which builds and
+        keeps it, so every later copy of the source starts with it.  Any
+        other copy drops the link and builds its own state.  ``n`` keys
+        the state because every state change raises it (weights are
+        positive, and an operand of ``n = 0`` changes nothing), so equal
+        ``n`` means equal state.  Shared state is never written in place.
+        """
+        state = getattr(self, attr)
+        if state is not None and state[0] == self._n:
+            return state
+        link = self._source
+        if link is not None:
+            self._source = None
+            source = link[0]()
+            if source is not None and link[1] == self._n == source._n:
+                state = source._kept_answer(attr, build)
+                setattr(self, attr, state)
+                return state
+        state = build(self)
+        setattr(self, attr, state)
+        return state
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # a weak reference cannot be pickled; a restored summary builds
+        # its own answer state
+        state = dict(self.__dict__)
+        state.pop("_source", None)
+        return state
 
     # ------------------------------------------------------------------
     # Merge protocol

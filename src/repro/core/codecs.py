@@ -276,8 +276,9 @@ class _JsonCodec(Codec):
                 raise SerializationError(f"invalid JSON payload: {exc}") from exc
         try:
             envelope = json.loads(payload)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"invalid JSON payload: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the parser's stack
+            raise SerializationError(f"invalid JSON payload: {exc!r}") from exc
         return from_envelope(envelope)
 
 
@@ -349,7 +350,7 @@ def _stored_state(payload: Payload) -> Optional[Tuple[str, Any]]:
         return None
     try:
         state = json.loads(str(stored, "utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+    except (ValueError, RecursionError):  # UnicodeDecodeError, JSONDecodeError
         return None
     return name.decode("ascii"), state
 
@@ -459,8 +460,8 @@ class BinaryCodecV1(Codec):
             )
         try:
             state = json.loads(raw.decode("utf-8"))
-        except ValueError as exc:
-            raise SerializationError(f"invalid binary state JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise SerializationError(f"invalid binary state JSON: {exc!r}") from exc
         return _restore(type_name, state)
 
 

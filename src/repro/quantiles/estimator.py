@@ -22,11 +22,21 @@ from the level structure on every call.  :meth:`QuantileSummary._sorted_view`
 materializes the sorted values and their cumulative weights **once per
 summary generation**: the view is keyed on ``n``, which strictly
 increases on every state mutation (updates and merges only accept
-positive weights), so a stale view can never be served.  Summaries opt
-in by implementing :meth:`_sample_state`; queries then collapse to
-``np.searchsorted`` lookups and :meth:`quantiles` answers a whole batch
-of probabilities with one vectorized search.  ``view_stats`` exposes
-hit/miss counters for the benchmarks.
+positive weights, and a merge skips an ``n = 0`` operand), so a stale
+view can never be served.  Summaries opt in by implementing
+:meth:`_sample_state`; queries then collapse to ``np.searchsorted``
+lookups and :meth:`quantiles` answers a whole batch of probabilities
+with one vectorized search.
+
+A native ``copy()`` (KLL's) passes the view on through
+:meth:`~repro.core.base.Summary._share_answer`: the copy shares the
+source's view when the source holds one for its ``n``, and otherwise
+keeps a weak link that its first query consumes.  If neither side has
+moved ``n`` by then, the view is built on the source and shared, so a
+stored store cell answered through fresh copies builds its view once,
+not once per query.  View arrays are read-only, because copies share
+them.  ``view_stats`` exposes hit/miss counters for the benchmarks: an
+inherited view is a hit on the copy, and its build a miss on the source.
 """
 
 from __future__ import annotations
@@ -124,30 +134,39 @@ class QuantileSummary(Summary):
     def _sorted_view(self) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
         """``(generation, sorted values, cumulative weights)`` or ``None``.
 
-        Rebuilt at most once per summary generation: the key is ``n``,
-        which every mutation strictly increases (weights are validated
-        positive everywhere), so serving a view with matching ``n`` is
-        always sound.
+        Built at most once per summary generation, on this summary or on
+        the one it was copied from (see
+        :meth:`~repro.core.base.Summary._kept_answer`): the key is
+        ``n``, which every mutation strictly increases (weights are
+        validated positive everywhere), so serving a view with matching
+        ``n`` is always sound.
         """
-        generation = self._n
-        view = self._view
-        if view is not None and view[0] == generation:
+        misses = self._view_misses
+        view = self._kept_answer("_view", QuantileSummary._build_view)
+        if view is not None and self._view_misses == misses:
             self._view_hits += 1
-            return view
+        return view
+
+    def _build_view(self) -> Optional[Tuple[int, np.ndarray, np.ndarray]]:
         state = self._sample_state()
         if state is None:
             return None
         self._view_misses += 1
-        values = np.ascontiguousarray(state[0], dtype=np.float64)
+        values = np.asarray(state[0], dtype=np.float64)
         weights = np.asarray(state[1], dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        view = (generation, values[order], np.cumsum(weights[order]))
-        self._view = view
-        return view
+        # method calls skip the np.* dispatch wrappers: a store cell's
+        # view is often a few dozen samples, where those dominate
+        order = values.argsort(kind="stable")
+        values, cumweights = values[order], weights[order].cumsum()
+        values.setflags(write=False)
+        cumweights.setflags(write=False)
+        return (self._n, values, cumweights)
 
     def invalidate_view(self) -> None:
-        """Drop the cached view (only needed after out-of-band state edits)."""
+        """Drop the cached view and any copy link (only needed after
+        out-of-band state edits)."""
         self._view = None
+        self._source = None
 
     @property
     def view_stats(self) -> Dict[str, int]:

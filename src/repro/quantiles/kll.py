@@ -238,14 +238,15 @@ class KLLQuantiles(QuantileSummary):
 
     def _merge_same_type(self, other: "KLLQuantiles") -> None:
         assert isinstance(other, KLLQuantiles)
-        while len(self._levels) < len(other._levels):
-            self._levels.append([])
-        for level, buffer in enumerate(other._levels):
-            self._levels[level].extend(buffer)
-        self._n += other._n
-        self._compress()
+        self._merge_many_same_type([other])
 
     def _merge_many_same_type(self, others) -> None:
+        # an operand of n = 0 holds no sample, but its levels could still
+        # grow the stack and re-run compaction without moving n, the key
+        # of the cached view: skip it
+        others = [other for other in others if other._n]
+        if not others:
+            return
         # concatenate every operand's levels, then ONE compaction
         # cascade over the union instead of one per operand
         for other in others:
@@ -269,6 +270,7 @@ class KLLQuantiles(QuantileSummary):
         clone = type(self)(k=self.k, rng=seed)
         clone._levels = [list(buffer) for buffer in self._levels]
         clone._n = self._n
+        self._share_answer(clone, "_view")
         return clone
 
     def to_dict(self) -> Dict[str, Any]:

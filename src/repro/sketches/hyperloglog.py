@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import base64
 import math
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,9 @@ def _alpha(m: int) -> float:
 class HyperLogLog(Summary):
     """HyperLogLog with ``2**p`` registers (``4 <= p <= 18``)."""
 
+    #: ``(n, distinct())``, kept for the ``n`` it was computed at
+    _estimate: Optional[Tuple[int, float]] = None
+
     def __init__(self, p: int = 12, seed: int = 0) -> None:
         super().__init__()
         if not 4 <= p <= 18:
@@ -98,15 +101,22 @@ class HyperLogLog(Summary):
         self._n += total
 
     def distinct(self) -> float:
-        """Estimated number of distinct items observed."""
+        """Estimated number of distinct items observed.
+
+        Memoized on ``n``, which every register change raises, and
+        passed to copies (see :meth:`~repro.core.base.Summary._kept_answer`).
+        """
+        return self._kept_answer("_estimate", HyperLogLog._estimate_state)[1]
+
+    def _estimate_state(self) -> Tuple[int, float]:
         # one pass: a rank histogram dotted with 2**-r; every term is
         # dyadic, so the sum equals the per-register one on real sketches
         ranks = np.bincount(self._registers, minlength=len(_RANK_WEIGHTS))
         estimate = _alpha(self.m) * self.m * self.m / ranks.dot(_RANK_WEIGHTS)
         zeros = int(ranks[0])
         if estimate <= 2.5 * self.m and zeros:
-            return self.m * math.log(self.m / zeros)  # linear counting
-        return float(estimate)
+            estimate = self.m * math.log(self.m / zeros)  # linear counting
+        return (self._n, float(estimate))
 
     @property
     def relative_error(self) -> float:
@@ -141,6 +151,7 @@ class HyperLogLog(Summary):
         clone = type(self)(p=self.p, seed=self.seed)
         clone._registers = self._registers.copy()
         clone._n = self._n
+        self._share_answer(clone, "_estimate")
         return clone
 
     def to_dict(self) -> Dict[str, Any]:
@@ -174,6 +185,16 @@ class HyperLogLog(Summary):
             raise ParameterError(
                 f"registers must be integers in [0, {max_rank}] for p={sketch.p}"
             )
+        # every non-zero register took at least one item, and n keys the
+        # estimate memo: a smaller n would let a merge change the
+        # registers without raising n
+        n = payload["n"]
+        occupied = int(np.count_nonzero(registers))
+        if type(n) is not int or n < occupied:
+            raise ParameterError(
+                f"n must be an integer of at least {occupied}, the count of "
+                f"non-zero registers; got {n!r}"
+            )
         sketch._registers = registers.astype(np.uint8)
-        sketch._n = payload["n"]
+        sketch._n = n
         return sketch

@@ -284,7 +284,8 @@ class StoreBase:
         cells = self._build_cells(records, keys, weights)
         if self._wal is None:
             return self._install_cells(cells, len(records))
-        seq = self._wal_seq + 1
+        # past any seq a failed append used up (see repro.store.wal)
+        seq = max(self._wal_seq, self._wal.last_seq) + 1
         self._wal.append(
             seq,
             records,

@@ -258,6 +258,9 @@ class CubeStore(StoreBase):
         self._posting_index: Dict[
             Optional[Mask], Tuple[int, Dict[Tuple[int, Any], List[Key]]]
         ] = {}
+        #: needed dimensions -> the mask that serves them (``None`` = base
+        #: cells); emptied by every change to ``_masks`` or ``_stale``
+        self._serving: Dict[Mask, Optional[Mask]] = {}
 
     # ------------------------------------------------------------------
     # Schema
@@ -326,6 +329,7 @@ class CubeStore(StoreBase):
     def _after_put(self, key: Key, epoch: int) -> int:
         """Index the new base cell; drop and mark stale every mask cell over it."""
         self._epoch_keys.setdefault(epoch, set()).add(key)
+        self._serving.clear()
         dropped = 0
         for mask, chains in self._masks.items():
             coarse = self._project(key, mask)
@@ -529,6 +533,7 @@ class CubeStore(StoreBase):
         if not cells:
             for mask in chosen:
                 self._masks.setdefault(mask, {})
+        self._serving.clear()
         counters["dim_cells_built"] = len(cells)
         counters["merge_inputs"] = sum(len(parts) for parts in pending.values())
 
@@ -603,6 +608,29 @@ class CubeStore(StoreBase):
             ]
         return [(key, chains[key]) for key in keys]
 
+    def _serving_mask(self, needed: Mask) -> Optional[Mask]:
+        """The materialized mask covering ``needed`` with the fewest cells.
+
+        A mask's cells are its live cells plus its stale epochs (read
+        from base cells); ``None`` when no mask covers ``needed``.  The
+        choice is kept per ``needed`` until ``_masks`` or ``_stale``
+        change, so a query does not walk every chain of every mask.
+        """
+        if needed in self._serving:
+            return self._serving[needed]
+        serving, best_cells = None, None
+        for mask, groups in self._masks.items():
+            if not set(needed) <= set(mask):
+                continue
+            cells = sum(len(g.base) for g in groups.values())
+            cells += sum(
+                len(epochs) for epochs in self._stale.get(mask, {}).values()
+            )
+            if best_cells is None or cells < best_cells:
+                serving, best_cells = mask, cells
+        self._serving[needed] = serving
+        return serving
+
     def query(
         self,
         lo: Optional[float] = None,
@@ -673,19 +701,11 @@ class CubeStore(StoreBase):
             where=where_items,
             group_by=group_mask,
         )
-        serving: Optional[Mask] = None
-        if use_rollups and needed != self.dims:
-            best_cells = None
-            for mask, groups in self._masks.items():
-                if not set(needed) <= set(mask):
-                    continue
-                cells = sum(len(g.base) for g in groups.values())
-                cells += sum(
-                    len(epochs)
-                    for epochs in self._stale.get(mask, {}).values()
-                )
-                if best_cells is None or cells < best_cells:
-                    serving, best_cells = mask, cells
+        serving = (
+            self._serving_mask(needed)
+            if use_rollups and needed != self.dims
+            else None
+        )
         plan.serving_mask = serving
 
         source_mask = serving if serving is not None else self.dims
@@ -837,6 +857,7 @@ class CubeStore(StoreBase):
                 self._epoch_keys.setdefault(epoch, set()).add(key)
         else:
             self._masks.setdefault(chain_id[1], {})[chain_id[2]] = chain
+            self._serving.clear()
 
     def _manifest_extra(self) -> Dict[str, Any]:
         return {
@@ -854,6 +875,7 @@ class CubeStore(StoreBase):
         }
 
     def _apply_manifest_extra(self, manifest: Dict[str, Any]) -> None:
+        self._serving.clear()
         if "chains" in manifest:
             for mask in manifest.get("masks", []):
                 self._masks.setdefault(tuple(mask), {})

@@ -236,7 +236,7 @@ def _parse_segment(blob: bytes, path: str) -> Segment:
         raise SerializationError(f"{path}: truncated segment metadata")
     try:
         meta = json.loads(meta_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SerializationError(f"{path}: corrupt segment metadata") from exc
     if not isinstance(meta, dict):
         raise SerializationError(f"{path}: corrupt segment metadata")
@@ -395,7 +395,8 @@ def _read_manifest(path: str, fs: Filesystem) -> Dict[str, Any]:
         raise SerializationError(f"{path}: cannot read store manifest") from exc
     try:
         manifest = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack
         raise SerializationError(f"{path}: corrupt store manifest") from exc
     if not isinstance(manifest, dict):
         raise SerializationError(f"{path}: corrupt store manifest")

@@ -128,14 +128,18 @@ class Segment:
         equal fingerprints are indistinguishable to every query, so
         "recovery restored this segment" can be asserted byte-for-byte
         without comparing container files (which may differ in codec).
+        Some types draw the next seed from their coin stream in
+        ``to_dict``; the digest hashes the state of a deep copy, which
+        copies the stream, so it repeats and moves no stream.
         """
+        import copy
         import hashlib
         import json
 
         state = {
             "meta": self.meta(),
             "members": {
-                name: summary.to_dict()
+                name: copy.deepcopy(summary).to_dict()
                 for name, summary in sorted(self.members.items())
             },
         }

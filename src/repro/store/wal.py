@@ -15,8 +15,10 @@ On-disk format
 
 A WAL is a directory of append-only files, ``wal-<NNNNNN>.log``.  Each
 writer instance appends to a *fresh* file (ids increase monotonically),
-so a torn tail from a previous crash is never appended after.  The
-framing::
+so a torn tail from a previous crash is never appended after.  An
+append that raises may have left a torn frame, so the writer abandons
+that file and its next append opens a fresh one; the failed batch's
+``seq`` stays used, so no later batch can share it.  The framing::
 
     file header: b"RWAL" | u8 version (1)
     per record:  u32 body_len | u32 crc32(body) | body
@@ -61,7 +63,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..core.exceptions import SerializationError
 from ..core.fsio import Filesystem, REAL_FS
@@ -177,6 +179,7 @@ def scan_wal(path: str, fs: Optional[Filesystem] = None) -> WalScan:
             scan.error = "frame CRC mismatch"
             return scan
         try:
+            # RecursionError: nesting deeper than the parser's stack
             payload = json.loads(body.decode("utf-8"))
             seq = int(payload["seq"])
             record = WalRecord(
@@ -190,7 +193,7 @@ def scan_wal(path: str, fs: Optional[Filesystem] = None) -> WalScan:
                 ),
             )
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
-                ValueError, OverflowError) as exc:
+                ValueError, OverflowError, RecursionError) as exc:
             scan.error = f"malformed frame body: {exc!r}"
             return scan
         if seq <= last_seq:
@@ -208,11 +211,12 @@ def scan_wal(path: str, fs: Optional[Filesystem] = None) -> WalScan:
 class WriteAheadLog:
     """Appender for a store's WAL directory.
 
-    Each instance writes one fresh ``wal-<id>.log`` (created lazily on
-    the first append, so an idle writer leaves no file behind).
-    ``fsync_every`` is the batching policy described in the module
-    docstring.  :meth:`retire` is called after a durable snapshot to
-    delete files the snapshot fully covers.
+    Each instance writes fresh ``wal-<id>.log`` files (created lazily on
+    the first append, so an idle writer leaves no file behind; a new one
+    after :meth:`close` or a failed append).  ``fsync_every`` is the
+    batching policy described in the module docstring.  :meth:`retire`
+    is called after a durable snapshot to delete files the snapshot
+    fully covers.
     """
 
     def __init__(
@@ -236,6 +240,8 @@ class WriteAheadLog:
         self._pending = 0
         self._last_seq = 0
         self._records_logged = 0
+        #: files this writer closed cleanly -> the last seq written there
+        self._closed: Dict[str, int] = {}
 
     def _scan_next_file_id(self) -> int:
         highest = 0
@@ -273,6 +279,25 @@ class WriteAheadLog:
         self._fs.write(self._handle, WAL_MAGIC + _U8.pack(WAL_VERSION))
         self._dir_synced = False
 
+    def _abandon(self) -> None:
+        """Stop appending to a file whose last append failed.
+
+        The failed write may have left a torn frame, and a scan stops at
+        the first damage, so any frame appended after it would be lost.
+        The frames before it are synced if the disk still allows; the
+        file is left for :meth:`retire` to scan and for recovery to
+        quarantine if it is torn.
+        """
+        handle, self._handle, self._path = self._handle, None, None
+        self._pending = 0
+        if handle is None:
+            return
+        for step in (self._fs.fsync, self._fs.close):
+            try:
+                step(handle)
+            except OSError:
+                pass  # best effort: the caller sees the append's own error
+
     def append(
         self,
         seq: int,
@@ -294,14 +319,19 @@ class WriteAheadLog:
                 weights=None if weights is None else [int(w) for w in weights],
             )
         )
-        if self._handle is None:
-            self._open_fresh()
-        self._fs.write(self._handle, frame)
+        # a failed append uses up its seq: its frame may be whole on disk
         self._last_seq = seq
-        self._records_logged += 1
-        self._pending += 1
-        if self.fsync_every and self._pending >= self.fsync_every:
-            self.sync()
+        try:
+            if self._handle is None:
+                self._open_fresh()
+            self._fs.write(self._handle, frame)
+            self._records_logged += 1
+            self._pending += 1
+            if self.fsync_every and self._pending >= self.fsync_every:
+                self.sync()
+        except BaseException:
+            self._abandon()
+            raise
 
     def sync(self) -> None:
         """Force the log durable: fsync the file (and, once, its dirent)."""
@@ -319,6 +349,7 @@ class WriteAheadLog:
             return
         self.sync()
         self._fs.close(self._handle)
+        self._closed[self._path] = self._last_seq
         self._handle = None
         self._path = None
 
@@ -328,7 +359,10 @@ class WriteAheadLog:
         A file is retired only when it parses *cleanly* and every frame
         has ``seq <= upto_seq`` — a torn file is left for
         :func:`~repro.store.persistence.recover_store` to quarantine,
-        never silently dropped here.  Returns the number of files
+        never silently dropped here.  A file this writer closed cleanly
+        is not read again: the writer knows its last seq.  Any other
+        file (another writer's, or one this writer abandoned after a
+        failed append) is scanned.  Returns the number of files
         removed.  Post-commit cleanup: crashing mid-retire just leaves
         files whose frames the next recovery skips by sequence.
         """
@@ -339,10 +373,16 @@ class WriteAheadLog:
         for path in wal_files(self.directory, self._fs):
             if path == self._path:
                 continue
-            scan = scan_wal(path, self._fs)
-            if scan.torn or scan.last_seq > upto_seq:
+            last_seq = self._closed.get(path)
+            if last_seq is None:
+                scan = scan_wal(path, self._fs)
+                if scan.torn:
+                    continue
+                last_seq = scan.last_seq
+            if last_seq > upto_seq:
                 continue
             self._fs.remove(path)
+            self._closed.pop(path, None)
             removed += 1
         if removed:
             self._fs.fsync_dir(self.directory)

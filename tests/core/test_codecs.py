@@ -322,3 +322,36 @@ class TestMalformedState:
             decode_summary(_binary_frame(b"\xff", b"{}"))
         with pytest.raises(SerializationError):
             decode_summary(_binary_frame(b"misra_gries", b"not json"))
+
+
+_DEEP = "[" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the parser's stack raises
+    :class:`SerializationError`, never an untyped ``RecursionError``."""
+
+    @pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+    def test_nested_payload(self, as_bytes):
+        with pytest.raises(SerializationError):
+            decode_summary(_DEEP.encode("ascii") if as_bytes else _DEEP)
+
+    def test_nested_state_after_a_json_v2_head(self):
+        with pytest.raises(SerializationError):
+            decode_summary('{"format":2,"type":"kll_quantiles","state":' + _DEEP)
+
+    def test_nested_state_whose_crc_matches(self):
+        # the stored-state fast path parses only a slice that passed its
+        # CRC; the slice must still fail typed
+        state = ("[" * 5_000 + "]" * 5_000).encode("ascii")
+        payload = (
+            b'{"format":2,"type":"kll_quantiles","state":'
+            + state
+            + b',"checksum":%d}' % zlib.crc32(state)
+        )
+        with pytest.raises(SerializationError):
+            decode_summary(payload)
+
+    def test_nested_binary_body_whose_crc_matches(self):
+        with pytest.raises(SerializationError):
+            decode_summary(_binary_frame(b"kll_quantiles", _DEEP.encode("ascii")))

@@ -244,6 +244,23 @@ class TestImpossibleStates:
         with pytest.raises(ParameterError):
             KLLQuantiles.from_dict(payload)
 
+    @pytest.mark.parametrize("fold", ["merge", "merge_many"])
+    def test_empty_operand_with_extra_levels_changes_nothing(self, fold):
+        # n keys the cached view, so a merge that leaves n alone must
+        # leave the levels alone too, whatever levels the operand lists
+        sketch = KLLQuantiles(20, rng=4).extend(np.random.default_rng(9).random(500))
+        view = sketch.quantiles([0.1, 0.5, 0.9])
+        levels = [list(buffer) for buffer in sketch._levels]
+        empty = KLLQuantiles.from_dict({"k": 20, "n": 0, "levels": [[]] * 12, "seed": 3})
+        if fold == "merge":
+            sketch.merge(empty)
+        else:
+            sketch.merge_many([empty, empty])
+        assert sketch.n == 500
+        assert sketch._levels == levels
+        sketch.invalidate_view()
+        assert sketch.quantiles([0.1, 0.5, 0.9]) == view
+
     def test_negative_n_is_rejected_through_the_codec(self):
         state = {"k": 200, "n": -5, "levels": [[1.0]], "seed": 1}
         canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import math
 import random
 
@@ -114,6 +115,18 @@ class TestHyperLogLog:
 
     def test_size_is_register_count(self):
         assert HyperLogLog(p=8).size() == 256
+
+    @pytest.mark.parametrize("n", [0, 2, -1, 3.0, True])
+    def test_n_below_the_occupied_registers_is_rejected(self, n):
+        # every non-zero register took at least one item; with a smaller
+        # n, merging the sketch would move the estimate without moving n
+        payload = HyperLogLog(p=4).extend(["a", "b", "c"]).to_dict()
+        payload["registers"] = base64.b64encode(bytes([3] * 16)).decode("ascii")
+        payload["n"] = n
+        with pytest.raises(ParameterError, match="non-zero registers"):
+            HyperLogLog.from_dict(payload)
+        payload["n"] = 16
+        assert HyperLogLog.from_dict(payload).n == 16
 
     def test_weight_affects_n_not_distinct(self):
         hll = HyperLogLog(p=8, seed=5)

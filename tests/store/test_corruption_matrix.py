@@ -15,6 +15,8 @@ from __future__ import annotations
 import errno
 import json
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -365,6 +367,43 @@ def test_malformed_checksumless_manifest_raises_typed_errors(tmp_path, how):
     with pytest.raises(SerializationError, match="malformed store manifest"):
         SegmentStore.recover(target)
     assert SegmentStore.verify(target)["ok"] is False
+
+
+def test_deeply_nested_segment_metadata_raises(tmp_path):
+    meta = b"[" * 100_000
+    body = struct.pack("!I", len(meta)) + meta
+    path = tmp_path / "nested.rseg"
+    path.write_bytes(b"RSEG\x02" + struct.pack("!I", zlib.crc32(body)) + body)
+    with pytest.raises(SerializationError, match="corrupt segment metadata"):
+        read_segment(path)
+
+
+@pytest.mark.parametrize("field", ["records", "wal_seq"])
+def test_manifest_value_edited_under_its_checksum_raises(tmp_path, field):
+    """An in-place edit that keeps the manifest valid JSON, with the
+    checksum left alone, is caught by the checksum and nothing else."""
+    target, _fp = _saved_store(tmp_path, "json.v2")
+    path = target / "manifest.json"
+    blob = path.read_bytes()
+    manifest = json.loads(blob)
+    old = f'"{field}":{manifest[field]}'.encode("ascii")
+    new = f'"{field}":{manifest[field] + 1}'.encode("ascii")
+    assert blob.count(old) == 1 and len(new) == len(old)
+    path.write_bytes(blob.replace(old, new))
+    with pytest.raises(SerializationError, match="checksum mismatch"):
+        SegmentStore.open(target)
+    assert SegmentStore.verify(target)["ok"] is False
+
+
+def test_deeply_nested_manifest_raises_typed_errors(tmp_path):
+    target, _fp = _saved_store(tmp_path, "json.v2")
+    (target / "manifest.json").write_bytes(b"[" * 100_000)
+    with pytest.raises(SerializationError, match="corrupt store manifest"):
+        SegmentStore.open(target)
+    with pytest.raises(SerializationError, match="corrupt store manifest"):
+        SegmentStore.recover(target)
+    report = SegmentStore.verify(target)
+    assert report["ok"] is False and "corrupt store manifest" in report["manifest"]
 
 
 @pytest.mark.parametrize("codec", CODECS)

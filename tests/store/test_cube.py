@@ -412,6 +412,75 @@ class TestChainSelection:
         assert cube.query(0, 1, where={"region": nan}).members["count"].n == 0
 
 
+def _serving_by_scan(cube: CubeStore, needed) -> object:
+    """The covering mask with the fewest live plus stale cells, first
+    in mask order on ties; ``None`` for base cells."""
+    best, best_cells = None, None
+    for mask, chains in cube._masks.items():
+        if not set(needed) <= set(mask):
+            continue
+        cells = sum(len(chain.base) for chain in chains.values()) + sum(
+            len(epochs) for epochs in cube._stale.get(mask, {}).values()
+        )
+        if best_cells is None or cells < best_cells:
+            best, best_cells = mask, cells
+    return best
+
+
+def _assert_serving_matches_scan(cube: CubeStore) -> None:
+    for r in range(len(cube.dims)):
+        for needed in combinations(cube.dims, r):
+            result = cube.query(0, 8, group_by=list(needed))
+            assert result.plan.serving_mask == _serving_by_scan(cube, needed), needed
+
+
+class TestServingMask:
+    WORKLOADS = (
+        [{"group_by": ["region"]}],
+        [{}, {"group_by": ["service", "flag"]}, {"where": ["region", "flag"]}],
+    )
+
+    def test_memo_matches_scan_through_the_store_lifecycle(self, tmp_path):
+        path = str(tmp_path / "cube")
+        cube = CubeStore(width=1.0, dims=SELECT_DIMS, view_capacity=0)
+        cube.add_member("count", "exact_counter", field="v")
+        cube.ingest(*_select_records(120, seed=41, width=3))
+        _assert_serving_matches_scan(cube)  # remembers base cells everywhere
+        cube.compact(workload=self.WORKLOADS[0])
+        _assert_serving_matches_scan(cube)
+        cube.ingest(*_select_records(200, seed=42, width=5))  # stale cells
+        assert cube._stale
+        _assert_serving_matches_scan(cube)
+        cube.compact(workload=self.WORKLOADS[1])  # more masks
+        _assert_serving_matches_scan(cube)
+        cube.save(path)
+        _assert_serving_matches_scan(CubeStore.open(path))
+        durable = CubeStore.open_durable(path)
+        durable.ingest(*_select_records(60, seed=43, width=5))
+        durable.wal.close()
+        recovered, _report = CubeStore.recover(path)
+        _assert_serving_matches_scan(recovered)
+
+    def test_every_change_to_masks_or_stale_cells_empties_the_memo(self, tmp_path):
+        cube = CubeStore(width=1.0, dims=SELECT_DIMS, view_capacity=0)
+        cube.add_member("count", "exact_counter", field="v")
+        cube.ingest(*_select_records(80, seed=44, width=3))
+
+        def remembered():
+            _assert_serving_matches_scan(cube)
+            assert cube._serving
+
+        remembered()
+        cube.compact(workload=self.WORKLOADS[0])
+        assert not cube._serving
+        remembered()
+        cube.ingest(*_select_records(10, seed=45, width=3))
+        assert not cube._serving
+        remembered()
+        cube.compact(workload=self.WORKLOADS[0])  # rebuilds the stale cells
+        assert not cube._serving
+
+
 # ---------------------------------------------------------------------------
 # Staleness: ingest after compaction must never serve stale cells
 # ---------------------------------------------------------------------------

@@ -267,3 +267,24 @@ def test_resaved_json_v2_fixture_skips_reencode_check(
     assert generate.segment_fingerprints(load(target)) == fast
     assert reference_checks
     assert generate.answers(target) == fast_answers
+
+
+def _kll_range_answers(store):
+    return [
+        store.query(float(lo), float(lo + span))["q"].quantiles([0.1, 0.5, 0.9])
+        for lo in range(8)
+        for span in (2, 3, 5)
+    ]
+
+
+def test_fingerprint_repeats_and_moves_no_coin_stream():
+    """The KLL member draws a seed in ``to_dict``; fingerprinting must not
+    move that stream, or later merges would flip other coins."""
+    store = load(JSON_V2_FIXTURES / "store")
+    first = store.fingerprint()
+    assert store.fingerprint() == first
+    segment = store.segments()[0]
+    assert segment.fingerprint() == segment.fingerprint()
+    assert _kll_range_answers(store) == _kll_range_answers(
+        load(JSON_V2_FIXTURES / "store")
+    )

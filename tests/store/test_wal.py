@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import struct
 import zlib
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.store.wal as wal_module
 from repro.core import SerializationError
+from repro.core.fsio import RealFilesystem
 from repro.store import CubeStore, SegmentStore, WriteAheadLog, scan_wal, wal_files
 
 
@@ -162,6 +165,20 @@ class TestScanDamage:
         assert [r.seq for r in scan.records] == [1]
         assert scan.good_bytes == 5 + 8 + len(good)
 
+    def test_deeply_nested_body_stops_scan_at_good_prefix(self, tmp_path):
+        # CRC-valid, but deeper than the JSON parser's stack
+        path = tmp_path / "wal-000001.log"
+        good = b'{"keys":[0.0],"records":[{"v":1}],"seq":1,"weights":null}'
+        frames = b"".join(
+            struct.pack("!II", len(body), zlib.crc32(body)) + body
+            for body in (good, b"[" * 100_000)
+        )
+        path.write_bytes(b"RWAL\x01" + frames)
+        scan = scan_wal(path)
+        assert scan.torn and "malformed frame body" in scan.error
+        assert [r.seq for r in scan.records] == [1]
+        assert scan.good_bytes == 5 + 8 + len(good)
+
 
 def test_retire_removes_only_clean_covered_files(tmp_path):
     first = WriteAheadLog(tmp_path)
@@ -191,6 +208,99 @@ def test_retire_spares_the_active_file_with_newer_records(tmp_path):
     wal.append(3, [{"v": 3}], [2.0])  # still appendable
     wal.close()
     assert scan_wal(wal_files(tmp_path)[0]).last_seq == 3
+
+
+class _FullDisk(RealFilesystem):
+    """Stores half of one armed write, then raises ENOSPC."""
+
+    armed = False
+
+    def write(self, handle, data: bytes) -> None:
+        if not self.armed:
+            return super().write(handle, data)
+        self.armed = False
+        super().write(handle, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _count_scans(monkeypatch):
+    scanned = []
+
+    def counting_scan(path, fs=None):
+        scanned.append(os.path.basename(path))
+        return scan_wal(path, fs)
+
+    monkeypatch.setattr(wal_module, "scan_wal", counting_scan)
+    return scanned
+
+
+def test_failed_append_leaves_later_batches_recoverable(tmp_path):
+    path = str(tmp_path / "db")
+    fs = _FullDisk()
+    store = SegmentStore(width=1.0)
+    store.add_member("lat", "exact_quantiles")
+    store.save(path)
+    store.enable_wal(os.path.join(path, "wal"), fsync_every=1, fs=fs)
+    store.ingest([{"lat": 1.0}, {"lat": 2.0}, {"lat": 3.0}], keys=[0.0, 1.0, 2.0])
+    fs.armed = True
+    with pytest.raises(OSError):
+        store.ingest([{"lat": 9.0}, {"lat": 9.5}], keys=[0.0, 1.0])
+    store.ingest([{"lat": 4.0}, {"lat": 5.0}, {"lat": 6.0}], keys=[1.0, 2.0, 3.0])
+    assert store.records == 6
+    files = wal_files(os.path.join(path, "wal"))
+    assert [scan_wal(f).torn for f in files] == [True, False]
+    with pytest.raises(SerializationError, match="damaged WAL"):
+        SegmentStore.open(path)  # strict open still refuses the torn file
+    recovered, report = SegmentStore.recover(path)
+    assert report.records_recovered == 6
+    assert recovered.records == 6
+    assert recovered.fingerprint() == store.fingerprint()
+
+
+def test_failed_append_uses_up_its_seq(tmp_path):
+    fs = _FullDisk()
+    wal = WriteAheadLog(tmp_path, fs=fs)
+    wal.append(1, [{"v": 1}], [0.0])
+    fs.armed = True
+    with pytest.raises(OSError):
+        wal.append(2, [{"v": 2}], [1.0])
+    assert wal.last_seq == 2 and wal.path is None
+    with pytest.raises(SerializationError, match="monotonic"):
+        wal.append(2, [{"v": 3}], [2.0])
+    wal.append(3, [{"v": 3}], [2.0])
+    wal.close()
+    scans = [scan_wal(f) for f in wal_files(tmp_path)]
+    assert [[r.seq for r in scan.records] for scan in scans] == [[1], [3]]
+
+
+def test_retire_deletes_own_closed_files_without_reading_them(
+    tmp_path, monkeypatch
+):
+    scanned = _count_scans(monkeypatch)
+    foreign = tmp_path / "wal-000000.log"  # another writer's, torn
+    foreign.write_bytes(b"RWAL\x01" + b"\x00\x00")
+    fs = _FullDisk()
+    wal = WriteAheadLog(tmp_path, fs=fs)
+    wal.append(1, [{"v": 1}], [0.0])
+    fs.armed = True
+    with pytest.raises(OSError):
+        wal.append(2, [{"v": 2}], [1.0])  # abandons wal-000001, torn
+    wal.append(3, [{"v": 3}], [2.0])
+    wal.close()  # wal-000002, closed cleanly
+    wal.append(4, [{"v": 4}], [3.0])
+    wal.close()  # wal-000003, closed cleanly
+    assert wal.retire(3) == 1
+    assert scanned == ["wal-000000.log", "wal-000001.log"]
+    assert [os.path.basename(f) for f in wal_files(tmp_path)] == [
+        "wal-000000.log",
+        "wal-000001.log",
+        "wal-000003.log",
+    ]
+    assert wal.retire(4) == 1
+    assert [os.path.basename(f) for f in wal_files(tmp_path)] == [
+        "wal-000000.log",
+        "wal-000001.log",
+    ]
 
 
 @pytest.mark.parametrize(
