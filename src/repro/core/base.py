@@ -26,6 +26,7 @@ the paper is relative to this quantity.
 from __future__ import annotations
 
 import abc
+import copy
 import weakref
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -63,6 +64,9 @@ def normalize_batch(
     if w.dtype.kind == "f":
         if not np.all(w == np.floor(w)):
             raise ParameterError("weights must be integer-valued")
+        # casting a float past int64 is platform-defined (wraps or clamps)
+        if not np.all(np.abs(w) < 2.0**63):
+            raise ParameterError("weights must be below 2**63")
         w = w.astype(np.int64)
     elif w.dtype.kind in ("i", "u"):
         w = w.astype(np.int64)
@@ -278,7 +282,13 @@ class Summary(abc.ABC):
         ``other`` is left unchanged.  Raises :class:`MergeError` when the
         operands are of different concrete types or carry incompatible
         parameters (as reported by :meth:`compatible_with`).
+        ``s.merge(s)`` merges a snapshot of ``s`` taken before the merge.
         """
+        if other is self:
+            # merge code walks the operand while it grows its own state,
+            # which never ends (or goes wrong) on one object; deepcopy,
+            # unlike some native copy(), draws nothing from a coin stream
+            other = copy.deepcopy(self)
         if type(other) is not type(self):
             raise MergeError(
                 f"cannot merge {type(self).__name__} with {type(other).__name__}; "
@@ -304,9 +314,13 @@ class Summary(abc.ABC):
 
         All operands are checked before any state changes, so a type or
         parameter mismatch anywhere in ``others`` raises
-        :class:`MergeError` leaving ``self`` untouched.
+        :class:`MergeError` leaving ``self`` untouched.  An operand that
+        is ``self`` is a snapshot of ``self`` taken before the merge.
         """
-        others = [o for o in others if o is not self]
+        others = list(others)
+        if any(other is self for other in others):
+            snapshot = copy.deepcopy(self)  # as in merge()
+            others = [snapshot if other is self else other for other in others]
         for other in others:
             if type(other) is not type(self):
                 raise MergeError(

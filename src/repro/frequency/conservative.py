@@ -14,24 +14,28 @@ depth.  Benchmark E20 quantifies exactly this: conservative update wins
 sequentially and converges to (or past) plain CountMin after merging —
 a concrete instance of the paper's theme that streaming accuracy tricks
 do not automatically survive mergeability requirements.
+
+The table is :class:`~repro.core.counter_table.CounterTable`'s; this
+class keeps the conservative update (one item at a time) and counts
+merge generations per operand.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
 from ..core.base import Summary
+from ..core.counter_table import CounterTable
 from ..core.exceptions import ParameterError
-from ..core.hashing import stable_hash
 from ..core.registry import register_summary
 
 __all__ = ["ConservativeCountMin"]
 
 
 @register_summary("conservative_count_min")
-class ConservativeCountMin(Summary):
+class ConservativeCountMin(CounterTable):
     """CountMin with conservative update (non-linear; merge degrades).
 
     Same geometry/seed parameters as :class:`repro.frequency.CountMin`;
@@ -40,25 +44,8 @@ class ConservativeCountMin(Summary):
     """
 
     def __init__(self, width: int, depth: int, seed: int = 0) -> None:
-        super().__init__()
-        if width < 1 or depth < 1:
-            raise ParameterError(
-                f"width and depth must be >= 1, got {width!r} x {depth!r}"
-            )
-        self.width = int(width)
-        self.depth = int(depth)
-        self.seed = int(seed)
-        self._table = np.zeros((self.depth, self.width), dtype=np.int64)
+        super().__init__(width, depth, seed)
         self.merge_generations = 0
-
-    def _row_indices(self, item: Any) -> np.ndarray:
-        return np.array(
-            [
-                stable_hash(item, seed=self.seed * 1_000_003 + row) % self.width
-                for row in range(self.depth)
-            ],
-            dtype=np.int64,
-        )
 
     def update(self, item: Any, weight: int = 1) -> None:
         if weight <= 0:
@@ -79,41 +66,25 @@ class ConservativeCountMin(Summary):
     def upper_bound(self, item: Any) -> int:
         return self.estimate(item)
 
-    def size(self) -> int:
-        return self.width * self.depth
-
-    def compatible_with(self, other: "ConservativeCountMin") -> Optional[str]:
-        assert isinstance(other, ConservativeCountMin)
-        mine = (self.width, self.depth, self.seed)
-        theirs = (other.width, other.depth, other.seed)
-        if mine != theirs:
-            return f"sketch geometry/seed mismatch: {mine} vs {theirs}"
-        return None
-
     def _merge_same_type(self, other: "ConservativeCountMin") -> None:
         # table addition: sound (both over-estimate) but no longer a
         # conservative-update sketch of the union — see module docstring
-        assert isinstance(other, ConservativeCountMin)
-        self._table += other._table
-        self._n += other._n
+        super()._merge_same_type(other)
         self.merge_generations = (
             max(self.merge_generations, other.merge_generations) + 1
         )
 
+    # a fold: every operand is one more merge generation
+    _merge_many_same_type = Summary._merge_many_same_type
+
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "seed": self.seed,
-            "n": self._n,
-            "merge_generations": self.merge_generations,
-            "table": self._table.tolist(),
-        }
+        payload = super().to_dict()
+        payload["merge_generations"] = self.merge_generations
+        payload["table"] = payload.pop("table")  # json.v1 keeps key order
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "ConservativeCountMin":
-        sketch = cls(payload["width"], payload["depth"], payload["seed"])
-        sketch._table = np.array(payload["table"], dtype=np.int64)
-        sketch._n = payload["n"]
+        sketch = super().from_dict(payload)
         sketch.merge_generations = payload["merge_generations"]
         return sketch

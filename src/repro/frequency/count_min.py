@@ -8,7 +8,8 @@ versus Misra-Gries' deterministic ``1/eps`` counters, plus randomness
 and the need for shared hash functions across all sites.
 
 The benchmark ``bench_heavy_hitters`` quantifies this trade-off
-empirically against MG/SS.
+empirically against MG/SS.  The table, its merge and its serialization
+are :class:`~repro.core.counter_table.CounterTable`'s.
 
 Guarantee: for every item, ``f(x) <= estimate(x)``, and with probability
 ``1 - delta``, ``estimate(x) <= f(x) + eps * n``.
@@ -17,20 +18,20 @@ Guarantee: for every item, ``f(x) <= estimate(x)``, and with probability
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..core.base import Summary, normalize_batch
+from ..core.base import normalize_batch
+from ..core.counter_table import CounterTable
 from ..core.exceptions import ParameterError
-from ..core.hashing import hash_batch, stable_hash
 from ..core.registry import register_summary
 
 __all__ = ["CountMin"]
 
 
 @register_summary("count_min")
-class CountMin(Summary):
+class CountMin(CounterTable):
     """CountMin sketch with ``depth`` rows of ``width`` counters.
 
     Parameters
@@ -47,17 +48,6 @@ class CountMin(Summary):
         linear sketches that deterministic mergeable summaries avoid.
     """
 
-    def __init__(self, width: int, depth: int, seed: int = 0) -> None:
-        super().__init__()
-        if width < 1 or depth < 1:
-            raise ParameterError(
-                f"width and depth must be >= 1, got {width!r} x {depth!r}"
-            )
-        self.width = int(width)
-        self.depth = int(depth)
-        self.seed = int(seed)
-        self._table = np.zeros((self.depth, self.width), dtype=np.int64)
-
     @classmethod
     def from_error(cls, epsilon: float, delta: float, seed: int = 0) -> "CountMin":
         """Sketch with additive error ``eps * n`` w.p. ``1 - delta``."""
@@ -68,15 +58,6 @@ class CountMin(Summary):
         width = math.ceil(math.e / epsilon)
         depth = max(1, math.ceil(math.log(1.0 / delta)))
         return cls(width=width, depth=depth, seed=seed)
-
-    def _row_indices(self, item: Any) -> np.ndarray:
-        return np.array(
-            [
-                stable_hash(item, seed=self.seed * 1_000_003 + row) % self.width
-                for row in range(self.depth)
-            ],
-            dtype=np.int64,
-        )
 
     def update(self, item: Any, weight: int = 1) -> None:
         if weight <= 0:
@@ -93,9 +74,7 @@ class CountMin(Summary):
         items, weights, total = normalize_batch(items, weights)
         if not len(items):
             return
-        for row in range(self.depth):
-            hashes = hash_batch(items, seed=self.seed * 1_000_003 + row)
-            cols = (hashes % np.uint64(self.width)).astype(np.int64)
+        for row, _hashes, cols in self._batch_columns(items):
             if weights is None:
                 self._table[row] += np.bincount(cols, minlength=self.width).astype(
                     np.int64
@@ -115,45 +94,3 @@ class CountMin(Summary):
     def lower_bound(self, item: Any) -> int:
         """CountMin offers no nontrivial per-item lower bound."""
         return 0
-
-    def size(self) -> int:
-        """Number of stored counters (``width * depth``)."""
-        return self.width * self.depth
-
-    def compatible_with(self, other: "Summary") -> Optional[str]:
-        assert isinstance(other, CountMin)
-        if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
-            return (
-                f"sketch geometry/seed mismatch: "
-                f"({self.width},{self.depth},{self.seed}) vs "
-                f"({other.width},{other.depth},{other.seed})"
-            )
-        return None
-
-    def _merge_same_type(self, other: "Summary") -> None:
-        assert isinstance(other, CountMin)
-        self._table += other._table
-        self._n += other._n
-
-    def _merge_many_same_type(self, others: Sequence["Summary"]) -> None:
-        # linear sketch: the s-way merge is one stacked entry-wise sum
-        self._table += np.sum(
-            np.stack([o._table for o in others]), axis=0  # type: ignore[attr-defined]
-        )
-        self._n += sum(o._n for o in others)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "seed": self.seed,
-            "n": self._n,
-            "table": self._table.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CountMin":
-        sketch = cls(payload["width"], payload["depth"], payload["seed"])
-        sketch._table = np.array(payload["table"], dtype=np.int64)
-        sketch._n = payload["n"]
-        return sketch

@@ -6,41 +6,31 @@ unbiased with standard deviation ``O(sqrt(F2)/sqrt(width))``.  Like
 CountMin it is a linear sketch and therefore trivially mergeable by
 entry-wise addition; it appears in the benchmarks as the second
 linear-sketch baseline, stronger on low-skew streams (error scales with
-the residual L2 norm rather than L1).
+the residual L2 norm rather than L1).  The table, its merge and its
+serialization are :class:`~repro.core.counter_table.CounterTable`'s.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.base import Summary, normalize_batch
+from ..core.base import normalize_batch
+from ..core.counter_table import CounterTable
 from ..core.exceptions import ParameterError
-from ..core.hashing import hash_batch, stable_hash
 from ..core.registry import register_summary
 
 __all__ = ["CountSketch"]
 
 
 @register_summary("count_sketch")
-class CountSketch(Summary):
+class CountSketch(CounterTable):
     """CountSketch with ``depth`` rows of ``width`` signed counters."""
 
-    def __init__(self, width: int, depth: int, seed: int = 0) -> None:
-        super().__init__()
-        if width < 1 or depth < 1:
-            raise ParameterError(
-                f"width and depth must be >= 1, got {width!r} x {depth!r}"
-            )
-        if depth % 2 == 0:
-            # an odd depth makes the median an actual table entry
-            depth += 1
-        self.width = int(width)
-        self.depth = int(depth)
-        self.seed = int(seed)
-        self._table = np.zeros((self.depth, self.width), dtype=np.int64)
+    # an odd depth makes the median an actual table entry
+    odd_depth = True
 
     @classmethod
     def from_error(cls, epsilon: float, delta: float, seed: int = 0) -> "CountSketch":
@@ -53,17 +43,16 @@ class CountSketch(Summary):
         depth = max(1, math.ceil(math.log(1.0 / delta)))
         return cls(width=width, depth=depth, seed=seed)
 
-    def _bucket_and_sign(self, item: Any, row: int) -> tuple[int, int]:
-        h = stable_hash(item, seed=self.seed * 1_000_003 + row)
-        bucket = h % self.width
-        sign = 1 if (h >> 32) & 1 else -1
-        return bucket, sign
+    def _buckets_and_signs(self, item: Any) -> List[Tuple[int, int]]:
+        """``(bucket, sign)`` of ``item`` in every row."""
+        return [
+            (h % self.width, 1 if (h >> 32) & 1 else -1) for h in self._row_hashes(item)
+        ]
 
     def update(self, item: Any, weight: int = 1) -> None:
         if weight <= 0:
             raise ParameterError(f"weight must be positive, got {weight!r}")
-        for row in range(self.depth):
-            bucket, sign = self._bucket_and_sign(item, row)
+        for row, (bucket, sign) in enumerate(self._buckets_and_signs(item)):
             self._table[row, bucket] += sign * weight
         self._n += weight
 
@@ -75,9 +64,7 @@ class CountSketch(Summary):
         items, weights, total = normalize_batch(items, weights)
         if not len(items):
             return
-        for row in range(self.depth):
-            hashes = hash_batch(items, seed=self.seed * 1_000_003 + row)
-            buckets = (hashes % np.uint64(self.width)).astype(np.int64)
+        for row, hashes, buckets in self._batch_columns(items):
             signs = np.where(
                 (hashes >> np.uint64(32)) & np.uint64(1), np.int64(1), np.int64(-1)
             )
@@ -87,49 +74,8 @@ class CountSketch(Summary):
 
     def estimate(self, item: Any) -> int:
         """Median-of-rows unbiased frequency estimate (may be negative)."""
-        values = []
-        for row in range(self.depth):
-            bucket, sign = self._bucket_and_sign(item, row)
-            values.append(sign * self._table[row, bucket])
+        values = [
+            sign * self._table[row, bucket]
+            for row, (bucket, sign) in enumerate(self._buckets_and_signs(item))
+        ]
         return int(np.median(values))
-
-    def size(self) -> int:
-        return self.width * self.depth
-
-    def compatible_with(self, other: "Summary") -> Optional[str]:
-        assert isinstance(other, CountSketch)
-        if (self.width, self.depth, self.seed) != (other.width, other.depth, other.seed):
-            return (
-                f"sketch geometry/seed mismatch: "
-                f"({self.width},{self.depth},{self.seed}) vs "
-                f"({other.width},{other.depth},{other.seed})"
-            )
-        return None
-
-    def _merge_same_type(self, other: "Summary") -> None:
-        assert isinstance(other, CountSketch)
-        self._table += other._table
-        self._n += other._n
-
-    def _merge_many_same_type(self, others: Sequence["Summary"]) -> None:
-        # linear sketch: the s-way merge is one stacked entry-wise sum
-        self._table += np.sum(
-            np.stack([o._table for o in others]), axis=0  # type: ignore[attr-defined]
-        )
-        self._n += sum(o._n for o in others)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "seed": self.seed,
-            "n": self._n,
-            "table": self._table.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "CountSketch":
-        sketch = cls(payload["width"], payload["depth"], payload["seed"])
-        sketch._table = np.array(payload["table"], dtype=np.int64)
-        sketch._n = payload["n"]
-        return sketch

@@ -7,6 +7,11 @@ levels keep the randomized block structure; everything heavier is
 absorbed into a Greenwald-Khanna summary, giving total size
 ``O((1/eps) * log^1.5(1/eps))`` — independent of ``n``.
 
+The bottom levels are the Section 3.2 counter
+(:class:`~repro.core.merge_reduce.MergeReduce`); this class supplies
+random halving and diverts to GK every block a carry would place at
+level ``Lambda``, and every bit at or above it of a heavy weight.
+
 The intuition: a level-``Lambda`` block carries weight ``2^Lambda ~
 1/eps`` per sample, so the *number of times* heavy content is pushed
 into the GK top is bounded, and the GK error contributions stay within
@@ -25,12 +30,12 @@ realized error, and EXPERIMENTS.md records the comparison.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.base import normalize_batch
 from ..core.exceptions import ParameterError
+from ..core.merge_reduce import MergeReduce
 from ..core.registry import register_summary
 from ..core.rng import RngLike, resolve_rng
 from .equal_weight import random_halving
@@ -41,7 +46,7 @@ __all__ = ["HybridQuantiles"]
 
 
 @register_summary("hybrid_quantiles")
-class HybridQuantiles(QuantileSummary):
+class HybridQuantiles(MergeReduce, QuantileSummary):
     """Size-capped mergeable quantile summary (randomized bottom + GK top).
 
     Parameters
@@ -53,107 +58,45 @@ class HybridQuantiles(QuantileSummary):
     """
 
     def __init__(self, epsilon: float, rng: RngLike = None) -> None:
-        super().__init__()
         if not 0 < epsilon < 1:
             raise ParameterError(f"epsilon must be in (0, 1), got {epsilon!r}")
-        self.epsilon = float(epsilon)
         inv = 1.0 / epsilon
-        #: samples per block in the randomized bottom structure
-        self.s = math.ceil(2.0 * inv * math.sqrt(max(1.0, math.log2(inv))))
+        # samples per block in the randomized bottom structure
+        super().__init__(math.ceil(2.0 * inv * math.sqrt(max(1.0, math.log2(inv)))))
+        self.epsilon = float(epsilon)
         #: levels kept by the bottom structure; level Lambda carries to GK
         self.top_level = max(1, math.ceil(math.log2(inv)))
         self._rng = resolve_rng(rng)
-        self._buffer: List[float] = []
-        self._blocks: Dict[int, List[np.ndarray]] = {}
         self._gk = GKQuantiles(epsilon / 2.0)
 
     # ------------------------------------------------------------------
-    # Updates
+    # Halving, and the GK top: what reaches level Lambda leaves the counter
     # ------------------------------------------------------------------
 
-    def update(self, item: float, weight: int = 1) -> None:
-        if weight <= 0:
-            raise ParameterError(f"weight must be positive, got {weight!r}")
-        value = float(item)
-        if weight < self.s:
-            self._buffer.extend([value] * int(weight))
-            self._n += int(weight)
-            if len(self._buffer) >= self.s:
-                self._flush_buffer()
-            return
-        # O(s log w + GK): binary decomposition of weight // s into
-        # constant blocks; bits at or above the top level are exact mass
-        # and go straight into GK as one weighted insertion
-        full_blocks, rest = divmod(int(weight), self.s)
-        self._n += int(weight)
-        level = 0
-        spilled = False
-        while full_blocks:
-            if full_blocks & 1:
-                if level >= self.top_level:
-                    self._gk._insert(value, self.s * (1 << level))
-                    spilled = True
-                else:
-                    self._blocks.setdefault(level, []).append(
-                        np.full(self.s, value, dtype=np.float64)
-                    )
-            full_blocks >>= 1
-            level += 1
-        if spilled:
+    def _halve(self, left, right):
+        return random_halving(left, right, self._rng)
+
+    def _add_constant(self, value: float, levels) -> None:
+        # bits at or above the top level are exact mass and go straight
+        # into GK, one weighted insertion each, compressed once
+        top = [level for level in levels if level >= self.top_level]
+        for level in top:
+            self._gk._insert(value, self.s * (1 << level))
+        if top:
             self._gk.compress()
-        if rest:
-            self._buffer.extend([value] * rest)
-        self._flush_buffer()
+        super()._add_constant(value, [level for level in levels if level < self.top_level])
 
-    def update_batch(self, items, weights=None) -> None:
-        items, weights, total = normalize_batch(items, weights)
-        if not len(items):
+    def _promote(self, block: np.ndarray, level: int) -> None:
+        if level < self.top_level:
+            super()._promote(block, level)
             return
-        if weights is None:
-            self._buffer.extend(np.asarray(items, dtype=np.float64).tolist())
-            self._n += total
-            self._flush_buffer()
-        else:
-            for item, weight in zip(items, weights.tolist()):
-                self.update(item, weight)
-
-    def _flush_buffer(self) -> None:
-        if len(self._buffer) >= self.s:
-            buffered = self._buffer
-            full = (len(buffered) // self.s) * self.s
-            level0 = self._blocks.setdefault(0, [])
-            for start in range(0, full, self.s):
-                level0.append(
-                    np.sort(np.array(buffered[start : start + self.s], dtype=np.float64))
-                )
-            self._buffer = buffered[full:]
-        self._carry()
-
-    def _carry(self) -> None:
-        level = 0
-        while level <= max(self._blocks, default=-1):
-            blocks = self._blocks.get(level, [])
-            while len(blocks) >= 2:
-                right = blocks.pop()
-                left = blocks.pop()
-                merged = random_halving(left, right, self._rng)
-                if level + 1 >= self.top_level:
-                    self._spill_to_gk(merged, level + 1)
-                else:
-                    self._blocks.setdefault(level + 1, []).append(merged)
-            if not blocks:
-                self._blocks.pop(level, None)
-            level += 1
-
-    def _spill_to_gk(self, block: np.ndarray, level: int) -> None:
-        """Absorb a block that reached the top level into the GK summary."""
+        # absorb a block that reached the top level into the GK summary;
+        # _insert counts weights into gk.n, which its compress threshold
+        # needs, while our own n stays authoritative
         weight = 2**level
         for value in block:
             self._gk._insert(float(value), weight)
         self._gk.compress()
-        # _insert counts weights into gk.n; keep our own n authoritative
-        # (gk.n tracks the weight it summarizes, which is what its
-        # compress threshold needs).
 
     # ------------------------------------------------------------------
     # Queries
@@ -170,36 +113,26 @@ class HybridQuantiles(QuantileSummary):
         return total
 
     def _sample_state(self):
-        parts: List[np.ndarray] = [np.asarray(self._buffer, dtype=np.float64)]
-        weights: List[np.ndarray] = [np.ones(len(self._buffer))]
-        for level, blocks in self._blocks.items():
-            w = float(2**level)
-            for block in blocks:
-                parts.append(np.asarray(block, dtype=np.float64))
-                weights.append(np.full(len(block), w))
+        values, weights = super()._sample_state()
         # GK tuples enter with their gap weights; their value ordering
         # is exact, so this treats the GK part as a weighted sample set.
         if self._gk._tuples:
-            parts.append(
-                np.array([v for v, _g, _d in self._gk._tuples], dtype=np.float64)
+            values = np.concatenate(
+                [values, np.array([v for v, _g, _d in self._gk._tuples], dtype=np.float64)]
             )
-            weights.append(
-                np.array([float(g) for _v, g, _d in self._gk._tuples])
+            weights = np.concatenate(
+                [weights, np.array([float(g) for _v, g, _d in self._gk._tuples])]
             )
-        return np.concatenate(parts), np.concatenate(weights)
+        return values, weights
 
     def quantile(self, q: float) -> float:
         return self._view_quantile(q)
 
     def size(self) -> int:
-        return (
-            len(self._buffer)
-            + sum(len(b) for blocks in self._blocks.values() for b in blocks)
-            + self._gk.size()
-        )
+        return super().size() + self._gk.size()
 
     # ------------------------------------------------------------------
-    # Merge
+    # Merge and serialization
     # ------------------------------------------------------------------
 
     def compatible_with(self, other: "HybridQuantiles") -> Optional[str]:
@@ -208,42 +141,17 @@ class HybridQuantiles(QuantileSummary):
             return f"epsilon mismatch: {self.epsilon} vs {other.epsilon}"
         return None
 
-    def _merge_same_type(self, other: "HybridQuantiles") -> None:
-        assert isinstance(other, HybridQuantiles)
-        self._buffer.extend(other._buffer)
-        for level, blocks in other._blocks.items():
-            self._blocks.setdefault(level, []).extend(b.copy() for b in blocks)
+    def _absorb(self, other: "HybridQuantiles") -> None:
+        # GK tops fold pairwise (GK merge is weighted reinsertion)
+        super()._absorb(other)
         if other._gk.size():
             self._gk.merge(other._gk)
-        self._n += other._n
-        self._flush_buffer()
-
-    def _merge_many_same_type(self, others) -> None:
-        # one carry pass over the union of all bottom structures; GK
-        # tops still fold sequentially (GK merge is inherently pairwise
-        # weighted reinsertion)
-        for other in others:
-            self._buffer.extend(other._buffer)
-            for level, blocks in other._blocks.items():
-                self._blocks.setdefault(level, []).extend(b.copy() for b in blocks)
-            if other._gk.size():
-                self._gk.merge(other._gk)
-            self._n += other._n
-        self._flush_buffer()
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "epsilon": self.epsilon,
             "n": self._n,
-            "buffer": [float(v) for v in self._buffer],
-            "blocks": {
-                str(level): [[float(v) for v in block] for block in blocks]
-                for level, blocks in self._blocks.items()
-            },
+            **self._counter_state(),
             "gk": self._gk.to_dict(),
             "seed": int(self._rng.integers(0, 2**63 - 1)),
         }
@@ -251,11 +159,5 @@ class HybridQuantiles(QuantileSummary):
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "HybridQuantiles":
         summary = cls(epsilon=payload["epsilon"], rng=payload["seed"])
-        summary._buffer = [float(v) for v in payload["buffer"]]
-        summary._blocks = {
-            int(level): [np.array(block, dtype=np.float64) for block in blocks]
-            for level, blocks in payload["blocks"].items()
-        }
         summary._gk = GKQuantiles.from_dict(payload["gk"])
-        summary._n = payload["n"]
-        return summary
+        return summary._load_counter(payload)

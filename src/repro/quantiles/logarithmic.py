@@ -21,6 +21,10 @@ level by level, and the paper shows the total rank error stays
 sequence.  The size is ``s`` per occupied level, i.e.
 ``O(s * log(n / s))``.
 
+The buffer, the blocks, the carry and the merge are
+:class:`~repro.core.merge_reduce.MergeReduce`, which MRL, the hybrid
+and the eps-approximation share; this class supplies random halving.
+
 Benchmark E6 verifies the merge-sequence independence empirically
 (chain vs balanced vs random trees over adversarially sorted shards).
 """
@@ -28,12 +32,10 @@ Benchmark E6 verifies the merge-sequence independence empirically
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-import numpy as np
-
-from ..core.base import normalize_batch
 from ..core.exceptions import ParameterError
+from ..core.merge_reduce import MergeReduce
 from ..core.registry import register_summary
 from ..core.rng import RngLike, resolve_rng
 from .equal_weight import random_halving
@@ -43,7 +45,7 @@ __all__ = ["MergeableQuantiles"]
 
 
 @register_summary("mergeable_quantiles")
-class MergeableQuantiles(QuantileSummary):
+class MergeableQuantiles(MergeReduce, QuantileSummary):
     """Fully mergeable randomized quantile summary.
 
     Parameters
@@ -56,14 +58,10 @@ class MergeableQuantiles(QuantileSummary):
     """
 
     def __init__(self, s: int, rng: RngLike = None) -> None:
-        super().__init__()
         if s < 1:
             raise ParameterError(f"block size s must be >= 1, got {s!r}")
-        self.s = int(s)
+        super().__init__(s)
         self._rng = resolve_rng(rng)
-        self._buffer: List[float] = []
-        # level -> list of sorted sample arrays (normalized to <= 1 each)
-        self._blocks: Dict[int, List[np.ndarray]] = {}
 
     @classmethod
     def from_epsilon(
@@ -81,97 +79,8 @@ class MergeableQuantiles(QuantileSummary):
         s = math.ceil((2.0 / epsilon) * math.sqrt(max(1.0, math.log2(1.0 / delta))))
         return cls(s=s, rng=rng)
 
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-
-    def update(self, item: float, weight: int = 1) -> None:
-        if weight <= 0:
-            raise ParameterError(f"weight must be positive, got {weight!r}")
-        value = float(item)
-        if weight < self.s:
-            self._buffer.extend([value] * int(weight))
-            self._n += int(weight)
-            if len(self._buffer) >= self.s:
-                self._flush_buffer()
-            return
-        # O(s log w): a constant block of s copies at level j summarizes
-        # s * 2**j occurrences exactly, so the full-block part of the
-        # weight drops in via its binary decomposition and only the
-        # remainder (< s) touches the raw buffer
-        full_blocks, rest = divmod(int(weight), self.s)
-        self._n += int(weight)
-        level = 0
-        while full_blocks:
-            if full_blocks & 1:
-                self._blocks.setdefault(level, []).append(
-                    np.full(self.s, value, dtype=np.float64)
-                )
-            full_blocks >>= 1
-            level += 1
-        if rest:
-            self._buffer.extend([value] * rest)
-        self._flush_buffer()
-
-    def update_batch(self, items, weights=None) -> None:
-        items, weights, total = normalize_batch(items, weights)
-        if not len(items):
-            return
-        if weights is None:
-            self._buffer.extend(np.asarray(items, dtype=np.float64).tolist())
-            self._n += total
-            self._flush_buffer()
-        else:
-            for item, weight in zip(items, weights.tolist()):
-                self.update(item, weight)
-
-    def _flush_buffer(self) -> None:
-        """Turn ``s`` buffered raw values into level-0 blocks and carry."""
-        if len(self._buffer) >= self.s:
-            buffered = self._buffer
-            full = (len(buffered) // self.s) * self.s
-            level0 = self._blocks.setdefault(0, [])
-            for start in range(0, full, self.s):
-                level0.append(
-                    np.sort(np.array(buffered[start : start + self.s], dtype=np.float64))
-                )
-            self._buffer = buffered[full:]
-        self._carry()
-
-    def _carry(self) -> None:
-        """Binary-counter carry: halve level pairs upward until <=1 block each."""
-        level = 0
-        while True:
-            blocks = self._blocks.get(level, [])
-            if len(blocks) < 2:
-                if level > self.max_level():
-                    break
-                level += 1
-                continue
-            right = blocks.pop()
-            left = blocks.pop()
-            merged = random_halving(left, right, self._rng)
-            self._blocks.setdefault(level + 1, []).append(merged)
-            if not blocks:
-                del self._blocks[level]
-
-    def max_level(self) -> int:
-        """Highest occupied level (-1 when no blocks exist)."""
-        return max(self._blocks, default=-1)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    def _sample_state(self):
-        parts: List[np.ndarray] = [np.asarray(self._buffer, dtype=np.float64)]
-        weights: List[np.ndarray] = [np.ones(len(self._buffer))]
-        for level, blocks in self._blocks.items():
-            w = float(2**level)
-            for block in blocks:
-                parts.append(np.asarray(block, dtype=np.float64))
-                weights.append(np.full(len(block), w))
-        return np.concatenate(parts), np.concatenate(weights)
+    def _halve(self, left, right):
+        return random_halving(left, right, self._rng)
 
     def rank(self, x: float) -> float:
         return self._view_rank(x)
@@ -179,72 +88,20 @@ class MergeableQuantiles(QuantileSummary):
     def quantile(self, q: float) -> float:
         return self._view_quantile(q)
 
-    def size(self) -> int:
-        return len(self._buffer) + sum(
-            len(block) for blocks in self._blocks.values() for block in blocks
-        )
-
-    def levels(self) -> Dict[int, int]:
-        """Occupied levels -> number of blocks (diagnostics)."""
-        return {level: len(blocks) for level, blocks in sorted(self._blocks.items())}
-
-    # ------------------------------------------------------------------
-    # Merge — arbitrary operands
-    # ------------------------------------------------------------------
-
     def compatible_with(self, other: "MergeableQuantiles") -> Optional[str]:
         assert isinstance(other, MergeableQuantiles)
         if other.s != self.s:
             return f"block size mismatch: s={self.s} vs s={other.s}"
         return None
 
-    def _merge_same_type(self, other: "MergeableQuantiles") -> None:
-        assert isinstance(other, MergeableQuantiles)
-        self._buffer.extend(other._buffer)
-        for level, blocks in other._blocks.items():
-            self._blocks.setdefault(level, []).extend(
-                block.copy() for block in blocks
-            )
-        self._n += other._n
-        self._flush_buffer()
-
-    def _merge_many_same_type(self, others) -> None:
-        # concatenate all buffers and per-level block lists, then ONE
-        # binary-counter carry pass over the union — every halving is
-        # still an equal-weight merge, so the Section 3.1 analysis is
-        # unchanged; only the carry order differs from a sequential fold
-        for other in others:
-            self._buffer.extend(other._buffer)
-            for level, blocks in other._blocks.items():
-                self._blocks.setdefault(level, []).extend(
-                    block.copy() for block in blocks
-                )
-            self._n += other._n
-        self._flush_buffer()
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "s": self.s,
             "n": self._n,
-            "buffer": [float(v) for v in self._buffer],
-            "blocks": {
-                str(level): [[float(v) for v in block] for block in blocks]
-                for level, blocks in self._blocks.items()
-            },
+            **self._counter_state(),
             "seed": int(self._rng.integers(0, 2**63 - 1)),
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MergeableQuantiles":
-        summary = cls(s=payload["s"], rng=payload["seed"])
-        summary._buffer = [float(v) for v in payload["buffer"]]
-        summary._blocks = {
-            int(level): [np.array(block, dtype=np.float64) for block in blocks]
-            for level, blocks in payload["blocks"].items()
-        }
-        summary._n = payload["n"]
-        return summary
+        return cls(s=payload["s"], rng=payload["seed"])._load_counter(payload)

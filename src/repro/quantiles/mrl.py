@@ -1,8 +1,9 @@
 """Munro-Paterson / MRL deterministic merging — the deterministic baseline.
 
-Structurally identical to :class:`repro.quantiles.MergeableQuantiles`
-(buffer + one block per weight class, binary-counter carries), but the
-halving step is **deterministic**: it always keeps the even-indexed
+The same counter as :class:`repro.quantiles.MergeableQuantiles` (buffer
++ one block per weight class, binary-counter carries; both are
+:class:`~repro.core.merge_reduce.MergeReduce`), but the halving step
+is **deterministic**: it always keeps the even-indexed
 elements of the merged order.  Deterministic halving biases every rank
 estimate downward by up to half the block weight *per level*, and the
 biases add up instead of cancelling: the rank error grows as
@@ -16,12 +17,12 @@ randomized :class:`MergeableQuantiles` at equal size.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..core.base import normalize_batch
 from ..core.exceptions import MergeError, ParameterError
+from ..core.merge_reduce import MergeReduce
 from ..core.registry import register_summary
 from .estimator import QuantileSummary
 
@@ -39,90 +40,16 @@ def deterministic_halving(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 @register_summary("mrl_quantiles")
-class MRLQuantiles(QuantileSummary):
+class MRLQuantiles(MergeReduce, QuantileSummary):
     """Deterministic merge-halving quantile summary (biased baseline)."""
 
     def __init__(self, s: int) -> None:
-        super().__init__()
         if s < 1:
             raise ParameterError(f"block size s must be >= 1, got {s!r}")
-        self.s = int(s)
-        self._buffer: List[float] = []
-        self._blocks: Dict[int, List[np.ndarray]] = {}
+        super().__init__(s)
 
-    def update(self, item: float, weight: int = 1) -> None:
-        if weight <= 0:
-            raise ParameterError(f"weight must be positive, got {weight!r}")
-        value = float(item)
-        if weight < self.s:
-            self._buffer.extend([value] * int(weight))
-            self._n += int(weight)
-            if len(self._buffer) >= self.s:
-                self._flush_buffer()
-            return
-        # O(s log w): constant blocks per set bit of weight // s, exact at
-        # any level, plus a < s remainder into the raw buffer
-        full_blocks, rest = divmod(int(weight), self.s)
-        self._n += int(weight)
-        level = 0
-        while full_blocks:
-            if full_blocks & 1:
-                self._blocks.setdefault(level, []).append(
-                    np.full(self.s, value, dtype=np.float64)
-                )
-            full_blocks >>= 1
-            level += 1
-        if rest:
-            self._buffer.extend([value] * rest)
-        self._flush_buffer()
-
-    def update_batch(self, items, weights=None) -> None:
-        items, weights, total = normalize_batch(items, weights)
-        if not len(items):
-            return
-        if weights is None:
-            self._buffer.extend(np.asarray(items, dtype=np.float64).tolist())
-            self._n += total
-            self._flush_buffer()
-        else:
-            for item, weight in zip(items, weights.tolist()):
-                self.update(item, weight)
-
-    def _flush_buffer(self) -> None:
-        if len(self._buffer) >= self.s:
-            buffered = self._buffer
-            full = (len(buffered) // self.s) * self.s
-            level0 = self._blocks.setdefault(0, [])
-            for start in range(0, full, self.s):
-                level0.append(
-                    np.sort(np.array(buffered[start : start + self.s], dtype=np.float64))
-                )
-            self._buffer = buffered[full:]
-        self._carry()
-
-    def _carry(self) -> None:
-        level = 0
-        while level <= max(self._blocks, default=-1):
-            blocks = self._blocks.get(level, [])
-            while len(blocks) >= 2:
-                right = blocks.pop()
-                left = blocks.pop()
-                self._blocks.setdefault(level + 1, []).append(
-                    deterministic_halving(left, right)
-                )
-            if not blocks:
-                self._blocks.pop(level, None)
-            level += 1
-
-    def _sample_state(self):
-        parts: List[np.ndarray] = [np.asarray(self._buffer, dtype=np.float64)]
-        weights: List[np.ndarray] = [np.ones(len(self._buffer))]
-        for level, blocks in self._blocks.items():
-            w = float(2**level)
-            for block in blocks:
-                parts.append(np.asarray(block, dtype=np.float64))
-                weights.append(np.full(len(block), w))
-        return np.concatenate(parts), np.concatenate(weights)
+    def _halve(self, left, right):
+        return deterministic_halving(left, right)
 
     def rank(self, x: float) -> float:
         return self._view_rank(x)
@@ -130,55 +57,15 @@ class MRLQuantiles(QuantileSummary):
     def quantile(self, q: float) -> float:
         return self._view_quantile(q)
 
-    def size(self) -> int:
-        return len(self._buffer) + sum(
-            len(b) for blocks in self._blocks.values() for b in blocks
-        )
-
     def compatible_with(self, other: "MRLQuantiles") -> Optional[str]:
         assert isinstance(other, MRLQuantiles)
         if other.s != self.s:
             return f"block size mismatch: s={self.s} vs s={other.s}"
         return None
 
-    def _merge_same_type(self, other: "MRLQuantiles") -> None:
-        assert isinstance(other, MRLQuantiles)
-        self._buffer.extend(other._buffer)
-        for level, blocks in other._blocks.items():
-            self._blocks.setdefault(level, []).extend(b.copy() for b in blocks)
-        self._n += other._n
-        self._flush_buffer()
-
-    def _merge_many_same_type(self, others) -> None:
-        # all operands in, ONE carry pass; the deterministic halvings
-        # pair blocks in a different order than a sequential fold would,
-        # so the resulting state differs bitwise but carries the same
-        # per-level structure and error bound
-        for other in others:
-            self._buffer.extend(other._buffer)
-            for level, blocks in other._blocks.items():
-                self._blocks.setdefault(level, []).extend(b.copy() for b in blocks)
-            self._n += other._n
-        self._flush_buffer()
-
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "s": self.s,
-            "n": self._n,
-            "buffer": [float(v) for v in self._buffer],
-            "blocks": {
-                str(level): [[float(v) for v in block] for block in blocks]
-                for level, blocks in self._blocks.items()
-            },
-        }
+        return {"s": self.s, "n": self._n, **self._counter_state()}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MRLQuantiles":
-        summary = cls(s=payload["s"])
-        summary._buffer = [float(v) for v in payload["buffer"]]
-        summary._blocks = {
-            int(level): [np.array(block, dtype=np.float64) for block in blocks]
-            for level, blocks in payload["blocks"].items()
-        }
-        summary._n = payload["n"]
-        return summary
+        return cls(s=payload["s"])._load_counter(payload)

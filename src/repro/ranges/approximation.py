@@ -11,6 +11,12 @@ Section 3.2 as the 1-D special case of this construction.
 - merge = concatenate buffers and block lists, then binary-counter
   carry with low-discrepancy halving.
 
+The buffer, the blocks, the carry and the merge are the quantiles' own
+code, :class:`~repro.core.merge_reduce.MergeReduce`; this class
+supplies the halving, unsorted point blocks, its weighted update (which
+replicates points into the buffer) and the range queries.  Its
+``merge_many`` stays a fold: one carry per operand.
+
 Queries estimate ``|P ∩ R|`` as the weighted count over buffer and
 blocks.  With the randomized pair coloring the per-level errors are
 independent zero-mean, giving counting error ``O(eps * n)`` for
@@ -27,6 +33,7 @@ import numpy as np
 
 from ..core.base import Summary, normalize_batch
 from ..core.exceptions import EmptySummaryError, ParameterError
+from ..core.merge_reduce import MergeReduce
 from ..core.registry import register_summary
 from ..core.rng import RngLike, resolve_rng
 from .discrepancy import halve_points
@@ -36,7 +43,7 @@ __all__ = ["EpsApproximation"]
 
 
 @register_summary("eps_approximation")
-class EpsApproximation(Summary):
+class EpsApproximation(MergeReduce):
     """Mergeable eps-approximation of a point set for a range family.
 
     Parameters
@@ -50,6 +57,8 @@ class EpsApproximation(Summary):
         Halving coloring: ``"pair_random"`` (default) or ``"greedy"``.
     """
 
+    sorted_blocks = False
+
     def __init__(
         self,
         space: RangeSpace | str,
@@ -57,7 +66,6 @@ class EpsApproximation(Summary):
         method: str = "pair_random",
         rng: RngLike = None,
     ) -> None:
-        super().__init__()
         if isinstance(space, str):
             space = get_range_space(space)
         if not isinstance(space, RangeSpace):
@@ -68,12 +76,10 @@ class EpsApproximation(Summary):
             raise ParameterError(
                 f"method must be 'pair_random' or 'greedy', got {method!r}"
             )
+        super().__init__(s)  # the buffer holds raw points, weight 1
         self.space = space
-        self.s = int(s)
         self.method = method
         self._rng = resolve_rng(rng)
-        self._buffer: List[np.ndarray] = []  # raw points, weight 1
-        self._blocks: Dict[int, List[np.ndarray]] = {}
 
     @classmethod
     def from_epsilon(
@@ -128,31 +134,10 @@ class EpsApproximation(Summary):
             pts = np.repeat(pts, weights, axis=0)
         self.extend_points(pts)
 
-    def _flush_buffer(self) -> None:
-        if len(self._buffer) >= self.s:
-            buffered = self._buffer
-            full = (len(buffered) // self.s) * self.s
-            level0 = self._blocks.setdefault(0, [])
-            for start in range(0, full, self.s):
-                level0.append(np.array(buffered[start : start + self.s], dtype=np.float64))
-            self._buffer = list(buffered[full:])
-        self._carry()
-
-    def _carry(self) -> None:
-        level = 0
-        while level <= max(self._blocks, default=-1):
-            blocks = self._blocks.get(level, [])
-            while len(blocks) >= 2:
-                right = blocks.pop()
-                left = blocks.pop()
-                union = np.concatenate([left, right])
-                kept = halve_points(
-                    union, self.space, rng=self._rng, method=self.method
-                )
-                self._blocks.setdefault(level + 1, []).append(kept)
-            if not blocks:
-                self._blocks.pop(level, None)
-            level += 1
+    def _halve(self, left, right):
+        return halve_points(
+            np.concatenate([left, right]), self.space, rng=self._rng, method=self.method
+        )
 
     # ------------------------------------------------------------------
     # Queries
@@ -178,11 +163,6 @@ class EpsApproximation(Summary):
             raise EmptySummaryError("fraction query on an empty approximation")
         return self.count(range_params) / self._n
 
-    def size(self) -> int:
-        return len(self._buffer) + sum(
-            len(b) for blocks in self._blocks.values() for b in blocks
-        )
-
     def points(self) -> List[np.ndarray]:
         """All stored (point, weight) pairs — for inspection/plotting."""
         out = [(p.copy(), 1.0) for p in self._buffer]
@@ -205,13 +185,14 @@ class EpsApproximation(Summary):
             return f"halving method mismatch: {self.method} vs {other.method}"
         return None
 
-    def _merge_same_type(self, other: "EpsApproximation") -> None:
-        assert isinstance(other, EpsApproximation)
-        self._buffer.extend(p.copy() for p in other._buffer)
-        for level, blocks in other._blocks.items():
-            self._blocks.setdefault(level, []).extend(b.copy() for b in blocks)
-        self._n += other._n
-        self._flush_buffer()
+    def _absorb(self, other: "EpsApproximation") -> None:
+        # buffered points are array rows: take copies, as of the blocks
+        start = len(self._buffer)
+        super()._absorb(other)
+        self._buffer[start:] = [p.copy() for p in self._buffer[start:]]
+
+    # a fold, one carry per operand (no single carry over all operands)
+    _merge_many_same_type = Summary._merge_many_same_type
 
     # ------------------------------------------------------------------
     # Serialization
@@ -223,11 +204,7 @@ class EpsApproximation(Summary):
             "s": self.s,
             "method": self.method,
             "n": self._n,
-            "buffer": [[float(c) for c in p] for p in self._buffer],
-            "blocks": {
-                str(level): [[[float(c) for c in p] for p in block] for block in blocks]
-                for level, blocks in self._blocks.items()
-            },
+            **self._counter_state(),
             "seed": int(self._rng.integers(0, 2**63 - 1)),
         }
 
@@ -239,12 +216,6 @@ class EpsApproximation(Summary):
             method=payload["method"],
             rng=payload["seed"],
         )
-        summary._buffer = [
-            np.array(p, dtype=np.float64) for p in payload["buffer"]
-        ]
-        summary._blocks = {
-            int(level): [np.array(block, dtype=np.float64) for block in blocks]
-            for level, blocks in payload["blocks"].items()
-        }
-        summary._n = payload["n"]
-        return summary
+        return summary._load_counter(
+            payload, item=lambda p: np.array(p, dtype=np.float64)
+        )

@@ -10,17 +10,20 @@ summaries with.
 
 Geometry: ``depth`` rows (medianed) of ``width`` independent estimators
 (averaged).  Standard guarantee: relative error ``O(1/sqrt(width))``
-with probability ``1 - 2^-Omega(depth)``.
+with probability ``1 - 2^-Omega(depth)``.  The cells are a
+:class:`~repro.core.counter_table.CounterTable` (serialized under
+``"cells"``), hashed per cell rather than per row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Optional
+from typing import Any
 
 import numpy as np
 
-from ..core.base import Summary, normalize_batch
+from ..core.base import normalize_batch
+from ..core.counter_table import CounterTable
 from ..core.exceptions import ParameterError
 from ..core.hashing import stable_hash
 from ..core.registry import register_summary
@@ -29,21 +32,14 @@ __all__ = ["AmsF2Sketch"]
 
 
 @register_summary("ams_f2")
-class AmsF2Sketch(Summary):
+class AmsF2Sketch(CounterTable):
     """Tug-of-war F2 sketch: ``depth`` x ``width`` signed accumulators."""
 
+    odd_depth = True  # odd depth -> median is an actual estimate
+    table_key = "cells"
+
     def __init__(self, width: int = 16, depth: int = 5, seed: int = 0) -> None:
-        super().__init__()
-        if width < 1 or depth < 1:
-            raise ParameterError(
-                f"width and depth must be >= 1, got {width!r} x {depth!r}"
-            )
-        if depth % 2 == 0:
-            depth += 1  # odd depth -> median is an actual estimate
-        self.width = int(width)
-        self.depth = int(depth)
-        self.seed = int(seed)
-        self._cells = np.zeros((self.depth, self.width), dtype=np.int64)
+        super().__init__(width, depth, seed)
 
     def _signs(self, item: Any) -> np.ndarray:
         h = stable_hash(item, seed=self.seed)
@@ -60,7 +56,7 @@ class AmsF2Sketch(Summary):
     def update(self, item: Any, weight: int = 1) -> None:
         if weight <= 0:
             raise ParameterError(f"weight must be positive, got {weight!r}")
-        self._cells += weight * self._signs(item)
+        self._table += weight * self._signs(item)
         self._n += weight
 
     def update_batch(self, items, weights=None) -> None:
@@ -76,44 +72,10 @@ class AmsF2Sketch(Summary):
             for item, weight in zip(items, weights.tolist()):
                 aggregated[item] += weight
         for item, weight in aggregated.items():
-            self._cells += weight * self._signs(item)
+            self._table += weight * self._signs(item)
         self._n += total
 
     def f2(self) -> float:
         """Estimated second frequency moment ``sum_x f(x)^2``."""
-        squares = self._cells.astype(np.float64) ** 2
+        squares = self._table.astype(np.float64) ** 2
         return float(np.median(squares.mean(axis=1)))
-
-    def size(self) -> int:
-        return self.width * self.depth
-
-    def compatible_with(self, other: "AmsF2Sketch") -> Optional[str]:
-        assert isinstance(other, AmsF2Sketch)
-        mine = (self.width, self.depth, self.seed)
-        theirs = (other.width, other.depth, other.seed)
-        if mine != theirs:
-            return f"geometry/seed mismatch: {mine} vs {theirs}"
-        return None
-
-    def _merge_same_type(self, other: "AmsF2Sketch") -> None:
-        assert isinstance(other, AmsF2Sketch)
-        self._cells += other._cells
-        self._n += other._n
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "width": self.width,
-            "depth": self.depth,
-            "seed": self.seed,
-            "n": self._n,
-            "cells": self._cells.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "AmsF2Sketch":
-        sketch = cls(
-            width=payload["width"], depth=payload["depth"], seed=payload["seed"]
-        )
-        sketch._cells = np.array(payload["cells"], dtype=np.int64)
-        sketch._n = payload["n"]
-        return sketch

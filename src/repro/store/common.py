@@ -43,6 +43,7 @@ from ..core.exceptions import ParameterError
 from .chain import EpochChain, merged_segment, resolve_window
 from .segment import MemberSpec, Segment, build_members
 from .views import ViewCache
+from .wal import check_batch
 
 __all__ = ["StoreBase"]
 
@@ -254,7 +255,11 @@ class StoreBase:
 
         The whole batch is validated and built before anything changes:
         a batch that cannot apply raises and leaves the store — and its
-        write-ahead log (:meth:`enable_wal`) — untouched.  A batch that
+        write-ahead log (:meth:`enable_wal`) — untouched.  Validation is
+        :func:`~repro.store.wal.check_batch` (records are mappings, one
+        finite key per record, positive integer weights), the rule WAL
+        replay applies to every logged frame, then the members' own
+        checks as the batch is built.  A batch that
         can apply is appended to the log (durably, per the log's fsync
         policy) before it is installed, so a crash at any later instant
         is recoverable by replay.
@@ -267,20 +272,11 @@ class StoreBase:
             raise ParameterError(
                 f"{self.kind_noun} has no members; add_member() first"
             )
-        records, weights, _total = normalize_batch(records, weights)
-        records = list(records)
         if keys is None:
-            keys = [float(self._records + i) for i in range(len(records))]
-        else:
-            if len(keys) != len(records):
-                raise ParameterError(
-                    f"keys must align with records: got {len(records)} "
-                    f"record(s) and {len(keys)} key(s)"
-                )
-            keys = [float(key) for key in keys]
-        for key in keys:
-            if not math.isfinite(key):
-                raise ParameterError(f"partition keys must be finite, got {key!r}")
+            # number the records from the running record count
+            records = records if isinstance(records, list) else list(records)
+            keys = range(self._records, self._records + len(records))
+        records, keys, weights = check_batch(records, keys, weights)
         cells = self._build_cells(records, keys, weights)
         if self._wal is None:
             return self._install_cells(cells, len(records))

@@ -136,6 +136,10 @@ _MANIFEST_FORMAT = 4
 _ACCEPTED_MANIFEST_FORMATS = (1, 2, 3, 4)
 _SEGMENT_MAGIC = b"RSEG"
 _SEGMENT_VERSION = 2
+#: highest level a container may claim: an epoch is ``floor(key /
+#: width)`` of a finite float, below 2**1024 in magnitude, so no real
+#: roll-up needs more than 1,025 levels
+_MAX_SEGMENT_LEVEL = 4096
 _PACK_SUFFIX = ".rpak"
 #: a save cuts what it writes into packs of at most this many bytes (a
 #: larger container gets a pack of its own), so a dead container makes
@@ -265,12 +269,25 @@ def _parse_segment(blob: bytes, path: str) -> Segment:
         raise SerializationError(
             f"{path}: member payloads do not match the container metadata"
         )
+    segment_id, level, start, count = (
+        meta.get(key) for key in ("id", "level", "start", "count")
+    )
+    # bool is an int subclass, and JSON never writes it for a number
+    if not (
+        isinstance(segment_id, str)
+        and type(level) is int
+        and 0 <= level <= _MAX_SEGMENT_LEVEL
+        and type(start) is int
+        and start % (1 << level) == 0
+        and type(count) is int
+        and count >= 0
+    ):
+        raise SerializationError(
+            f"{path}: segment metadata out of range (id {segment_id!r}, level "
+            f"{level!r}, start {start!r}, count {count!r})"
+        )
     return Segment(
-        segment_id=meta["id"],
-        level=int(meta["level"]),
-        start=int(meta["start"]),
-        count=int(meta["count"]),
-        members=members,
+        segment_id=segment_id, level=level, start=start, count=count, members=members
     )
 
 

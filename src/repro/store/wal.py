@@ -38,7 +38,8 @@ Torn tails
 
 :func:`scan_wal` never raises on a damaged log: it returns every frame
 up to the first violation (truncated header, short body, CRC mismatch,
-malformed JSON, non-monotonic ``seq``) plus the byte offset where the
+malformed JSON, a batch that fails :func:`check_batch`, non-monotonic
+``seq``) plus the byte offset where the
 good prefix ends and the reason.  Whether the damaged tail is a hard
 error (strict :meth:`~repro.store.store.SegmentStore.open`) or gets
 quarantined with a report (:func:`~repro.store.persistence.recover_store`)
@@ -57,15 +58,20 @@ recovered).  ``fsync_every=0`` leaves fsync entirely to explicit
 
 from __future__ import annotations
 
+import collections.abc
 import json
+import math
 import os
 import re
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.exceptions import SerializationError
+import numpy as np
+
+from ..core.base import normalize_batch
+from ..core.exceptions import ParameterError, SerializationError
 from ..core.fsio import Filesystem, REAL_FS
 
 __all__ = [
@@ -74,6 +80,7 @@ __all__ = [
     "WalRecord",
     "WalScan",
     "WriteAheadLog",
+    "check_batch",
     "scan_wal",
     "wal_files",
 ]
@@ -120,6 +127,52 @@ class WalScan:
     def last_seq(self) -> int:
         """Highest sequence in the good prefix (0 when empty)."""
         return self.records[-1].seq if self.records else 0
+
+
+def check_batch(
+    records: Sequence[Any], keys: Sequence[Any], weights: Optional[Sequence[Any]]
+) -> Tuple[List[Mapping[str, Any]], List[float], Optional[np.ndarray]]:
+    """The one rule for an ingest batch; returns the batch normalized.
+
+    Every record is a mapping, there are as many finite keys as
+    records, and ``weights`` is ``None`` or as many positive integers.
+    ``StoreBase.ingest`` applies it before it builds or logs a batch,
+    and :func:`scan_wal` to every frame, so a frame that passes its CRC
+    but not this rule ends the good prefix.  Returns the records as a
+    list, the keys as floats and the weights as an ``int64`` array (or
+    ``None``); raises :class:`~repro.core.exceptions.ParameterError`.
+    """
+    if not isinstance(records, list):
+        try:
+            records = list(records)
+        except TypeError:
+            raise ParameterError(
+                f"records must be a sequence of mappings, got {type(records).__name__}"
+            ) from None
+    kinds = set(map(type, records))
+    kinds.discard(dict)  # the common case, before the abstract test
+    for kind in kinds:
+        if not issubclass(kind, collections.abc.Mapping):
+            raise ParameterError(f"records must be mappings, got {kind.__name__}")
+    try:
+        keys = [float(key) for key in keys]
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError("partition keys must be numbers") from None
+    try:
+        _, weights, _ = normalize_batch(records, weights)
+    except ParameterError:
+        raise
+    except (TypeError, ValueError) as exc:  # e.g. ragged nested weights
+        raise ParameterError(f"malformed weights: {exc}") from None
+    if len(keys) != len(records):
+        raise ParameterError(
+            f"keys must align with records: got {len(records)} "
+            f"record(s) and {len(keys)} key(s)"
+        )
+    if not all(map(math.isfinite, keys)):
+        bad = next(key for key in keys if not math.isfinite(key))
+        raise ParameterError(f"partition keys must be finite, got {bad!r}")
+    return records, keys, weights
 
 
 def _encode_frame(record: WalRecord) -> bytes:
@@ -179,23 +232,23 @@ def scan_wal(path: str, fs: Optional[Filesystem] = None) -> WalScan:
             scan.error = "frame CRC mismatch"
             return scan
         try:
-            # RecursionError: nesting deeper than the parser's stack
+            # RecursionError: nesting deeper than the parser's stack;
+            # ParameterError (a ValueError): a batch ingest would refuse
             payload = json.loads(body.decode("utf-8"))
             seq = int(payload["seq"])
-            record = WalRecord(
-                seq=seq,
-                records=list(payload["records"]),
-                keys=[float(k) for k in payload["keys"]],
-                weights=(
-                    None
-                    if payload.get("weights") is None
-                    else [int(w) for w in payload["weights"]]
-                ),
+            records, keys, weights = check_batch(
+                payload["records"], payload["keys"], payload.get("weights")
             )
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError,
                 ValueError, OverflowError, RecursionError) as exc:
             scan.error = f"malformed frame body: {exc!r}"
             return scan
+        record = WalRecord(
+            seq=seq,
+            records=records,
+            keys=keys,
+            weights=None if weights is None else weights.tolist(),
+        )
         if seq <= last_seq:
             scan.error = (
                 f"non-monotonic sequence {seq} after {last_seq}"

@@ -92,7 +92,7 @@ class TestAmsF2:
         sequential = AmsF2Sketch(32, 3, seed=5).extend(stream)
         parts = [AmsF2Sketch(32, 3, seed=5).extend(stream[i::4]) for i in range(4)]
         merged = merge_all(parts, strategy="tree")
-        assert (merged._cells == sequential._cells).all()
+        assert (merged._table == sequential._table).all()
 
     def test_seed_mismatch_refused(self):
         with pytest.raises(MergeError):

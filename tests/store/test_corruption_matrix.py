@@ -378,6 +378,36 @@ def test_deeply_nested_segment_metadata_raises(tmp_path):
         read_segment(path)
 
 
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("level", 10**30),
+        ("level", -1),
+        ("level", 4097),
+        ("level", True),
+        ("level", 1.0),
+        ("id", ["x"]),
+        ("id", 7),
+        ("start", 3),
+        ("start", "0"),
+        ("count", -1),
+        ("count", 2.5),
+    ],
+)
+def test_segment_metadata_out_of_range_raises(tmp_path, version, field, value):
+    """A container whose framing and CRC hold but whose metadata no
+    segment can have: version 1 has no CRC and still loads."""
+    meta = {"count": 1, "id": "s1", "level": 1, "members": [], "start": 2, field: value}
+    raw = json.dumps(meta).encode("utf-8")
+    body = struct.pack("!I", len(raw)) + raw
+    head = b"RSEG\x01" if version == 1 else b"RSEG\x02" + struct.pack("!I", zlib.crc32(body))
+    path = tmp_path / "meta.rseg"
+    path.write_bytes(head + body)
+    with pytest.raises(SerializationError, match="segment metadata out of range"):
+        read_segment(path)
+
+
 @pytest.mark.parametrize("field", ["records", "wal_seq"])
 def test_manifest_value_edited_under_its_checksum_raises(tmp_path, field):
     """An in-place edit that keeps the manifest valid JSON, with the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 import os
 import struct
 import zlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro.store.wal as wal_module
-from repro.core import SerializationError
+from repro.core import ParameterError, SerializationError
 from repro.core.fsio import RealFilesystem
 from repro.store import CubeStore, SegmentStore, WriteAheadLog, scan_wal, wal_files
 
@@ -330,3 +331,78 @@ def test_rejected_batch_is_neither_applied_nor_logged(tmp_path, kind, bad):
     assert after == before
     store.wal.close()
     assert type(store).open(path).fingerprint() == before[0]
+
+
+# ---------------------------------------------------------------------------
+# One batch check for ingest and for every WAL frame
+# ---------------------------------------------------------------------------
+
+
+def _frame(body):
+    raw = json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return struct.pack("!II", len(raw), zlib.crc32(raw)) + raw
+
+
+def _saved_with_frames(tmp_path, kind, bad):
+    """A saved empty store, and a WAL of one good frame then ``bad``
+    (``seq`` 2), both with valid CRCs."""
+    path = str(tmp_path / "db")
+    if kind == "cube":
+        store, tag = CubeStore(width=1.0, dims=("region",)), {"region": "eu"}
+    else:
+        store, tag = SegmentStore(width=1.0), {}
+    store.add_member("lat", "exact_quantiles")
+    store.save(path)
+    good = {"seq": 1, "records": [{"lat": 1.0, **tag}], "keys": [0.0], "weights": None}
+    os.makedirs(os.path.join(path, "wal"))
+    with open(os.path.join(path, "wal", "wal-000001.log"), "wb") as handle:
+        handle.write(b"RWAL\x01" + _frame(good) + _frame({"seq": 2, **bad}))
+    return path, type(store)
+
+
+def _member_n(store):
+    return sum(
+        segment.members["lat"].n
+        for _chain_id, chain in store._chain_index()
+        for segment in chain.base.values()
+    )
+
+
+class TestBatchCheck:
+    @pytest.mark.parametrize(
+        "records", [["ab"], [5], [None], [["v", 1]]], ids=["str", "int", "none", "list"]
+    )
+    def test_ingest_rejects_records_that_are_not_mappings(self, records):
+        store = SegmentStore(width=1.0)
+        store.add_member("v", "exact_counter")
+        with pytest.raises(ParameterError, match="records must be mappings"):
+            store.ingest(records, keys=[0.0])
+        assert (store.records, store.generation) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            ("store", {"records": ["ab"], "keys": [1.0], "weights": None}),
+            ("store", {"records": [{"lat": 2.0}, {"lat": 3.0}], "keys": [1.0], "weights": None}),
+            ("store", {"records": [5], "keys": [1.0], "weights": None}),
+            ("store", {"records": [{"lat": 2.0}], "keys": ["NaN"], "weights": None}),
+            ("store", {"records": [{"lat": 2.0}], "keys": [1.0], "weights": [0]}),
+            ("cube", {"records": ["ab"], "keys": [1.0], "weights": None}),
+        ],
+        ids=["str-record", "missing-key", "int-record", "nan-key", "zero-weight", "cube-str-record"],
+    )
+    def test_frame_that_fails_the_check_is_a_torn_tail(self, tmp_path, kind, bad):
+        path, cls = _saved_with_frames(tmp_path, kind, bad)
+        report = cls.verify(path)
+        assert not report["ok"]
+        assert [torn["file"] for torn in report["wal"]["torn"]] == ["wal-000001.log"]
+        assert report["wal"]["records"] == 1
+        with pytest.raises(SerializationError, match="damaged WAL"):
+            cls.open(path)
+        store, recovery = cls.recover(path)
+        assert len(recovery.wal_quarantined) == 1
+        assert recovery.wal_records_replayed == 1
+        assert (store.records, _member_n(store)) == (1, 1)
+        assert cls.verify(path)["ok"]
+        assert (cls.open(path).records, _member_n(cls.open(path))) == (1, 1)
+

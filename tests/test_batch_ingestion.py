@@ -19,6 +19,7 @@ registration forgets to classify itself):
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -410,6 +411,15 @@ class TestNormalizeBatch:
     def test_fractional_weights(self):
         with pytest.raises(ParameterError):
             normalize_batch([1, 2], [1.5, 2.0])
+
+    def test_float_weights_past_int64_rejected_before_the_cast(self):
+        # the cast's result past int64 is platform-defined: it may clamp
+        # to a positive weight instead of wrapping to a negative one
+        for bad in ([1e19, 1.0], [float("inf"), 1.0], [-1e19, 1.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ParameterError, match="below 2\\*\\*63"):
+                    normalize_batch([1, 2], bad)
 
     def test_integer_valued_float_weights_ok(self):
         _, weights, total = normalize_batch([1, 2], [2.0, 3.0])

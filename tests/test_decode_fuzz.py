@@ -10,6 +10,13 @@ decoder must agree with the reference: both raise a
 canonical state (for a manifest, a store with the same segment
 fingerprints).  Any other exception fails the test.
 
+Segment containers and WAL frames carry their own CRCs, so those
+fuzzers recompute the CRC after every mutation, to reach the parsers
+behind it.  ``read_segment`` (container versions 1 and 2) must return a
+segment whose fields are what the metadata says and usable, or raise a
+``ReproError``.  ``scan_wal`` must never raise, and must return a prefix
+of the written frames in which every frame passes ``check_batch``.
+
 Tier-1 runs each case with the default example budget; the CI profile
 ``HYPOTHESIS_PROFILE=long`` (registered in ``tests/conftest.py``) runs
 this module with a much larger one.
@@ -18,6 +25,8 @@ this module with a much larger one.
 from __future__ import annotations
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -35,8 +44,12 @@ from repro.store.persistence import (
     _ACCEPTED_MANIFEST_FORMATS,
     _manifest_checksum,
     _read_manifest,
+    _segment_blob,
     _store_from_manifest,
+    read_segment,
 )
+from repro.store.segment import Segment
+from repro.store.wal import WalRecord, _encode_frame, check_batch, scan_wal
 
 
 def _summaries():
@@ -242,3 +255,177 @@ def test_crc_valid_manifest_in_another_layout_is_reencoded(saved_store):
     tampered = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
     with pytest.raises(SerializationError, match="checksum mismatch"):
         _read_manifest(str(path), _ManifestBytes(tampered))
+
+
+# ---------------------------------------------------------------------------
+# Segment containers (read_segment)
+# ---------------------------------------------------------------------------
+
+#: JSON values for one metadata field, edges first
+_META_VALUES = st.one_of(
+    st.sampled_from([10**30, 2**62, 4096, 4097, -1, 0, 1, 3, True, 1.0, "0", ["x"], None]),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=4,
+    ),
+)
+
+
+def _container_body():
+    rng = np.random.default_rng(5)
+    members = {
+        "hot": MisraGries(4).extend(rng.zipf(1.3, 60).tolist()),
+        "lat": KLLQuantiles(8, rng=3).extend(rng.random(40)),
+    }
+    blob = _segment_blob(Segment("s000003-L1-e2", 1, 2, 60, members), "json.v2")
+    return blob[9:]  # after magic, version and CRC
+
+
+CONTAINER_BODY = _container_body()
+
+
+def _frame_container(version, body):
+    if version == 1:  # no CRC
+        return b"RSEG\x01" + body
+    return b"RSEG\x02" + struct.pack("!I", zlib.crc32(body)) + body
+
+
+def _with_meta(body, field, value):
+    """``body`` with one metadata field set (or dropped, for ``...``)."""
+    (meta_len,) = struct.unpack_from("!I", body)
+    meta = json.loads(body[4 : 4 + meta_len])
+    if value is ...:
+        meta.pop(field, None)
+    else:
+        meta[field] = value
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return struct.pack("!I", len(raw)) + raw + body[4 + meta_len :]
+
+
+def _assert_segment_sound_or_typed_error(blob):
+    try:
+        segment = read_segment("fuzz.rseg", fs=_ManifestBytes(blob))
+    except ReproError:
+        return
+    # loaded: every field is what the metadata says, and usable
+    body = blob[5:] if blob[4] == 1 else blob[9:]
+    (meta_len,) = struct.unpack_from("!I", body)
+    meta = json.loads(body[4 : 4 + meta_len])
+    assert segment.meta() == {key: meta[key] for key in ("id", "level", "start", "count", "members")}
+    assert isinstance(segment.segment_id, str)
+    assert 0 <= segment.level <= 4096 and segment.count >= 0
+    assert segment.start % segment.span == 0
+    assert segment.end == segment.start + segment.span
+    repr(segment)
+    segment.key_range(0.5)
+    assert len(segment.fingerprint()) == 64
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_intact_container_reads(version):
+    segment = read_segment("c.rseg", fs=_ManifestBytes(_frame_container(version, CONTAINER_BODY)))
+    assert (segment.segment_id, segment.level, segment.start, segment.count) == (
+        "s000003-L1-e2", 1, 2, 60,
+    )
+    assert sorted(segment.members) == ["hot", "lat"]
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_container_reads_right_or_raises_typed(version, data):
+    body = _mutate(CONTAINER_BODY, data.draw(_mutations(len(CONTAINER_BODY))))
+    _assert_segment_sound_or_typed_error(_frame_container(version, body))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@settings(deadline=None)
+@given(
+    field=st.sampled_from(["id", "level", "start", "count", "members"]),
+    value=st.one_of(st.just(...), _META_VALUES),
+)
+def test_container_metadata_reads_right_or_raises_typed(version, field, value):
+    _assert_segment_sound_or_typed_error(
+        _frame_container(version, _with_meta(CONTAINER_BODY, field, value))
+    )
+
+
+# ---------------------------------------------------------------------------
+# WAL frames (scan_wal)
+# ---------------------------------------------------------------------------
+
+WAL_RECORDS = [
+    WalRecord(1, [{"v": 1}, {"v": 2}], [0.0, 1.5], None),
+    WalRecord(2, [{"v": 3}], [2.0], [4]),
+    WalRecord(5, [{"v": 4, "tag": "a"}, {"v": 5}], [-3.0, 7.25], [1, 2]),
+]
+
+
+def _frame_bodies():
+    bodies = []
+    for record in WAL_RECORDS:
+        frame = _encode_frame(record)
+        bodies.append(frame[8:])  # after body_len and CRC
+    return bodies
+
+
+FRAME_BODIES = _frame_bodies()
+
+
+def _wal_file(bodies):
+    return b"RWAL\x01" + b"".join(
+        struct.pack("!II", len(body), zlib.crc32(body)) + body for body in bodies
+    )
+
+
+def _assert_scan_is_a_checked_prefix(bodies, changed):
+    """``bodies[changed]`` was mutated (CRC recomputed), the rest are intact."""
+    scan = scan_wal("wal-000001.log", fs=_ManifestBytes(_wal_file(bodies)))
+    records = scan.records
+    assert records[:changed] == WAL_RECORDS[:changed]
+    assert len(records) <= len(bodies)
+    if len(records) < len(bodies):
+        assert scan.torn
+    if len(records) > changed + 1:
+        assert records[changed + 1 :] == WAL_RECORDS[changed + 1 : len(records)]
+    for record in records:
+        checked = check_batch(record.records, record.keys, record.weights)
+        assert (checked[0], checked[1]) == (record.records, record.keys)
+    assert [record.seq for record in records] == sorted({r.seq for r in records})
+
+
+def test_intact_wal_scans_clean():
+    scan = scan_wal("wal-000001.log", fs=_ManifestBytes(_wal_file(FRAME_BODIES)))
+    assert not scan.torn and scan.records == WAL_RECORDS
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_mutated_wal_frame_scans_to_a_checked_prefix(data):
+    changed = data.draw(st.integers(0, len(FRAME_BODIES) - 1))
+    bodies = list(FRAME_BODIES)
+    bodies[changed] = _mutate(bodies[changed], data.draw(_mutations(len(bodies[changed]))))
+    _assert_scan_is_a_checked_prefix(bodies, changed)
+
+
+@settings(deadline=None)
+@given(
+    changed=st.integers(0, len(FRAME_BODIES) - 1),
+    field=st.sampled_from(["seq", "records", "keys", "weights"]),
+    element=st.booleans(),
+    value=st.one_of(st.just(...), _META_VALUES),
+)
+def test_wal_frame_fields_scan_to_a_checked_prefix(changed, field, element, value):
+    body = json.loads(FRAME_BODIES[changed])
+    if value is ...:
+        body.pop(field)
+    elif element and isinstance(body[field], list) and body[field]:
+        body[field][0] = value  # one record, key or weight
+    else:
+        body[field] = value
+    bodies = list(FRAME_BODIES)
+    bodies[changed] = json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    _assert_scan_is_a_checked_prefix(bodies, changed)
+

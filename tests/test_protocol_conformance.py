@@ -11,7 +11,8 @@ library-wide invariants that make summaries interchangeable behind the
 - `copy` equals the `from_dict(to_dict())` round trip and shares no
   state with its source;
 - `compatible_with` accepts an identically configured twin;
-- `update` rejects non-positive weights.
+- `update` rejects non-positive weights;
+- merging a summary into itself returns, and equals merging a copy.
 
 A new summary type only needs a `Spec` entry here (and the suite fails
 loudly if a registered type forgets to add one).
@@ -19,6 +20,9 @@ loudly if a registered type forgets to add one).
 
 from __future__ import annotations
 
+import copy
+import json
+import signal
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -211,6 +215,24 @@ def spec(request) -> Spec:
     return SPECS[request.param]
 
 
+def _returns_within(seconds: int, call: Callable[[], object]) -> bool:
+    """Run ``call``; ``False`` if it has not returned after ``seconds``."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        call()
+    except TimeoutError:
+        return False
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return True
+
+
 class TestProtocolConformance:
     def test_fresh_summary_is_empty(self, spec):
         summary = spec.factory()
@@ -289,3 +311,24 @@ class TestProtocolConformance:
         copied = _canon(copy)
         summary.extend(feed_a[half:])
         assert _canon(copy) == copied
+
+    def test_merge_into_itself_merges_a_snapshot(self, spec):
+        # merge code walks the operand while growing itself: with one
+        # object on both sides it used to loop forever or go wrong, and
+        # merge_many silently dropped the operand
+        summary = spec.factory().extend(spec.feed_a())
+        reference = copy.deepcopy(summary)
+        reference.merge(copy.deepcopy(reference))
+        # one to_dict per summary: it may draw a seed from its coins
+        expected = json.dumps(reference.to_dict(), sort_keys=True)
+        for how in ("merge", "merge_many"):
+            merged = copy.deepcopy(summary)
+            if how == "merge":
+                call = lambda: merged.merge(merged)
+            else:
+                call = lambda: merged.merge_many([merged])
+            if not _returns_within(3, call):
+                merged = None  # free what the runaway merge grew
+                pytest.fail(f"{how} of a summary with itself ran past 3 s")
+            assert merged.n == 2 * summary.n, how
+            assert json.dumps(merged.to_dict(), sort_keys=True) == expected, how

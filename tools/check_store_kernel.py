@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Dead-duplication guard for the chain kernel and the merge schedules.
+"""Dead-duplication guard for the chain kernel, the merge schedules and
+the shared summary structures.
 
 The storage kernel (``repro.store.chain`` + ``repro.store.common`` +
 the kind-generic ``repro.store.persistence``) exists so that the flat
@@ -56,7 +57,13 @@ distributed simulator both replay a
   ``def compile_fold``, ``def compile_aggregation`` and
   ``def _compile_(chain|tree|random|kway)`` are banned everywhere;
 * ``def balanced_tree`` and ``def random_tree`` may appear only in
-  ``core/topology.py``, the one copy of every shape.
+  ``core/topology.py``, the one copy of every shape;
+* ``def _carry`` and ``def _flush_buffer`` may appear only in
+  ``core/merge_reduce.py``: the Section 3.2 quantiles, MRL, the hybrid
+  and the eps-approximation share one buffer and binary counter;
+* ``def _row_indices`` may appear only in ``core/counter_table.py``:
+  CountMin, conservative CountMin, CountSketch and AMS share one
+  counter table.
 
 Run from the repo root: ``python tools/check_store_kernel.py``.
 Exit status 0 = clean, 1 = duplicates found (each printed as
@@ -115,6 +122,9 @@ BANNED_REPRO_DEFINITIONS = {
     r"def _compile_(chain|tree|random|kway)\b": None,
     r"def balanced_tree\b": "core/topology.py",
     r"def random_tree\b": "core/topology.py",
+    r"def _carry\b": "core/merge_reduce.py",
+    r"def _flush_buffer\b": "core/merge_reduce.py",
+    r"def _row_indices\b": "core/counter_table.py",
 }
 
 
@@ -149,13 +159,16 @@ def main() -> int:
             f"\n{len(violations)} duplication(s): the chain kernel "
             "(chain.py/common.py/persistence.py) is the single home for "
             "ingest, roll-up compaction, window slack, and store persistence; "
-            "core/topology.py is the single home of every merge shape, and "
+            "core/topology.py is the single home of every merge shape; "
+            "core/merge_reduce.py of the buffer-and-counter carry; "
+            "core/counter_table.py of the counter table's row hashing; and "
             "no merge-plan IR exists."
         )
         return 1
     print(
         "store kernel clean: no duplicated chain/persistence surface, "
-        "no merge-plan IR, one copy of each merge shape"
+        "no merge-plan IR, one copy of each merge shape, one carry, "
+        "one counter table"
     )
     return 0
 
