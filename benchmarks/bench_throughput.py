@@ -7,7 +7,9 @@ complexity claims (MG updates are O(log k) amortized, kernel updates
 O(1/sqrt(eps)), etc.).
 
 The batched-ingestion section compares per-item ``update`` loops against
-the vectorized ``update_batch`` fast paths.
+the vectorized ``update_batch`` fast paths, on whole streams and, in the
+batch-size sweep, at 1 to 64 items per call: store cells hold a few
+records each, and numpy's per-call set-up decides which side wins there.
 
 Run:  pytest benchmarks/bench_throughput.py --benchmark-only
 
@@ -28,7 +30,7 @@ import sys
 import numpy as np
 import pytest
 
-from harness import best_of
+from harness import best_of, paired_best
 from repro import (
     BottomKSample,
     CountMin,
@@ -167,7 +169,56 @@ def run_batch_trajectory(n_items: int, repeats: int = 3) -> dict:
         "n_items": int(n_items),
         "repeats": int(repeats),
         "trajectory": trajectory,
+        "batch_size_sweep": run_batch_size_sweep(n_items, repeats),
     }
+
+
+#: items per ``update_batch`` call in the sweep
+SWEEP_SIZES = (1, 2, 4, 8, 16, 32, 64)
+
+
+def run_batch_size_sweep(n_items: int, repeats: int = 3) -> list:
+    """Per-call time of ``update_batch`` against the per-item loop, by size.
+
+    Both sides fold the same stream, cut into calls of ``size`` items,
+    into one summary (ungated; the store's cells are the small sizes).
+    """
+    items = zipf_stream(n_items, alpha=1.2, universe=20_000, rng=1).tolist()
+    values = value_stream(n_items, "uniform", rng=2).tolist()
+    cases = {
+        "hyperloglog": (lambda: HyperLogLog(p=10, seed=1), items),
+        "kll_quantiles": (lambda: KLLQuantiles(k=200, rng=4), values),
+        "misra_gries": (lambda: MisraGries(256), items),
+    }
+    rows = []
+    for name, (factory, stream) in cases.items():
+        for size in SWEEP_SIZES:
+            chunks = [stream[i : i + size] for i in range(0, len(stream) - size + 1, size)]
+
+            def batched():
+                summary = factory()
+                for chunk in chunks:
+                    summary.update_batch(chunk)
+
+            def per_item():
+                summary = factory()
+                update = summary.update
+                for chunk in chunks:
+                    for item in chunk:
+                        update(item)
+
+            batched_s, per_item_s = paired_best(batched, per_item, repeats)
+            rows.append(
+                {
+                    "summary": name,
+                    "batch_size": size,
+                    "calls": len(chunks),
+                    "batched_us_per_call": batched_s / len(chunks) * 1e6,
+                    "per_item_us_per_call": per_item_s / len(chunks) * 1e6,
+                    "speedup": per_item_s / batched_s,
+                }
+            )
+    return rows
 
 
 def main(argv=None) -> int:
@@ -193,6 +244,12 @@ def main(argv=None) -> int:
             f"{row['summary']:>22}: per-item {row['per_item_seconds']*1e3:8.1f} ms"
             f"  batched {row['batched_seconds']*1e3:8.1f} ms"
             f"  speedup {row['speedup']:6.1f}x"
+        )
+    for row in report["batch_size_sweep"]:
+        print(
+            f"{row['summary']:>22} x{row['batch_size']:<3d}: per-item "
+            f"{row['per_item_us_per_call']:8.1f} us  batched "
+            f"{row['batched_us_per_call']:8.1f} us  speedup {row['speedup']:6.2f}x"
         )
     print(f"wrote {args.out}")
     return 0

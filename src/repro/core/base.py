@@ -229,13 +229,29 @@ class Summary(abc.ABC):
         If ``self`` holds it for its current ``n``, the clone shares it
         now; otherwise the clone keeps a weak link to ``self``, which
         its first :meth:`_kept_answer` consumes.  The link is weak so
-        that a replaced summary stays collectable.
+        that a replaced summary stays collectable.  A merge that moves
+        the clone's ``n`` drops either (:meth:`_drop_answer`).
         """
         state = getattr(self, attr)
         if state is not None and state[0] == self._n:
             setattr(clone, attr, state)
         else:
             clone._source = (weakref.ref(self), self._n)
+
+    def _drop_answer(self, attr: str) -> None:
+        """Forget the answer state in ``attr`` and any link to a copy source.
+
+        A merge that moves ``n`` calls it.  Whatever the summary held or
+        inherited was built for the old ``n`` and can never be served,
+        yet a copy merged at once (a store roll-up, a replaced cell)
+        would keep it in memory until its first answer.  Attributes
+        already ``None`` are not assigned, so a summary that never held
+        one does not grow it.
+        """
+        if getattr(self, attr) is not None:
+            setattr(self, attr, None)
+        if self._source is not None:
+            self._source = None
 
     def _kept_answer(self, attr: str, build: Callable[[Any], Any]) -> Any:
         """The answer state in ``attr`` for the current ``n``, built once.

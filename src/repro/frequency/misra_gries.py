@@ -43,7 +43,7 @@ from ..core.base import Summary, normalize_batch
 from ..core.exceptions import ParameterError
 from ..core.items import plain
 from ..core.registry import register_summary
-from .prune import get_prune_rule
+from .prune import get_prune_rule, prune_cafaro
 
 __all__ = ["MisraGries"]
 
@@ -273,6 +273,12 @@ class MisraGries(Summary):
                 combined[item] = combined.get(item, 0) + value - offset
             total_n += other._n
             total_deduction += other._deduction
+        if self._prune is prune_cafaro and len(combined) > 2 * self.k:
+            # the Cafaro closed form takes the combine of two summaries
+            # (at most 2k counters): fold the operands pairwise instead
+            for other in others:
+                self._merge_same_type(other)
+            return
         pruned, cut = self._prune(combined, self.k)
         self._replace_state(pruned, total_n, total_deduction + cut)
 

@@ -34,9 +34,12 @@ source's view when the source holds one for its ``n``, and otherwise
 keeps a weak link that its first query consumes.  If neither side has
 moved ``n`` by then, the view is built on the source and shared, so a
 stored store cell answered through fresh copies builds its view once,
-not once per query.  View arrays are read-only, because copies share
-them.  ``view_stats`` exposes hit/miss counters for the benchmarks: an
-inherited view is a hit on the copy, and its build a miss on the source.
+not once per query.  A merge that moves the copy's ``n`` drops the
+shared view or the link, so a copy merged at once (a store roll-up or a
+replaced cell) keeps nothing built for its source.  View arrays are
+read-only, because copies share them.  ``view_stats`` exposes hit/miss
+counters for the benchmarks: an inherited view is a hit on the copy,
+and its build a miss on the source.
 """
 
 from __future__ import annotations

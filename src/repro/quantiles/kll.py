@@ -256,6 +256,7 @@ class KLLQuantiles(QuantileSummary):
                 self._levels[level].extend(buffer)
             self._n += other._n
         self._compress()
+        self._drop_answer("_view")
 
     # ------------------------------------------------------------------
     # Serialization
@@ -267,9 +268,14 @@ class KLLQuantiles(QuantileSummary):
         # to_dict makes and seeds the clone as from_dict does, so both
         # coin streams continue exactly as after a round trip
         seed = None if self._seed_or_rng is None else self._draw_seed()
-        clone = type(self)(k=self.k, rng=seed)
-        clone._levels = [list(buffer) for buffer in self._levels]
+        # the state alone: self passed __init__'s checks, and so does
+        # the seed, a non-negative int
+        clone = type(self).__new__(type(self))
         clone._n = self._n
+        clone.k = self.k
+        clone._seed_or_rng = seed
+        clone._levels = [list(buffer) for buffer in self._levels]
+        clone._compress_steps = 0
         self._share_answer(clone, "_view")
         return clone
 

@@ -103,8 +103,9 @@ class EpsApproximation(MergeReduce):
         """Add a point (1-D scalar or a length-``d`` coordinate array)."""
         if weight <= 0:
             raise ParameterError(f"weight must be positive, got {weight!r}")
+        # a copy: the buffer must not see later writes to the caller's array
         point = self.space.check_points(
-            np.asarray(item, dtype=np.float64).reshape(1, -1)
+            np.array(item, dtype=np.float64).reshape(1, -1)
             if np.ndim(item) > 0
             else np.array([[float(item)]])
         )[0]
@@ -115,12 +116,19 @@ class EpsApproximation(MergeReduce):
             self._flush_buffer()
 
     def extend_points(self, points: np.ndarray) -> "EpsApproximation":
-        """Bulk-add a point array of shape ``(n, d)`` (or ``(n,)`` in 1-D)."""
+        """Bulk-add a point array of shape ``(n, d)`` (or ``(n,)`` in 1-D).
+
+        The summary keeps copies, so the caller may reuse ``points``.
+        """
         pts = self.space.check_points(points)
         self._buffer.extend(pts)
         self._n += len(pts)
         if len(self._buffer) >= self.s:
             self._flush_buffer()
+        # sealed blocks are copies; the rows still buffered from this
+        # call are views of ``points``
+        tail = max(0, len(self._buffer) - len(pts))
+        self._buffer[tail:] = [p.copy() for p in self._buffer[tail:]]
         return self
 
     def update_batch(self, items, weights=None) -> None:

@@ -45,6 +45,13 @@ def _bit_length_u64(x: np.ndarray) -> np.ndarray:
 #: 2**-r for every rank a register can hold: 0 (empty) up to 65 - 4 at p=4
 _RANK_WEIGHTS = 2.0 ** -np.arange(65 - 4 + 1)
 
+#: batches shorter than this fold item by item (:meth:`HyperLogLog._fold`):
+#: the vectorized path pays about 20 µs of numpy set-up per call, which
+#: one scalar hash per item undercuts below about 16 ints (and for
+#: strings, which hash one at a time on both paths, at every size
+#: measured).  ``benchmarks/bench_throughput.py`` records the sweep.
+_SMALL_BATCH = 16
+
 
 def _alpha(m: int) -> float:
     if m == 16:
@@ -75,15 +82,21 @@ class HyperLogLog(Summary):
     def update(self, item: Any, weight: int = 1) -> None:
         if weight <= 0:
             raise ParameterError(f"weight must be positive, got {weight!r}")
-        h = stable_hash(item, seed=self.seed)
-        register = h & (self.m - 1)
-        remaining = h >> self.p
-        # rank = leading-zero count of the remaining (64 - p) bits, + 1
-        width = 64 - self.p
-        rank = width - remaining.bit_length() + 1
-        if rank > self._registers[register]:
-            self._registers[register] = rank
+        self._fold((item,))
         self._n += weight
+
+    def _fold(self, items: Iterable[Any]) -> None:
+        """Raise each item's register to the item's rank, one at a time."""
+        registers = self._registers
+        mask, p, seed = self.m - 1, self.p, self.seed
+        top = 65 - p
+        for item in items:
+            h = stable_hash(item, seed)
+            register = h & mask
+            # rank = leading-zero count of the remaining (64 - p) bits, + 1
+            rank = top - (h >> p).bit_length()
+            if rank > registers[register]:
+                registers[register] = rank
 
     def update_batch(
         self,
@@ -93,11 +106,14 @@ class HyperLogLog(Summary):
         items, weights, total = normalize_batch(items, weights)
         if not len(items):
             return
-        hashes = hash_batch(items, seed=self.seed)
-        registers = (hashes & np.uint64(self.m - 1)).astype(np.int64)
-        remaining = hashes >> np.uint64(self.p)
-        ranks = (65 - self.p - _bit_length_u64(remaining)).astype(np.uint8)
-        np.maximum.at(self._registers, registers, ranks)
+        if len(items) < _SMALL_BATCH:
+            self._fold(items)
+        else:
+            hashes = hash_batch(items, seed=self.seed)
+            registers = (hashes & np.uint64(self.m - 1)).astype(np.int64)
+            remaining = hashes >> np.uint64(self.p)
+            ranks = (65 - self.p - _bit_length_u64(remaining)).astype(np.uint8)
+            np.maximum.at(self._registers, registers, ranks)
         self._n += total
 
     def distinct(self) -> float:
@@ -137,20 +153,28 @@ class HyperLogLog(Summary):
 
     def _merge_same_type(self, other: "HyperLogLog") -> None:
         assert isinstance(other, HyperLogLog)
-        np.maximum(self._registers, other._registers, out=self._registers)
-        self._n += other._n
+        self._merge_many_same_type([other])
 
     def _merge_many_same_type(self, others: Sequence["HyperLogLog"]) -> None:
         # lattice join over the whole fan-in: one register-wise max
-        self._registers = np.maximum.reduce(
-            [self._registers] + [o._registers for o in others]
-        )
-        self._n += sum(o._n for o in others)
+        if len(others) == 1:
+            np.maximum(self._registers, others[0]._registers, out=self._registers)
+        else:
+            self._registers = np.maximum.reduce(
+                [self._registers] + [o._registers for o in others]
+            )
+        added = sum(o._n for o in others)
+        if added:
+            self._n += added
+            self._drop_answer("_estimate")
 
     def copy(self) -> "HyperLogLog":
-        clone = type(self)(p=self.p, seed=self.seed)
-        clone._registers = self._registers.copy()
+        # the state alone: self passed __init__'s checks, and a fresh
+        # register array would be replaced at once
+        clone = type(self).__new__(type(self))
         clone._n = self._n
+        clone.p, clone.m, clone.seed = self.p, self.m, self.seed
+        clone._registers = self._registers.copy()
         self._share_answer(clone, "_estimate")
         return clone
 

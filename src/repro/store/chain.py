@@ -128,7 +128,9 @@ def merged_segment(
     left untouched: each member starts as a copy of the first part's
     summary and folds in the rest with one ``merge_many`` call (made
     even when there is no rest), so one combine/compaction pass covers
-    the whole group.
+    the whole group.  A merge that moves ``n`` drops the answer state
+    the copy inherited from the first part (see
+    :meth:`~repro.core.base.Summary._share_answer`).
     """
     if not parts:
         raise ParameterError("cannot roll up an empty segment group")

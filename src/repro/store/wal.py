@@ -38,8 +38,8 @@ Torn tails
 
 :func:`scan_wal` never raises on a damaged log: it returns every frame
 up to the first violation (truncated header, short body, CRC mismatch,
-malformed JSON, a batch that fails :func:`check_batch`, non-monotonic
-``seq``) plus the byte offset where the
+malformed JSON, a ``seq`` that is not an integer, a batch that fails
+:func:`check_batch`, non-monotonic ``seq``) plus the byte offset where the
 good prefix ends and the reason.  Whether the damaged tail is a hard
 error (strict :meth:`~repro.store.store.SegmentStore.open`) or gets
 quarantined with a report (:func:`~repro.store.persistence.recover_store`)
@@ -134,8 +134,9 @@ def check_batch(
 ) -> Tuple[List[Mapping[str, Any]], List[float], Optional[np.ndarray]]:
     """The one rule for an ingest batch; returns the batch normalized.
 
-    Every record is a mapping, there are as many finite keys as
-    records, and ``weights`` is ``None`` or as many positive integers.
+    Every record is a mapping, there are as many finite numeric keys
+    as records (a string or bytes key is refused, not parsed), and
+    ``weights`` is ``None`` or as many positive integers.
     ``StoreBase.ingest`` applies it before it builds or logs a batch,
     and :func:`scan_wal` to every frame, so a frame that passes its CRC
     but not this rule ends the good prefix.  Returns the records as a
@@ -155,6 +156,10 @@ def check_batch(
         if not issubclass(kind, collections.abc.Mapping):
             raise ParameterError(f"records must be mappings, got {kind.__name__}")
     try:
+        keys = list(keys)
+        # float() also parses text: "3" and b"3" would pass as the key 3.0
+        if any(isinstance(key, (str, bytes, bytearray)) for key in keys):
+            raise TypeError
         keys = [float(key) for key in keys]
     except (TypeError, ValueError, OverflowError):
         raise ParameterError("partition keys must be numbers") from None
@@ -235,7 +240,9 @@ def scan_wal(path: str, fs: Optional[Filesystem] = None) -> WalScan:
             # RecursionError: nesting deeper than the parser's stack;
             # ParameterError (a ValueError): a batch ingest would refuse
             payload = json.loads(body.decode("utf-8"))
-            seq = int(payload["seq"])
+            seq = payload["seq"]
+            if type(seq) is not int:  # not "3", 4.7 or true
+                raise TypeError(f"seq must be an integer, got {seq!r}")
             records, keys, weights = check_batch(
                 payload["records"], payload["keys"], payload.get("weights")
             )

@@ -133,3 +133,32 @@ class TestMerge:
         )
         total = sum(w for _, w in ea.points())
         assert total == ea.n
+
+
+class TestOwnsItsPoints:
+    """The summary keeps copies: writing to the caller's array after an
+    update leaves every count unchanged."""
+
+    BOX = (-1, 2, -1, 2)
+
+    @pytest.mark.parametrize("n", [5, 8, 13, 40])
+    @pytest.mark.parametrize("how", ["extend_points", "update_batch", "update"])
+    def test_caller_writes_do_not_reach_the_summary(self, how, n):
+        pts = np.random.default_rng(n).random((n, 2))
+        ea = EpsApproximation("rectangles_2d", s=8, rng=1)
+        if how == "extend_points":
+            ea.extend_points(pts)
+        elif how == "update_batch":
+            ea.update_batch(pts)
+        else:
+            for point in pts:
+                ea.update(point)
+        before = (ea.count(self.BOX), self._points(ea))
+        pts[:] = 5.0
+        assert (ea.count(self.BOX), self._points(ea)) == before
+        assert before[0] == n
+
+    @staticmethod
+    def _points(ea):
+        state = ea.to_dict()  # less the seed it draws
+        return state["buffer"], state["blocks"]

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import MergeError, ParameterError, merge_all
 from repro.core.hashing import hash_batch
-from repro.sketches import HyperLogLog, KMinValues
+from repro.sketches import HyperLogLog, KMinValues, hyperloglog
 from repro.sketches.hyperloglog import _bit_length_u64
 
 
@@ -172,6 +172,58 @@ class TestRankKernel:
         for item in items:
             looped.update(item)
         assert np.array_equal(batched._registers, looped._registers)
+
+
+#: kind -> items(rng, size): every item family the hash handles
+BATTERY_KINDS = {
+    "small-ints": lambda rng, size: rng.integers(0, 100, size).tolist(),
+    "negative-ints": lambda rng, size: (-rng.integers(1, 2**62, size)).tolist(),
+    # at and past 2**63: the BLAKE2b path, not the splitmix lane
+    "huge-ints": lambda rng, size: [
+        2**63 + v for v in rng.integers(0, 2**62, size).tolist()
+    ],
+    "int64-array": lambda rng, size: rng.integers(-(2**62), 2**62, size, dtype=np.int64),
+    "uint64-array": lambda rng, size: rng.integers(
+        0, 2**64 - 1, size, dtype=np.uint64, endpoint=True
+    ),
+    "bools": lambda rng, size: (rng.random(size) < 0.5).tolist(),
+    "floats": lambda rng, size: rng.normal(size=size).tolist(),
+    "strs": lambda rng, size: [f"user-{v}" for v in rng.integers(0, 10**6, size).tolist()],
+    "bytes": lambda rng, size: [b"k%d" % v for v in rng.integers(0, 10**6, size).tolist()],
+    "tuples": lambda rng, size: [
+        (a, f"s{b}") for a, b in rng.integers(0, 50, (size, 2)).tolist()
+    ],
+    "mixed": lambda rng, size: [
+        (v, -v, 2**64 + v, float(v) / 3, f"s{v}", b"b%d" % v, (v, "t"), v % 2 == 0,
+         np.int64(v))[i % 9]
+        for i, v in enumerate(rng.integers(0, 10**6, size).tolist())
+    ],
+}
+
+
+class TestBatchBattery:
+    """``update_batch`` equals a per-item ``update`` loop at every batch
+    size from 1 to 64, so on both sides of the small-batch crossover."""
+
+    def test_sizes_span_the_crossover(self):
+        assert 1 < hyperloglog._SMALL_BATCH <= 64
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("kind", sorted(BATTERY_KINDS))
+    def test_batch_matches_per_item_updates(self, kind, weighted):
+        rng = np.random.default_rng(sorted(BATTERY_KINDS).index(kind))
+        for p in (4, 10):
+            for size in range(1, 65):
+                items = BATTERY_KINDS[kind](rng, size)
+                weights = rng.integers(1, 5, size).tolist() if weighted else None
+                batched = HyperLogLog(p=p, seed=size)
+                batched.update_batch(items, weights)
+                looped = HyperLogLog(p=p, seed=size)
+                for index, item in enumerate(items):
+                    looped.update(item, weights[index] if weighted else 1)
+                assert np.array_equal(batched._registers, looped._registers), size
+                assert batched.n == looped.n == (sum(weights) if weighted else size)
+                assert batched.distinct().hex() == looped.distinct().hex()
 
 
 def _per_register_estimate(hll: HyperLogLog) -> float:

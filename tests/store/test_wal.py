@@ -9,6 +9,7 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.store.wal as wal_module
@@ -388,8 +389,15 @@ class TestBatchCheck:
             ("store", {"records": [{"lat": 2.0}], "keys": ["NaN"], "weights": None}),
             ("store", {"records": [{"lat": 2.0}], "keys": [1.0], "weights": [0]}),
             ("cube", {"records": ["ab"], "keys": [1.0], "weights": None}),
+            ("store", {"records": [{"lat": 2.0}], "keys": ["3"], "weights": None}),
+            ("cube", {"records": [{"lat": 2.0}], "keys": ["3"], "weights": None}),
+            ("store", {"seq": "3", "records": [{"lat": 2.0}], "keys": [1.0], "weights": None}),
+            ("store", {"seq": 4.7, "records": [{"lat": 2.0}], "keys": [1.0], "weights": None}),
         ],
-        ids=["str-record", "missing-key", "int-record", "nan-key", "zero-weight", "cube-str-record"],
+        ids=[
+            "str-record", "missing-key", "int-record", "nan-key", "zero-weight",
+            "cube-str-record", "str-key", "cube-str-key", "str-seq", "float-seq",
+        ],
     )
     def test_frame_that_fails_the_check_is_a_torn_tail(self, tmp_path, kind, bad):
         path, cls = _saved_with_frames(tmp_path, kind, bad)
@@ -406,3 +414,33 @@ class TestBatchCheck:
         assert cls.verify(path)["ok"]
         assert (cls.open(path).records, _member_n(cls.open(path))) == (1, 1)
 
+    @pytest.mark.parametrize(
+        "key",
+        ["3", b"3", bytearray(b"3"), np.str_("3")],
+        ids=["str", "bytes", "bytearray", "numpy-str"],
+    )
+    @pytest.mark.parametrize("kind", ["store", "cube"])
+    def test_ingest_refuses_text_keys_before_logging(self, tmp_path, kind, key):
+        path = str(tmp_path / "db")
+        if kind == "cube":
+            store, tag = CubeStore(width=1.0, dims=("region",)), {"region": "eu"}
+        else:
+            store, tag = SegmentStore(width=1.0), {}
+        store.add_member("lat", "exact_quantiles")
+        store.save(path)
+        store.enable_wal(os.path.join(path, "wal"))
+        with pytest.raises(ParameterError, match="partition keys must be numbers"):
+            store.ingest([{"lat": 1.0, **tag}], keys=[key])
+        assert (store.records, store.generation, store.wal_seq) == (0, 0, 0)
+        assert os.listdir(os.path.join(path, "wal")) == []  # nothing logged
+
+    @pytest.mark.parametrize("seq", ["1", 1.0, 1.5, True])
+    def test_scan_ends_the_good_prefix_at_a_seq_that_is_not_an_int(self, tmp_path, seq):
+        path = str(tmp_path / "wal-000001.log")
+        good = {"seq": 2, "records": [{"lat": 1.0}], "keys": [0.0], "weights": None}
+        with open(path, "wb") as handle:
+            handle.write(b"RWAL\x01" + _frame({**good, "seq": seq}) + _frame(good))
+        scan = scan_wal(path)
+        assert scan.records == []
+        assert scan.good_bytes == 5
+        assert "seq must be an integer" in scan.error
