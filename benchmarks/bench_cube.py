@@ -7,7 +7,7 @@ high-cardinality sub-population queries:
    roll-ups) vs the naive one-merge-per-base-cell scan, on a workload
    with 10^5 distinct keys;
 2. query latency p50/p99 for the grand total and a coarse ``group_by``,
-   cube vs naive;
+   cube vs naive (each cube sample times ``CUBE_CALLS`` queries);
 3. cell cost: a populated moment-sketch cell vs a KLL cell of
    comparable quantile utility (summary size and encoded bytes).
 
@@ -46,6 +46,12 @@ FLOORS = {
     "total_query_speedup": 5.0,
     "group_query_speedup": 5.0,
 }
+
+
+#: calls per cube-side latency sample: a cube query takes 30-500 µs, so
+#: one call alone is the scale of a scheduler tick; the naive side's
+#: ~0.4 s calls are timed one per sample
+CUBE_CALLS = 25
 
 
 def _build_cube(n_keys: int, n_records: int, epochs: int) -> CubeStore:
@@ -87,7 +93,7 @@ def bench_queries(cube: CubeStore, repeats: int) -> dict:
             "naive_cells": int(total_naive.plan.cells_merged),
             "cells_reduction": total_naive.plan.cells_merged
             / total.plan.cells_merged,
-            "cube": latencies(lambda: run(), repeats),
+            "cube": latencies(lambda: run(), repeats, calls=CUBE_CALLS),
             "naive": latencies(lambda: run(use_rollups=False), repeats),
         },
         "group_by_country": {
@@ -97,7 +103,9 @@ def bench_queries(cube: CubeStore, repeats: int) -> dict:
             "naive_cells": int(grouped_naive.plan.cells_merged),
             "cells_reduction": grouped_naive.plan.cells_merged
             / grouped.plan.cells_merged,
-            "cube": latencies(lambda: run(group_by=("country",)), repeats),
+            "cube": latencies(
+                lambda: run(group_by=("country",)), repeats, calls=CUBE_CALLS
+            ),
             "naive": latencies(
                 lambda: run(group_by=("country",), use_rollups=False), repeats
             ),
@@ -141,6 +149,7 @@ def run_report(args) -> dict:
         "n_records": int(args.records),
         "epochs": int(args.epochs),
         "repeats": int(args.repeats),
+        "cube_calls_per_sample": CUBE_CALLS,
         "build_seconds": build_seconds,
         "groups": int(stats["groups"]),
         "base_cells": int(stats["base_cells"]),

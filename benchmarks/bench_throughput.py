@@ -10,6 +10,8 @@ The batched-ingestion section compares per-item ``update`` loops against
 the vectorized ``update_batch`` fast paths, on whole streams and, in the
 batch-size sweep, at 1 to 64 items per call: store cells hold a few
 records each, and numpy's per-call set-up decides which side wins there.
+The sparse-decode sweep does the same for the two decoders of
+HyperLogLog's sparse stored form, by the number of set registers.
 
 Run:  pytest benchmarks/bench_throughput.py --benchmark-only
 
@@ -23,6 +25,7 @@ artifact for CI::
 from __future__ import annotations
 
 import argparse
+import base64
 import copy
 import json
 import sys
@@ -43,6 +46,7 @@ from repro import (
     MisraGries,
     SpaceSaving,
 )
+from repro.sketches import hyperloglog
 from repro.workloads import value_stream, zipf_stream
 
 N_ITEMS = 2**15
@@ -170,6 +174,7 @@ def run_batch_trajectory(n_items: int, repeats: int = 3) -> dict:
         "repeats": int(repeats),
         "trajectory": trajectory,
         "batch_size_sweep": run_batch_size_sweep(n_items, repeats),
+        "sparse_decode_sweep": run_sparse_decode_sweep(repeats),
     }
 
 
@@ -221,6 +226,54 @@ def run_batch_size_sweep(n_items: int, repeats: int = 3) -> list:
     return rows
 
 
+#: set registers per sparse HyperLogLog payload in the decode sweep
+SPARSE_SWEEP_WORDS = (1, 8, 16, 32, 48, 56, 64, 80, 96, 112, 128, 256, 511, 2048, 5461)
+#: decodes per timed sample: one decode takes 1 to 500 µs
+SPARSE_SWEEP_CALLS = 50
+
+
+def run_sparse_decode_sweep(repeats: int = 3) -> list:
+    """Per-payload time of the two sparse HyperLogLog decoders, by word count.
+
+    Both decode the same payload, at ``p = 10`` (2-byte words) and
+    ``p = 14`` (3-byte words), up to the most words the sparse form holds
+    at that ``p``; ``hyperloglog._SPARSE_LOOP_WORDS`` holds the crossover
+    per word width (ungated; a ``cube_groupby`` cell sets a few to a few
+    hundred registers).
+    """
+    rng = np.random.default_rng(5)
+    rows = []
+    for p in (10, 14):
+        m, width = 1 << p, hyperloglog._word_bytes(p)
+        for words in SPARSE_SWEEP_WORDS:
+            if words * width >= m:
+                continue
+            sketch = HyperLogLog(p=p, seed=1)
+            ranks = np.minimum(rng.geometric(0.5, words), 65 - p)
+            sketch._registers[rng.choice(m, words, replace=False)] = ranks
+            raw = base64.b64decode(sketch.to_stored()["sparse"])
+
+            def loop():
+                for _ in range(SPARSE_SWEEP_CALLS):
+                    hyperloglog._sparse_words_loop(raw, p)
+
+            def vectorized():
+                for _ in range(SPARSE_SWEEP_CALLS):
+                    hyperloglog._sparse_words_numpy(raw, p)
+
+            loop_s, numpy_s = paired_best(loop, vectorized, repeats)
+            rows.append(
+                {
+                    "p": p,
+                    "words": words,
+                    "loop_us": loop_s / SPARSE_SWEEP_CALLS * 1e6,
+                    "numpy_us": numpy_s / SPARSE_SWEEP_CALLS * 1e6,
+                    "loop_decodes": words <= hyperloglog._SPARSE_LOOP_WORDS[width],
+                }
+            )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="per-item vs batched ingestion throughput"
@@ -250,6 +303,12 @@ def main(argv=None) -> int:
             f"{row['summary']:>22} x{row['batch_size']:<3d}: per-item "
             f"{row['per_item_us_per_call']:8.1f} us  batched "
             f"{row['batched_us_per_call']:8.1f} us  speedup {row['speedup']:6.2f}x"
+        )
+    for row in report["sparse_decode_sweep"]:
+        print(
+            f"{'hll sparse p=%d' % row['p']:>22} x{row['words']:<4d}: loop "
+            f"{row['loop_us']:8.1f} us  numpy {row['numpy_us']:8.1f} us"
+            f"{'  (loop decodes)' if row['loop_decodes'] else ''}"
         )
     print(f"wrote {args.out}")
     return 0

@@ -9,7 +9,10 @@ the same way:
   earlier work cannot land inside one side of a comparison; the paired
   form interleaves two competitors within every repeat so load shifts
   on a noisy box hit both equally;
-- :func:`latencies` — p50/p99 over ``repeats`` timed calls;
+- :func:`latencies` — p50/p99 over ``repeats`` timed samples, also
+  with the collector paused; a sample of a µs-scale call times several
+  calls back to back, so neither a collection nor the timer's own
+  resolution decides it;
 - :func:`check_ratios` — machine-independent smoke ratios against the
   checked-in snapshot (a ratio may not fall below ``snapshot / factor``,
   a lower-is-better key may not rise above ``snapshot * factor``) plus
@@ -75,13 +78,20 @@ def paired_best(
     return best[0], best[1]
 
 
-def latencies(fn: Callable[[], object], repeats: int) -> Dict[str, float]:
-    """p50/p99 of ``repeats`` timed calls of ``fn``, in seconds."""
+def latencies(
+    fn: Callable[[], object], repeats: int, calls: int = 1
+) -> Dict[str, float]:
+    """p50/p99 of ``repeats`` samples of ``fn``, in seconds per call.
+
+    Each sample is the mean of ``calls`` back-to-back calls.
+    """
     samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
+    with _gc_paused():
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            samples.append((time.perf_counter() - t0) / calls)
     return {
         "p50_seconds": float(np.percentile(samples, 50)),
         "p99_seconds": float(np.percentile(samples, 99)),

@@ -85,7 +85,8 @@ class Summary(abc.ABC):
     the item count :attr:`n` correct (overriding :meth:`copy` is
     optional).  The public :meth:`merge` performs the type/compatibility
     checks common to all summaries and then delegates to
-    ``_merge_same_type``.
+    ``_merge_same_type``.  The codecs write :meth:`to_stored`, which is
+    :meth:`to_dict` unless a type overrides it with a shorter form.
     """
 
     #: total weight (number of item occurrences) summarized so far.
@@ -199,14 +200,24 @@ class Summary(abc.ABC):
     def to_dict(self) -> Dict[str, Any]:
         """Serialize state to a JSON-compatible dictionary.
 
-        The dictionary must round-trip through :meth:`from_dict` and is
-        what :mod:`repro.core.codecs` embeds in its envelope.
+        The dictionary must round-trip through :meth:`from_dict`.  It is
+        the summary's logical state: fingerprints and digests hash it,
+        so equal states give equal dictionaries.
         """
+
+    def to_stored(self) -> Dict[str, Any]:
+        """The state as :mod:`repro.core.codecs` writes it: :meth:`to_dict`.
+
+        A type may override it with a shorter encoding of the same state
+        (HyperLogLog lists only its set registers); :meth:`from_dict`
+        must read both forms, and :meth:`to_dict` stays the logical one.
+        """
+        return self.to_dict()
 
     @classmethod
     @abc.abstractmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Summary":
-        """Reconstruct a summary from :meth:`to_dict` output."""
+        """Reconstruct a summary from :meth:`to_dict` or :meth:`to_stored` output."""
 
     def copy(self) -> "Summary":
         """Return an independent copy: ``type(self).from_dict(self.to_dict())``.

@@ -37,6 +37,11 @@ Registered codecs
     zlib-compressed canonical state JSON body.  Typically 3-10x smaller
     than ``json.v2`` on the wire and at rest.
 
+The state every codec writes is
+:meth:`~repro.core.base.Summary.to_stored`: ``to_dict()``, or a
+shorter encoding of the same state where a type has one (HyperLogLog's
+sparse registers).  ``from_dict`` reads either.
+
 :func:`decode_summary` sniffs the payload, so a reader never needs to
 know which codec (or which JSON envelope generation) produced it —
 pre-refactor format-1 and format-2 envelopes keep deserializing.
@@ -99,14 +104,14 @@ def state_checksum(state: Dict[str, Any]) -> int:
 
 
 def _registered_state(summary: Summary) -> tuple:
-    """``(registry name, state dict)`` or raise for unregistered types."""
+    """``(registry name, stored state dict)`` or raise for unregistered types."""
     name = getattr(summary, "registry_name", None)
     if name is None:
         raise SerializationError(
             f"{type(summary).__name__} is not registered; apply "
             "@register_summary before serializing"
         )
-    return name, summary.to_dict()
+    return name, summary.to_stored()
 
 
 def _canonical_payload(summary: Summary) -> Tuple[str, str]:

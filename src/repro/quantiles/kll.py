@@ -291,7 +291,11 @@ class KLLQuantiles(QuantileSummary):
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "KLLQuantiles":
-        sketch = cls(k=payload["k"], rng=payload["seed"])
+        k, seed = payload["k"], payload["seed"]
+        for name, value in (("k", k), ("seed", seed)):
+            if type(value) is not int:  # not 8.5, "8" or true
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        sketch = cls(k=k, rng=seed)
         sketch._levels = [[float(v) for v in buffer] for buffer in payload["levels"]]
         if not sketch._levels:
             sketch._levels = [[]]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import base64
 import math
+import struct
 from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +52,112 @@ _RANK_WEIGHTS = 2.0 ** -np.arange(65 - 4 + 1)
 #: strings, which hash one at a time on both paths, at every size
 #: measured).  ``benchmarks/bench_throughput.py`` records the sweep.
 _SMALL_BATCH = 16
+
+
+#: sparse stored forms of at most this many words, by word width in
+#: bytes, decode in a Python loop, longer ones in numpy: the loop costs
+#: about 0.07 µs a 2-byte word and 0.14 µs a 3-byte one, numpy about
+#: 8 µs a call whatever the width, and the two cross near 112 and 56
+#: words.  ``benchmarks/bench_throughput.py`` records the sweep.
+_SPARSE_LOOP_WORDS = {2: 112, 3: 56}
+
+
+def _word_bytes(p: int) -> int:
+    """Bytes per sparse word, ``index << 6 | rank``: p + 6 bits, rounded up."""
+    return 2 if p <= 10 else 3
+
+
+def _dense_registers(registers: Any, p: int) -> np.ndarray:
+    """The ``m`` registers of a dense stored form: base64 of the register
+    bytes, or the legacy int list."""
+    if isinstance(registers, str):
+        registers = np.frombuffer(base64.b64decode(registers), dtype=np.uint8)
+    else:  # legacy int-list wire form
+        registers = np.asarray(registers)
+    if registers.shape != (1 << p,):
+        raise ParameterError(
+            f"register payload holds {registers.size} registers, "
+            f"expected {1 << p} for p={p}"
+        )
+    # a register holds 0 or a rank: leading zeros of 64 - p bits, + 1
+    max_rank = 65 - p
+    if registers.dtype.kind not in "iu" or not (
+        registers.min() >= 0 and registers.max() <= max_rank
+    ):
+        raise ParameterError(f"registers must be integers in [0, {max_rank}] for p={p}")
+    return registers.astype(np.uint8)
+
+
+def _sparse_registers(text: Any, p: int) -> np.ndarray:
+    """The ``m`` registers a sparse stored form lists (see ``to_stored``).
+
+    Raises :class:`ParameterError` unless ``text`` is base64 of whole
+    big-endian words whose indices are below ``m`` and strictly
+    increasing and whose ranks are in ``[1, 65 - p]``.
+    """
+    if not isinstance(text, str):
+        raise ParameterError(
+            f"sparse registers must be base64 text, got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ParameterError(f"sparse registers are not base64: {exc}") from None
+    width = _word_bytes(p)
+    if len(raw) % width:
+        raise ParameterError(
+            f"sparse registers hold {len(raw)} bytes, not a whole number "
+            f"of {width}-byte words"
+        )
+    if len(raw) // width > _SPARSE_LOOP_WORDS[width]:
+        registers = _sparse_words_numpy(raw, p)
+    else:
+        registers = _sparse_words_loop(raw, p)
+    if registers is None:
+        raise ParameterError(
+            f"sparse register words must have strictly increasing indices "
+            f"below {1 << p} and ranks in [1, {65 - p}] for p={p}"
+        )
+    return registers
+
+
+def _sparse_words_loop(raw: bytes, p: int) -> Optional[np.ndarray]:
+    """Registers from whole sparse words, one word at a time; ``None``
+    for a word out of order or range."""
+    m, max_rank = 1 << p, 65 - p
+    if _word_bytes(p) == 2:
+        words = struct.unpack(f">{len(raw) // 2}H", raw)
+    else:
+        words = [high << 16 | low for high, low in struct.iter_unpack(">BH", raw)]
+    registers = bytearray(m)
+    previous = -1
+    for word in words:
+        index, rank = word >> 6, word & 63
+        if not previous < index < m or not 0 < rank <= max_rank:
+            return None
+        registers[index] = rank
+        previous = index
+    return np.frombuffer(registers, dtype=np.uint8)
+
+
+def _sparse_words_numpy(raw: bytes, p: int) -> Optional[np.ndarray]:
+    """:func:`_sparse_words_loop` in a fixed number of numpy calls."""
+    width = _word_bytes(p)
+    registers = np.zeros(1 << p, dtype=np.uint8)
+    if not raw:
+        return registers
+    data = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width).astype(np.int64)
+    words = data.dot(256 ** np.arange(width - 1, -1, -1))
+    index, ranks = words >> 6, words & 63
+    if (
+        index[-1] >= len(registers)
+        or (index[1:] <= index[:-1]).any()
+        or ranks.min() == 0
+        or ranks.max() > 65 - p
+    ):
+        return None
+    registers[index] = ranks
+    return registers
 
 
 def _alpha(m: int) -> float:
@@ -188,27 +295,51 @@ class HyperLogLog(Summary):
             "registers": base64.b64encode(self._registers.tobytes()).decode("ascii"),
         }
 
+    def to_stored(self) -> Dict[str, Any]:
+        """:meth:`to_dict`, or the sparse form where it is shorter.
+
+        The sparse form lists one big-endian word, ``index << 6 | rank``,
+        per set register in increasing index order, under ``"sparse"``
+        instead of ``"registers"``.  A word takes 2 bytes at ``p <= 10``
+        and 3 above, so the form is written while it has fewer bytes
+        than the ``m``-byte dense array: below ``m / 2`` set registers
+        at ``p <= 10`` and ``m / 3`` above.  A cube cell of a few
+        records sets a few registers.
+        """
+        registers = self._registers
+        occupied = registers.nonzero()[0]
+        width = _word_bytes(self.p)
+        if occupied.size * width >= self.m:
+            return self.to_dict()
+        words = occupied.astype(np.uint32)
+        words <<= 6
+        words |= registers[occupied]
+        if width == 2:
+            raw = words.astype(">u2").tobytes()
+        else:  # the low three bytes of each big-endian 32-bit word
+            raw = words.astype(">u4").view(np.uint8).reshape(-1, 4)[:, 1:].tobytes()
+        return {
+            "p": self.p,
+            "seed": self.seed,
+            "n": self._n,
+            "sparse": base64.b64encode(raw).decode("ascii"),
+        }
+
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "HyperLogLog":
-        sketch = cls(p=payload["p"], seed=payload["seed"])
-        registers = payload["registers"]
-        if isinstance(registers, str):
-            registers = np.frombuffer(base64.b64decode(registers), dtype=np.uint8)
-        else:  # legacy int-list wire form
-            registers = np.asarray(registers)
-        if registers.shape != (sketch.m,):
-            raise ParameterError(
-                f"register payload holds {registers.size} registers, "
-                f"expected {sketch.m} for p={sketch.p}"
-            )
-        # a register holds 0 or a rank: leading zeros of 64 - p bits, + 1
-        max_rank = 65 - sketch.p
-        if registers.dtype.kind not in "iu" or not (
-            registers.min() >= 0 and registers.max() <= max_rank
-        ):
-            raise ParameterError(
-                f"registers must be integers in [0, {max_rank}] for p={sketch.p}"
-            )
+        p, seed = payload["p"], payload["seed"]
+        for name, value in (("p", p), ("seed", seed)):
+            if type(value) is not int:  # not 3.5, "3" or true
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+        sketch = cls(p=p, seed=seed)
+        if "sparse" in payload:
+            if "registers" in payload:
+                raise ParameterError(
+                    "a payload holds either sparse or dense registers, not both"
+                )
+            registers = _sparse_registers(payload["sparse"], sketch.p)
+        else:
+            registers = _dense_registers(payload["registers"], sketch.p)
         # every non-zero register took at least one item, and n keys the
         # estimate memo: a smaller n would let a merge change the
         # registers without raising n
@@ -219,6 +350,6 @@ class HyperLogLog(Summary):
                 f"n must be an integer of at least {occupied}, the count of "
                 f"non-zero registers; got {n!r}"
             )
-        sketch._registers = registers.astype(np.uint8)
+        sketch._registers = registers
         sketch._n = n
         return sketch

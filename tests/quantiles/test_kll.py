@@ -271,3 +271,26 @@ class TestImpossibleStates:
         )
         with pytest.raises(ParameterError):
             decode_summary(payload)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"k": 8.5}, {"k": 8.0}, {"k": "8"}, {"k": True},
+         {"seed": 3.0}, {"seed": "3"}, {"seed": True}],
+        ids=["k-float", "k-integral-float", "k-str", "k-bool",
+             "seed-float", "seed-str", "seed-bool"],
+    )
+    def test_parameters_decode_as_written_or_not_at_all(self, edit):
+        # the constructor coerces (k=8.5 builds k=8); a stored state
+        # names its parameters exactly, so a decode never rounds them
+        state = {"k": 8, "n": 1, "levels": [[1.0]], "seed": 1}
+        state.update(edit)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            KLLQuantiles.from_dict(state)
+        canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+        payload = json.dumps(
+            {"format": 2, "type": "kll_quantiles", "state": state,
+             "checksum": zlib.crc32(canonical.encode("utf-8"))},
+            separators=(",", ":"),
+        )
+        with pytest.raises(ParameterError, match="must be an integer"):
+            decode_summary(payload)

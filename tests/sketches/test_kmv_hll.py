@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import base64
+import json
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
 
-from repro.core import MergeError, ParameterError, merge_all
+from repro.core import (
+    MergeError,
+    ParameterError,
+    ReproError,
+    decode_summary,
+    encode_summary,
+    merge_all,
+)
 from repro.core.hashing import hash_batch
 from repro.sketches import HyperLogLog, KMinValues, hyperloglog
 from repro.sketches.hyperloglog import _bit_length_u64
@@ -255,3 +264,211 @@ class TestRankHistogramEstimate:
         full = HyperLogLog(p=p)
         full._registers[:] = 65 - p  # the largest rank a register can hold
         assert full.distinct() == _per_register_estimate(full)
+
+
+# ---------------------------------------------------------------------------
+# The sparse stored form
+# ---------------------------------------------------------------------------
+
+#: p -> the fewest set registers at which the dense m-byte form is stored:
+#: a sparse word takes 2 bytes at p <= 10 and 3 above, and the sparse form
+#: is written only while it has fewer bytes than m
+CROSSOVER = {4: 8, 10: 512, 11: 683, 14: 5462, 18: 87382}
+
+CODECS = ("json.v1", "json.v2", "binary.v1")
+
+
+def _filled(p: int, fill: int, seed: int = 0) -> HyperLogLog:
+    """A sketch with ``fill`` set registers at random indices, every rank
+    from 1 to 65 - p possible."""
+    rng = np.random.default_rng([p, fill])
+    sketch = HyperLogLog(p=p, seed=seed)
+    index = rng.choice(sketch.m, size=fill, replace=False)
+    sketch._registers[index] = rng.integers(1, 66 - p, size=fill)
+    sketch._n = fill + 3
+    return sketch
+
+
+def _sparse_text(p: int, words) -> str:
+    """Base64 of ``(index, rank)`` pairs as big-endian sparse words."""
+    width = 2 if p <= 10 else 3
+    raw = b"".join(((index << 6) | rank).to_bytes(width, "big") for index, rank in words)
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _json_v2(state) -> str:
+    """A ``json.v2`` HyperLogLog payload with a valid CRC over ``state``."""
+    canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+    return json.dumps(
+        {"format": 2, "type": "hyperloglog", "state": state,
+         "checksum": zlib.crc32(canonical.encode("utf-8"))},
+        separators=(",", ":"),
+    )
+
+
+class TestSparseStoredForm:
+    def test_crossover_is_where_the_sparse_form_stops_being_shorter(self):
+        for p, crossover in CROSSOVER.items():
+            width = 2 if p <= 10 else 3
+            assert (crossover - 1) * width < 1 << p <= crossover * width
+
+    @pytest.mark.parametrize("p", sorted(CROSSOVER))
+    def test_round_trip_at_every_fill(self, p):
+        m, crossover = 1 << p, CROSSOVER[p]
+        for fill in (0, 1, crossover - 1, crossover, crossover + 1, m):
+            sketch = _filled(p, fill, seed=p)
+            logical = sketch.to_dict()
+            assert sorted(logical) == ["n", "p", "registers", "seed"]
+            stored = sketch.to_stored()
+            if fill < crossover:
+                assert sorted(stored) == ["n", "p", "seed", "sparse"]
+                set_registers = np.flatnonzero(sketch._registers).tolist()
+                assert stored["sparse"] == _sparse_text(
+                    p, [(i, int(sketch._registers[i])) for i in set_registers]
+                )
+            else:
+                assert stored == logical
+            for codec in CODECS:
+                payload = encode_summary(sketch, codec)
+                if isinstance(payload, str):
+                    assert ('"sparse"' in payload) == (fill < crossover)
+                restored = decode_summary(payload)
+                assert np.array_equal(restored._registers, sketch._registers), (fill, codec)
+                assert restored.n == sketch.n
+                assert restored.distinct().hex() == sketch.distinct().hex()
+                assert restored.to_dict() == logical
+                # the decoded registers are the sketch's own, writable state
+                restored.update("one more")
+                restored.merge(sketch)
+
+    def test_both_decoders_agree_on_either_side_of_the_loop_limit(self):
+        for p in (4, 10, 11, 14):
+            width = 2 if p <= 10 else 3
+            limit = hyperloglog._SPARSE_LOOP_WORDS[width]
+            for fill in (0, 1, limit, limit + 1, CROSSOVER[p] - 1):
+                if fill >= CROSSOVER[p]:
+                    continue
+                sketch = _filled(p, fill)
+                raw = base64.b64decode(sketch.to_stored()["sparse"])
+                for decode in (hyperloglog._sparse_words_loop, hyperloglog._sparse_words_numpy):
+                    assert np.array_equal(decode(raw, p), sketch._registers), (p, fill)
+                assert np.array_equal(
+                    HyperLogLog.from_dict(sketch.to_stored())._registers, sketch._registers
+                )
+
+    def test_store_round_trip_keeps_the_logical_state(self, tmp_path):
+        from repro.store import CubeStore, load
+
+        cube = CubeStore(width=1.0, dims=("region",), codec="json.v2")
+        cube.add_member("users", "hyperloglog", field="user", p=10)
+        cube.ingest(
+            [{"user": i, "region": f"r{i % 3}"} for i in range(60)],
+            [float(i // 10) for i in range(60)],
+        )
+        cube.compact(budget=10**6)
+        cube.save(tmp_path / "cube")
+        saved = b"".join(path.read_bytes() for path in (tmp_path / "cube").rglob("*.rpak"))
+        assert b'"sparse"' in saved and b'"registers"' not in saved
+        assert load(tmp_path / "cube").fingerprint() == cube.fingerprint()
+
+
+def _sparse_payload(p, words, **extra):
+    payload = {"p": p, "seed": 0, "n": max(len(words), 1), "sparse": _sparse_text(p, words)}
+    payload.update(extra)
+    return payload
+
+
+#: name -> (p, (index, rank) words); each list is malformed at its end,
+#: past index 200, so valid words can go before it
+BAD_WORDS = {
+    "index-at-m": (8, [(200, 1), (256, 1)]),
+    "index-past-m-3-byte": (14, [(5000, 2), (1 << 14, 2)]),
+    "index-repeated": (10, [(500, 1), (500, 2)]),
+    "index-decreasing": (14, [(900, 1), (400, 1)]),
+    "rank-zero": (10, [(300, 1), (301, 0)]),
+    "rank-above-65-p": (10, [(300, 56)]),
+    "rank-above-65-p-3-byte": (18, [(7000, 48)]),
+}
+
+
+class TestMalformedSparsePayloads:
+    @pytest.mark.parametrize("decoder", ["loop", "numpy"])
+    @pytest.mark.parametrize("case", sorted(BAD_WORDS))
+    def test_bad_words_are_refused(self, case, decoder):
+        p, words = BAD_WORDS[case]
+        if decoder == "numpy":  # valid words first, past the loop limit
+            limit = hyperloglog._SPARSE_LOOP_WORDS[2 if p <= 10 else 3]
+            words = [(index, 1) for index in range(limit + 1)] + words
+        payload = _sparse_payload(p, words)
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            HyperLogLog.from_dict(payload)
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            decode_summary(_json_v2(payload))
+
+    @pytest.mark.parametrize("p, spare", [(10, 1), (14, 1), (14, 2)])
+    def test_partial_word_is_refused(self, p, spare):
+        raw = base64.b64decode(_sparse_text(p, [(1, 1), (2, 3)])) + b"\x01" * spare
+        payload = {"p": p, "seed": 0, "n": 2, "sparse": base64.b64encode(raw).decode()}
+        with pytest.raises(ParameterError, match="whole number"):
+            HyperLogLog.from_dict(payload)
+
+    def test_sparse_and_dense_together_are_refused(self):
+        payload = _sparse_payload(10, [(1, 1)])
+        payload["registers"] = HyperLogLog(p=10).to_dict()["registers"]
+        with pytest.raises(ParameterError, match="not both"):
+            HyperLogLog.from_dict(payload)
+        with pytest.raises(ParameterError, match="not both"):
+            decode_summary(_json_v2(payload))
+
+    @pytest.mark.parametrize(
+        "sparse", [["AAE="], 5, None, "AA!E", "ÅÅÅÅ"],
+        ids=["list", "int", "null", "not-base64", "non-ascii"],
+    )
+    def test_sparse_that_is_not_base64_text_is_refused(self, sparse):
+        payload = {"p": 10, "seed": 0, "n": 1, "sparse": sparse}
+        with pytest.raises(ParameterError, match="sparse registers"):
+            HyperLogLog.from_dict(payload)
+        with pytest.raises(ReproError):
+            decode_summary(_json_v2(payload))
+
+    def test_n_below_the_listed_registers_is_refused(self):
+        payload = _sparse_payload(10, [(1, 1), (2, 1), (3, 1)], n=2)
+        with pytest.raises(ParameterError, match="non-zero registers"):
+            HyperLogLog.from_dict(payload)
+        payload["n"] = 3
+        assert HyperLogLog.from_dict(payload).n == 3
+
+
+class TestDenseStillLoads:
+    @pytest.mark.parametrize("p", [4, 10, 14])
+    def test_base64_and_int_list_payloads(self, p):
+        sketch = _filled(p, CROSSOVER[p] // 2)
+        dense = sketch.to_dict()
+        legacy = dict(dense, registers=sketch._registers.tolist())
+        for payload in (dense, legacy):
+            restored = HyperLogLog.from_dict(payload)
+            assert np.array_equal(restored._registers, sketch._registers)
+            assert restored.to_dict() == dense
+            assert restored.distinct().hex() == sketch.distinct().hex()
+            assert np.array_equal(
+                decode_summary(_json_v2(payload))._registers, sketch._registers
+            )
+
+
+class TestParametersAsWritten:
+    @pytest.mark.parametrize(
+        "edit",
+        [{"seed": 3.5}, {"seed": 3.0}, {"seed": "3"}, {"seed": True},
+         {"p": 10.0}, {"p": 10.5}, {"p": "10"}, {"p": True}],
+        ids=["seed-float", "seed-integral-float", "seed-str", "seed-bool",
+             "p-integral-float", "p-float", "p-str", "p-bool"],
+    )
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    def test_p_and_seed_decode_as_written_or_not_at_all(self, edit, form):
+        sketch = HyperLogLog(p=10, seed=3).extend(range(20))
+        state = sketch.to_dict() if form == "dense" else sketch.to_stored()
+        state.update(edit)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            HyperLogLog.from_dict(state)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            decode_summary(_json_v2(state))

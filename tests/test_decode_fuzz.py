@@ -4,8 +4,9 @@
 the bytes as stored; the reference check parses the whole document and
 CRCs its re-encoded canonical form.  For every single-byte flip,
 truncation or insertion of a valid payload (``json.v1``, ``json.v2``
-and ``binary.v1`` of three summary types) or of a saved manifest, the
-decoder must agree with the reference: both raise a
+and ``binary.v1`` of three summary types, with HyperLogLog in its
+dense and its sparse stored forms) or of a saved manifest, the decoder
+must agree with the reference: both raise a
 :class:`~repro.core.exceptions.ReproError`, or both return the same
 canonical state (for a manifest, a store with the same segment
 fingerprints).  Any other exception fails the test.
@@ -24,6 +25,7 @@ this module with a much larger one.
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 import zlib
@@ -39,6 +41,7 @@ from repro.core.fsio import REAL_FS
 from repro.frequency import MisraGries
 from repro.quantiles import KLLQuantiles
 from repro.sketches import HyperLogLog
+from repro.sketches.hyperloglog import _SPARSE_LOOP_WORDS, _word_bytes
 from repro.store import SegmentStore
 from repro.store.persistence import (
     _ACCEPTED_MANIFEST_FORMATS,
@@ -57,7 +60,13 @@ def _summaries():
     return {
         "misra_gries": MisraGries(8).extend(rng.zipf(1.3, 300).tolist()),
         "kll_quantiles": KLLQuantiles(8, rng=4).extend(rng.random(120)),
-        "hyperloglog": HyperLogLog(p=4, seed=2).extend(range(200)),
+        "hyperloglog": HyperLogLog(p=4, seed=2).extend(range(200)),  # dense
+        # sparse stored forms, 2-byte words at p=10 and 3-byte at p=14,
+        # each short enough for the loop decoder and long enough for numpy
+        "hyperloglog_p10_sparse": HyperLogLog(p=10, seed=5).extend(range(40)),
+        "hyperloglog_p10_sparse_long": HyperLogLog(p=10, seed=5).extend(range(160)),
+        "hyperloglog_p14_sparse": HyperLogLog(p=14, seed=6).extend(range(20)),
+        "hyperloglog_p14_sparse_long": HyperLogLog(p=14, seed=6).extend(range(80)),
     }
 
 
@@ -127,6 +136,16 @@ def _assert_payload_agrees(payload):
         pass
     for form in forms:
         assert _outcome(decode_summary, form) == _outcome(_reference_decode, form)
+
+
+def test_sparse_hyperloglogs_reach_both_decoders():
+    decoders = set()
+    for name, summary in _summaries().items():
+        stored = summary.to_stored()
+        if name.startswith("hyperloglog_"):
+            words = len(base64.b64decode(stored["sparse"])) // _word_bytes(summary.p)
+            decoders.add((summary.p, words > _SPARSE_LOOP_WORDS[_word_bytes(summary.p)]))
+    assert decoders == {(10, False), (10, True), (14, False), (14, True)}
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
