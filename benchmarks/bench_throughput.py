@@ -11,7 +11,10 @@ the vectorized ``update_batch`` fast paths, on whole streams and, in the
 batch-size sweep, at 1 to 64 items per call: store cells hold a few
 records each, and numpy's per-call set-up decides which side wins there.
 The sparse-decode sweep does the same for the two decoders of
-HyperLogLog's sparse stored form, by the number of set registers.
+HyperLogLog's sparse stored form, by the number of set registers.  The
+stored-form sweep prices the KLL and Misra-Gries stored forms against
+the text forms they replaced: encode and decode time and payload bytes
+under ``json.v2`` and ``binary.v1``.
 
 Run:  pytest benchmarks/bench_throughput.py --benchmark-only
 
@@ -28,6 +31,7 @@ import argparse
 import base64
 import copy
 import json
+import struct
 import sys
 
 import numpy as np
@@ -46,6 +50,8 @@ from repro import (
     MisraGries,
     SpaceSaving,
 )
+from repro.core import decode_summary, encode_summary
+from repro.quantiles import kll
 from repro.sketches import hyperloglog
 from repro.workloads import value_stream, zipf_stream
 
@@ -175,6 +181,8 @@ def run_batch_trajectory(n_items: int, repeats: int = 3) -> dict:
         "trajectory": trajectory,
         "batch_size_sweep": run_batch_size_sweep(n_items, repeats),
         "sparse_decode_sweep": run_sparse_decode_sweep(repeats),
+        "stored_form_sweep": run_stored_form_sweep(repeats),
+        "packed_level_sweep": run_packed_level_sweep(repeats),
     }
 
 
@@ -274,6 +282,126 @@ def run_sparse_decode_sweep(repeats: int = 3) -> list:
     return rows
 
 
+#: samples in the one KLL level of each stored-form sweep payload
+STORED_SWEEP_SAMPLES = (1, 8, 64, 512)
+#: Misra-Gries ``k`` (and so counters held) per stored-form sweep payload
+STORED_SWEEP_COUNTERS = (16, 256)
+#: encodes or decodes per timed sample
+STORED_SWEEP_CALLS = 50
+
+
+def _text_form(summary):
+    """A copy of ``summary`` the codecs write in its text form, ``to_dict()``."""
+    text = copy.deepcopy(summary)
+    text.to_stored = text.to_dict
+    return text
+
+
+def _stored_form_cases():
+    """``(type name, data, size, summary)`` for every stored-form sweep payload."""
+    rng = np.random.default_rng(7)
+    for samples in STORED_SWEEP_SAMPLES:
+        data = {
+            "lognormal": rng.lognormal(3.0, 1.0, samples),  # latencies
+            "small-int": rng.integers(0, 100, samples).astype(np.float64),
+        }
+        for name, values in data.items():
+            state = {"k": 200, "n": samples, "levels": [values.tolist()], "seed": 1}
+            yield "kll_quantiles", name, samples, KLLQuantiles.from_dict(state)
+    for k in STORED_SWEEP_COUNTERS:
+        stream = zipf_stream(50 * k, alpha=1.2, universe=20_000, rng=k).tolist()
+        yield "misra_gries", "zipf", k, MisraGries(k).extend(stream)
+
+
+def run_stored_form_sweep(repeats: int = 3) -> list:
+    """Encode and decode time and payload bytes, text form vs stored form.
+
+    KLL's text form writes each sample as JSON float text, its stored
+    form one base64 string of float64s per level; Misra-Gries's text
+    form writes ``[item, count]`` pairs, its stored form two columns.
+    Small integers are the text form's best case: ``3.0`` takes 3
+    characters, a packed sample 10.67 (ungated).
+    """
+    rows = []
+    for name, data, size, summary in _stored_form_cases():
+        forms = {"text": _text_form(summary), "stored": summary}
+        for codec in ("json.v2", "binary.v1"):
+            payloads = {form: encode_summary(s, codec) for form, s in forms.items()}
+
+            def encoder(summary):
+                def encode():
+                    for _ in range(STORED_SWEEP_CALLS):
+                        encode_summary(summary, codec)
+                return encode
+
+            def decoder(payload):
+                def decode():
+                    for _ in range(STORED_SWEEP_CALLS):
+                        decode_summary(payload)
+                return decode
+
+            encode_s = paired_best(encoder(forms["text"]), encoder(summary), repeats)
+            decode_s = paired_best(
+                decoder(payloads["text"]), decoder(payloads["stored"]), repeats
+            )
+            row = {"summary": name, "data": data, "size": size, "codec": codec}
+            for side, form in enumerate(("text", "stored")):
+                row[f"{form}_encode_us"] = encode_s[side] / STORED_SWEEP_CALLS * 1e6
+                row[f"{form}_decode_us"] = decode_s[side] / STORED_SWEEP_CALLS * 1e6
+                row[f"{form}_bytes"] = len(payloads[form])
+            rows.append(row)
+    return rows
+
+
+def run_packed_level_sweep(repeats: int = 3) -> list:
+    """Per-level time to pack and to unpack a KLL level, ``struct`` vs numpy.
+
+    ``kll._pack_level`` packs with ``struct.pack``, and
+    ``kll._packed_level`` unpacks with ``struct.unpack``; the
+    alternatives build and read a float64 array.  Both sides include
+    the base64 step.  numpy packs no faster at one sample and slower
+    from 8, and unpacks faster only from about 64 samples, by under a
+    tenth, so each direction has one path and no crossover constant
+    (ungated).
+    """
+    rng = np.random.default_rng(8)
+    float64 = np.dtype("<f8")
+    rows = []
+    for samples in STORED_SWEEP_SAMPLES:
+        level = rng.lognormal(3.0, 1.0, samples).tolist()
+        text = kll._pack_level(level)
+
+        def pack_struct():
+            for _ in range(STORED_SWEEP_CALLS):
+                kll._pack_level(level)
+
+        def pack_numpy():
+            for _ in range(STORED_SWEEP_CALLS):
+                base64.b64encode(np.array(level, float64).tobytes()).decode("ascii")
+
+        def unpack_struct():
+            for _ in range(STORED_SWEEP_CALLS):
+                raw = base64.b64decode(text, validate=True)
+                list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+        def unpack_numpy():
+            for _ in range(STORED_SWEEP_CALLS):
+                np.frombuffer(base64.b64decode(text, validate=True), float64).tolist()
+
+        pack = paired_best(pack_struct, pack_numpy, repeats)
+        unpack = paired_best(unpack_struct, unpack_numpy, repeats)
+        rows.append(
+            {
+                "samples": samples,
+                "pack_struct_us": pack[0] / STORED_SWEEP_CALLS * 1e6,
+                "pack_numpy_us": pack[1] / STORED_SWEEP_CALLS * 1e6,
+                "unpack_struct_us": unpack[0] / STORED_SWEEP_CALLS * 1e6,
+                "unpack_numpy_us": unpack[1] / STORED_SWEEP_CALLS * 1e6,
+            }
+        )
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="per-item vs batched ingestion throughput"
@@ -309,6 +437,21 @@ def main(argv=None) -> int:
             f"{'hll sparse p=%d' % row['p']:>22} x{row['words']:<4d}: loop "
             f"{row['loop_us']:8.1f} us  numpy {row['numpy_us']:8.1f} us"
             f"{'  (loop decodes)' if row['loop_decodes'] else ''}"
+        )
+    for row in report["stored_form_sweep"]:
+        print(
+            f"{row['summary'] + ' ' + row['data']:>22} x{row['size']:<4d}"
+            f"{row['codec']:>10}: text {row['text_encode_us']:6.1f}/"
+            f"{row['text_decode_us']:6.1f} us {row['text_bytes']:6d} B  stored "
+            f"{row['stored_encode_us']:6.1f}/{row['stored_decode_us']:6.1f} us "
+            f"{row['stored_bytes']:6d} B"
+        )
+    for row in report["packed_level_sweep"]:
+        print(
+            f"{'kll packed level':>22} x{row['samples']:<4d}: pack struct "
+            f"{row['pack_struct_us']:6.2f} / numpy {row['pack_numpy_us']:6.2f} us  "
+            f"unpack struct {row['unpack_struct_us']:6.2f} / numpy "
+            f"{row['unpack_numpy_us']:6.2f} us"
         )
     print(f"wrote {args.out}")
     return 0

@@ -208,9 +208,14 @@ class Summary(abc.ABC):
     def to_stored(self) -> Dict[str, Any]:
         """The state as :mod:`repro.core.codecs` writes it: :meth:`to_dict`.
 
-        A type may override it with a shorter encoding of the same state
-        (HyperLogLog lists only its set registers); :meth:`from_dict`
-        must read both forms, and :meth:`to_dict` stays the logical one.
+        A type may override it with a shorter encoding of the same state:
+        HyperLogLog lists only its set registers, KLL packs each level's
+        samples as float64 bytes, Misra-Gries writes its counters as two
+        columns, and the composites (SpaceSaving, the dyadic hierarchy,
+        the windowed variants) embed their parts' stored forms.  An
+        override makes the seed draws :meth:`to_dict` makes;
+        :meth:`from_dict` must read both forms, and :meth:`to_dict`
+        stays the logical one.
         """
         return self.to_dict()
 

@@ -201,12 +201,14 @@ class DyadicHierarchy(Summary):
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "k": self.k,
-            "bits": self.bits,
-            "n": self._n,
-            "levels": [summary.to_dict() for summary in self._levels],
-        }
+        return self._state([summary.to_dict() for summary in self._levels])
+
+    def to_stored(self) -> Dict[str, Any]:
+        """:meth:`to_dict` with each level in its stored form."""
+        return self._state([summary.to_stored() for summary in self._levels])
+
+    def _state(self, levels: List[Dict[str, Any]]) -> Dict[str, Any]:
+        return {"k": self.k, "bits": self.bits, "n": self._n, "levels": levels}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "DyadicHierarchy":

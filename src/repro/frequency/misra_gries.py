@@ -48,6 +48,41 @@ from .prune import get_prune_rule, prune_cafaro
 __all__ = ["MisraGries"]
 
 
+#: item types :func:`plain` passes through unchanged, checked per type
+#: rather than per item
+_JSON_SCALARS = {int, float, str, bool, type(None)}
+#: types a count, ``n`` or ``deduction`` may have (``bool`` is its own type)
+_NUMBER_TYPES = {int, float}
+
+
+def _check_counters(k: int, counters: Dict[Any, Any], n: Any, deduction: Any) -> None:
+    """Raise :class:`ParameterError` unless a decoded state is reachable."""
+    counts = counters.values()
+    count_types = set(map(type, counts))
+    if not count_types <= _NUMBER_TYPES:
+        names = sorted(kind.__name__ for kind in count_types)
+        raise ParameterError(f"counts must be numbers, got {', '.join(names)}")
+    mass = sum(counts)
+    # min finds a count of zero or below, and a NaN anywhere makes mass NaN
+    if counts and not (min(counts) > 0 and mass == mass):
+        raise ParameterError("counts must be positive")
+    if len(counters) > k:
+        raise ParameterError(f"{len(counters)} counters, more than k = {k}")
+    for name, value in (("n", n), ("deduction", deduction)):
+        if type(value) not in _NUMBER_TYPES or not value >= 0:
+            raise ParameterError(f"{name} must be a non-negative number, got {value!r}")
+    # float counts may round, so only integer states must keep the invariant
+    if (
+        count_types <= {int}
+        and type(n) is int
+        and type(deduction) is int
+        and mass + (k + 1) * deduction > n
+    ):
+        raise ParameterError(
+            f"stored mass {mass} + (k+1) * deduction {deduction} exceeds n = {n}"
+        )
+
+
 @register_summary("misra_gries")
 class MisraGries(Summary):
     """Misra-Gries heavy-hitter summary with ``k`` counters.
@@ -336,9 +371,59 @@ class MisraGries(Summary):
             ],
         }
 
+    def to_stored(self) -> Dict[str, Any]:
+        """:meth:`to_dict` with the counters as two columns.
+
+        ``"items"`` and ``"counts"`` replace the ``[item, count]`` pairs
+        of ``"counters"``, both in :meth:`counters` order, so a decode
+        rebuilds the same counters in the same order.
+        """
+        adjusted, offset = self._adjusted, self._offset
+        items, counts = list(adjusted), list(adjusted.values())
+        if not set(map(type, items)) <= _JSON_SCALARS:
+            items = list(map(plain, items))  # numpy scalars
+        if offset:
+            counts = [value - offset for value in counts]
+        return {
+            "k": self.k,
+            "prune_rule": self.prune_rule,
+            "n": self._n,
+            "deduction": self._deduction,
+            "items": items,
+            "counts": counts,
+        }
+
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MisraGries":
+        """Read :meth:`to_dict` or :meth:`to_stored` output.
+
+        Raises :class:`ParameterError` for a state no summary reaches:
+        duplicate items, counts that are not positive numbers, more than
+        ``k`` counters, an ``n`` or ``deduction`` that is not a
+        non-negative number, or, for integer states, a stored mass above
+        ``n - (k+1) * deduction`` (the invariant updates and prunes keep).
+        """
         summary = cls(k=payload["k"], prune_rule=payload.get("prune_rule", "paper"))
-        counters = {item: value for item, value in payload["counters"]}
-        summary._replace_state(counters, payload["n"], payload["deduction"])
+        if "items" in payload or "counts" in payload:
+            if "counters" in payload:
+                raise ParameterError(
+                    "a payload holds either counter columns or pairs, not both"
+                )
+            items, counts = payload["items"], payload["counts"]
+            if type(items) is not list or type(counts) is not list:
+                raise ParameterError("counter columns must be lists")
+            if len(items) != len(counts):
+                raise ParameterError(
+                    f"counter columns differ in length: {len(items)} items, "
+                    f"{len(counts)} counts"
+                )
+            counters = dict(zip(items, counts))
+        else:
+            items = payload["counters"]  # [item, count] pairs
+            counters = {item: value for item, value in items}
+        if len(counters) != len(items):
+            raise ParameterError("counters list an item more than once")
+        n, deduction = payload["n"], payload["deduction"]
+        _check_counters(summary.k, counters, n, deduction)
+        summary._replace_state(counters, n, deduction)
         return summary

@@ -170,6 +170,10 @@ class SpaceSaving(Summary):
     def to_dict(self) -> Dict[str, Any]:
         return {"k": self.k, "prune_rule": self.prune_rule, "core": self._core.to_dict()}
 
+    def to_stored(self) -> Dict[str, Any]:
+        """:meth:`to_dict` with the core in its stored form."""
+        return {"k": self.k, "prune_rule": self.prune_rule, "core": self._core.to_stored()}
+
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SpaceSaving":
         summary = cls(k=payload["k"], prune_rule=payload.get("prune_rule", "paper"))

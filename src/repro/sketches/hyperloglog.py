@@ -24,6 +24,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.base import Summary, normalize_batch
+from ..core.codecs import base64_words
 from ..core.exceptions import ParameterError
 from ..core.hashing import hash_batch, stable_hash
 from ..core.registry import register_summary
@@ -95,20 +96,8 @@ def _sparse_registers(text: Any, p: int) -> np.ndarray:
     big-endian words whose indices are below ``m`` and strictly
     increasing and whose ranks are in ``[1, 65 - p]``.
     """
-    if not isinstance(text, str):
-        raise ParameterError(
-            f"sparse registers must be base64 text, got {type(text).__name__}"
-        )
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise ParameterError(f"sparse registers are not base64: {exc}") from None
     width = _word_bytes(p)
-    if len(raw) % width:
-        raise ParameterError(
-            f"sparse registers hold {len(raw)} bytes, not a whole number "
-            f"of {width}-byte words"
-        )
+    raw = base64_words(text, width, "sparse registers")
     if len(raw) // width > _SPARSE_LOOP_WORDS[width]:
         registers = _sparse_words_numpy(raw, p)
     else:

@@ -68,12 +68,19 @@ class Bucket:
         self.end = max(self.end, other.end)
 
     def to_dict(self) -> Dict[str, Any]:
+        return self._row(self.summary.to_dict())
+
+    def to_stored(self) -> Dict[str, Any]:
+        """:meth:`to_dict` holding the sub-summary's stored form."""
+        return self._row(self.summary.to_stored())
+
+    def _row(self, state: Dict[str, Any]) -> Dict[str, Any]:
         return {
             "level": self.level,
             "count": self.count,
             "start": self.start,
             "end": self.end,
-            "state": self.summary.to_dict(),
+            "state": state,
         }
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, NamedTuple, Optional, Type
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Type
 
 from ..core.base import Summary
 from ..core.exceptions import ParameterError, QueryError
@@ -551,6 +551,14 @@ class WindowedSummary(Summary):
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
+        return self._state(Bucket.to_dict)
+
+    def to_stored(self) -> Dict[str, Any]:
+        """:meth:`to_dict` with each bucket's sub-summary in its stored
+        form, making the same seed draws in the same order."""
+        return self._state(Bucket.to_stored)
+
+    def _state(self, row: Callable[[Bucket], Dict[str, Any]]) -> Dict[str, Any]:
         return {
             "eps": self.eps,
             "window": self.window,
@@ -562,10 +570,8 @@ class WindowedSummary(Summary):
             "expired_end": self._expired_end,
             # kept so saved states stay byte-identical
             "prealigned": False,
-            "buckets": [b.to_dict() for b in self._buckets],
-            "pending": (
-                self._pending.to_dict() if self._pending is not None else None
-            ),
+            "buckets": [row(b) for b in self._buckets],
+            "pending": row(self._pending) if self._pending is not None else None,
         }
 
     @classmethod

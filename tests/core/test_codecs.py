@@ -130,9 +130,9 @@ class TestJsonV2Layout:
 
     def test_payload_is_the_envelope_with_sorted_state_keys(self, instances, monkeypatch):
         for name, summary in instances.items():
-            state = summary.to_dict()
-            # pin the state: randomized types draw a new seed per to_dict
-            monkeypatch.setattr(summary, "to_dict", lambda state=state: state)
+            state = summary.to_stored()
+            # pin the state: randomized types draw a new seed per to_stored
+            monkeypatch.setattr(summary, "to_stored", lambda state=state: state)
             payload = encode_summary(summary, "json.v2")
             envelope = {
                 "format": 2,
@@ -274,7 +274,7 @@ class TestCompression:
         assert name == "misra_gries"
         body = zlib.decompress(payload[offset + name_len :])
         assert json.loads(body) == json.loads(
-            json.dumps(summary.to_dict(), sort_keys=True)
+            json.dumps(summary.to_stored(), sort_keys=True)
         )
         assert comp == len(payload) - offset - name_len
 

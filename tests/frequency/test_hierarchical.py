@@ -155,3 +155,15 @@ class TestMerge:
         restored = loads(dumps(hierarchy))
         assert restored.range_count(10, 100) == hierarchy.range_count(10, 100)
         assert restored.size() == hierarchy.size()
+
+
+class TestStoredForm:
+    def test_levels_are_stored_as_counter_columns(self, loaded):
+        hierarchy, _truth, _stream = loaded
+        stored, logical = hierarchy.to_stored(), hierarchy.to_dict()
+        assert [level["items"] for level in stored["levels"]] == [
+            [item for item, _count in level["counters"]] for level in logical["levels"]
+        ]
+        restored = DyadicHierarchy.from_dict(stored)
+        assert restored.to_dict() == logical
+        assert restored.range_count(100, 400) == hierarchy.range_count(100, 400)

@@ -2,9 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import math
+import zlib
+
+import numpy as np
 import pytest
 
-from repro.core import MergeError, ParameterError, merge_all
+from repro.core import (
+    MergeError,
+    ParameterError,
+    ReproError,
+    decode_summary,
+    encode_summary,
+    merge_all,
+)
 from repro.frequency import MisraGries
 from repro.workloads import chunk_evenly, zipf_stream
 
@@ -208,3 +220,164 @@ class TestHeavyHitters:
         for bad in (0.0, -0.1, 1.5):
             with pytest.raises(ParameterError):
                 mg.heavy_hitters(bad)
+
+
+def _json_v2(state):
+    """A ``json.v2`` Misra-Gries payload with a valid CRC over ``state``."""
+    canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+    return json.dumps(
+        {"format": 2, "type": "misra_gries", "state": state,
+         "checksum": zlib.crc32(canonical.encode("utf-8"))},
+        separators=(",", ":"),
+    )
+
+
+#: name -> summary; every item type JSON carries as a scalar, in an
+#: order no sort would give
+COLUMN_CASES = {
+    "empty": lambda: MisraGries(4),
+    "strings": lambda: MisraGries(8).extend(["pear", "apple", "fig", "apple", "kiwi"]),
+    "ints": lambda: MisraGries(8).extend([30, 2, 17, 2, 9, 30, 30]),
+    "floats": lambda: MisraGries(8).extend([2.5, -1.0, 0.125, 2.5]),
+    "mixed": lambda: MisraGries(8).extend(["b", 3, 1.5, None, True, "a", 3]),
+    "decremented": lambda: MisraGries(4).extend(
+        zipf_stream(2_000, 1.1, universe=300, rng=3).tolist()
+    ),
+    "weighted-floats": lambda: _weighted(MisraGries(4), [("a", 2.5), ("b", 1), ("a", 0.25)]),
+    "numpy-items": lambda: _weighted(
+        MisraGries(8), [(np.int64(4), 1), (np.int64(7), 2), (np.float64(0.5), 1)]
+    ),
+}
+
+
+def _weighted(summary, pairs):
+    for item, weight in pairs:
+        summary.update(item, weight)
+    return summary
+
+
+class TestCounterColumns:
+    @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+    def test_columns_follow_counters_order(self, case):
+        summary = COLUMN_CASES[case]()
+        stored = summary.to_stored()
+        assert sorted(stored) == ["counts", "deduction", "items", "k", "n", "prune_rule"]
+        counters = summary.counters()
+        assert stored["items"] == list(counters) and stored["counts"] == list(counters.values())
+        assert all(type(item) is not np.int64 for item in stored["items"])
+
+    @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+    def test_round_trip_keeps_counters_and_their_order(self, case):
+        summary = COLUMN_CASES[case]()
+        logical = summary.to_dict()
+        for codec in ("json.v1", "json.v2", "binary.v1"):
+            payload = encode_summary(summary, codec)
+            if isinstance(payload, str):
+                assert '"items"' in payload and '"counters"' not in payload
+            restored = decode_summary(payload)
+            assert list(restored.counters().items()) == list(summary.counters().items())
+            assert restored.to_dict() == logical
+            assert (restored.n, restored.deduction) == (summary.n, summary.deduction)
+        assert MisraGries.from_dict(summary.to_stored()).to_dict() == logical
+
+    def test_pairs_still_load(self):
+        summary = COLUMN_CASES["decremented"]()
+        logical = summary.to_dict()
+        assert MisraGries.from_dict(logical).to_dict() == logical
+        assert decode_summary(_json_v2(logical)).to_dict() == logical
+
+    @pytest.mark.parametrize("rule", ["paper", "cafaro"])
+    def test_reachable_states_load_in_both_forms(self, rule):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            k = int(rng.integers(1, 12))
+            parts = [
+                MisraGries(k, rule).extend(rng.zipf(1.3, int(rng.integers(0, 300))).tolist())
+                for _ in range(4)
+            ]
+            parts[0].update(int(rng.integers(0, 5)), int(rng.integers(1, 50)))
+            merged = merge_all(parts[:2])
+            merged.merge_many(parts[2:])
+            for summary in parts + [merged]:
+                for state in (summary.to_dict(), summary.to_stored()):
+                    assert MisraGries.from_dict(state).to_dict() == summary.to_dict()
+
+
+def _both_forms(items, counts, **state):
+    """The same counters as pairs and as columns, in two payloads."""
+    base = {"k": 4, "prune_rule": "paper", "n": 100, "deduction": 0}
+    base.update(state)
+    pairs = dict(base, counters=[[item, count] for item, count in zip(items, counts)])
+    columns = dict(base, items=list(items), counts=list(counts))
+    return [pairs, columns]
+
+
+#: name -> (items, counts, other state); each is a state no summary reaches
+UNREACHABLE = {
+    "zero-count": (["a", "b"], [3, 0], {}),
+    "negative-count": (["a", "b"], [3, -2], {}),
+    "nan-count": (["a", "b"], [3.0, math.nan], {}),
+    "nan-count-first": (["a", "b"], [math.nan, 3.0], {}),
+    "string-count": (["a"], ["3"], {}),
+    "bool-count": (["a"], [True], {}),
+    "null-count": (["a"], [None], {}),
+    "duplicate-item": (["a", "b", "a"], [3, 2, 1], {}),
+    "duplicate-int-and-float": ([1, 1.0], [3, 2], {}),
+    "more-than-k": (["a", "b", "c", "d", "e"], [1, 1, 1, 1, 1], {}),
+    "string-n": (["a"], [3], {"n": "100"}),
+    "bool-n": ([], [], {"n": True}),
+    "nan-n": (["a"], [3.0], {"n": math.nan}),
+    "negative-n": ([], [], {"n": -1}),
+    "string-deduction": (["a"], [3], {"deduction": "2"}),
+    "negative-deduction": (["a"], [3], {"deduction": -1}),
+    "mass-above-n": (["a", "b"], [60, 50], {}),
+    "mass-and-deduction-above-n": (["a", "b"], [40, 30], {"deduction": 7}),
+}
+
+
+class TestUnreachableStates:
+    @pytest.mark.parametrize("form", ["pairs", "columns"])
+    @pytest.mark.parametrize("case", sorted(UNREACHABLE))
+    def test_refused_in_both_forms(self, case, form):
+        items, counts, state = UNREACHABLE[case]
+        payload = _both_forms(items, counts, **state)[form == "columns"]
+        with pytest.raises(ParameterError):
+            MisraGries.from_dict(payload)
+        with pytest.raises(ReproError):
+            decode_summary(_json_v2(payload))
+
+    def test_the_invariant_bound_itself_loads(self):
+        # (k+1) * deduction + stored mass == n: what updates and prunes keep
+        for payload in _both_forms(["a", "b"], [40, 25], deduction=7):
+            assert MisraGries.from_dict(payload).estimate("a") == 40
+
+    def test_float_counts_stay_legal(self):
+        summary = COLUMN_CASES["weighted-floats"]()
+        for payload in _both_forms(["a", "b"], [2.75, 1], n=3.75):
+            assert MisraGries.from_dict(payload).estimate("a") == 2.75
+        assert decode_summary(encode_summary(summary)).counters() == summary.counters()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"items": ["a", "b"], "counts": [3]}, {"items": ["a"]}, {"counts": [3]},
+         {"items": "ab", "counts": [1, 2]}, {"items": ["a"], "counts": {"a": 1}}],
+        ids=["lengths-differ", "items-only", "counts-only", "items-str", "counts-object"],
+    )
+    def test_malformed_columns_are_refused(self, edit):
+        payload = {"k": 4, "prune_rule": "paper", "n": 10, "deduction": 0}
+        payload.update(edit)
+        with pytest.raises(ReproError):
+            decode_summary(_json_v2(payload))
+
+    def test_columns_of_different_lengths_are_a_parameter_error(self):
+        payload = _both_forms(["a", "b"], [3, 2])[1]
+        payload["counts"] = [3]
+        with pytest.raises(ParameterError, match="differ in length"):
+            MisraGries.from_dict(payload)
+
+    def test_both_forms_together_are_refused(self):
+        pairs, columns = _both_forms(["a"], [3])
+        with pytest.raises(ParameterError, match="not both"):
+            MisraGries.from_dict(dict(columns, counters=pairs["counters"]))
+        with pytest.raises(ParameterError, match="not both"):
+            decode_summary(_json_v2(dict(columns, counters=pairs["counters"])))

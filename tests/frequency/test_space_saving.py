@@ -109,3 +109,14 @@ class TestHeavyHitters:
     def test_invalid_phi_raises(self):
         with pytest.raises(ParameterError):
             SpaceSaving(4).extend([1]).heavy_hitters(2.0)
+
+
+class TestStoredForm:
+    def test_core_is_stored_as_counter_columns(self):
+        ss = SpaceSaving(8).extend(zipf_stream(2_000, rng=4).tolist())
+        stored, logical = ss.to_stored(), ss.to_dict()
+        assert stored["core"] == ss._core.to_stored()
+        assert stored["core"]["items"] == list(ss.counters())
+        restored = SpaceSaving.from_dict(stored)
+        assert restored.to_dict() == logical
+        assert restored.counters() == ss.counters()

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import base64
+import copy
 import json
+import math
+import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.core import EmptySummaryError, MergeError, ParameterError, decode_summary, merge_all
+from repro.core import (
+    EmptySummaryError,
+    MergeError,
+    ParameterError,
+    ReproError,
+    decode_summary,
+    encode_summary,
+    merge_all,
+)
 from repro.quantiles import ExactQuantiles, KLLQuantiles, MergeableQuantiles
 from repro.workloads import value_stream
 
@@ -294,3 +306,153 @@ class TestImpossibleStates:
         )
         with pytest.raises(ParameterError, match="must be an integer"):
             decode_summary(payload)
+
+
+def _json_v2(state):
+    """A ``json.v2`` KLL payload with a valid CRC over ``state``."""
+    canonical = json.dumps(state, separators=(",", ":"), sort_keys=True)
+    return json.dumps(
+        {"format": 2, "type": "kll_quantiles", "state": state,
+         "checksum": zlib.crc32(canonical.encode("utf-8"))},
+        separators=(",", ":"),
+    )
+
+
+def _bits(levels):
+    """Levels as raw float64 bytes: equal even for NaN, unequal for 0.0 vs -0.0."""
+    return [struct.pack(f"<{len(buffer)}d", *buffer) for buffer in levels]
+
+
+def _packed(*samples):
+    return base64.b64encode(struct.pack(f"<{len(samples)}d", *samples)).decode("ascii")
+
+
+#: name -> sketch; the special values sit below capacity, so no
+#: compaction sorts them
+PACKED_CASES = {
+    "empty": lambda: KLLQuantiles(8, rng=1),
+    "one-sample": lambda: KLLQuantiles(8, rng=1).extend([2.5]),
+    "many-samples": lambda: KLLQuantiles(16, rng=2).extend(
+        value_stream(3_000, "lognormal", rng=5)
+    ),
+    "special-values": lambda: KLLQuantiles(16, rng=3).extend(
+        [-0.0, math.nan, math.inf, -math.inf, 0.0, 1e-310, -1.5]
+    ),
+    "empty-levels-between": lambda: KLLQuantiles.from_dict(
+        {"k": 8, "n": 9, "levels": [[0.5], [], [], [4.0]], "seed": 2}
+    ),
+}
+
+CODECS = ("json.v1", "json.v2", "binary.v1")
+
+
+class TestPackedStoredForm:
+    @pytest.mark.parametrize("case", sorted(PACKED_CASES))
+    def test_each_level_is_little_endian_float64(self, case):
+        sketch = PACKED_CASES[case]()
+        stored = sketch.to_stored()
+        assert sorted(stored) == ["k", "n", "packed", "seed"]
+        assert (stored["k"], stored["n"]) == (sketch.k, sketch.n)
+        assert [base64.b64decode(text) for text in stored["packed"]] == _bits(sketch._levels)
+
+    @pytest.mark.parametrize("case", sorted(PACKED_CASES))
+    def test_round_trip_is_bit_exact_through_every_codec(self, case):
+        sketch = PACKED_CASES[case]()
+        for codec in CODECS:
+            payload = encode_summary(sketch, codec)
+            if isinstance(payload, str):
+                assert '"packed"' in payload and '"levels"' not in payload
+            restored = decode_summary(payload)
+            assert _bits(restored._levels) == _bits(sketch._levels), codec
+            assert restored.n == sketch.n
+            # the decoded levels are the sketch's own, writable state
+            restored.extend(value_stream(500, "uniform", rng=9))
+
+    def test_answers_match_the_text_form(self):
+        sketch = PACKED_CASES["many-samples"]()
+        packed = KLLQuantiles.from_dict(copy.deepcopy(sketch).to_stored())
+        text = KLLQuantiles.from_dict(copy.deepcopy(sketch).to_dict())
+        probes = [0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0]
+        assert packed.quantiles(probes) == text.quantiles(probes) == sketch.quantiles(probes)
+        assert packed.to_dict() == text.to_dict()
+
+    def test_one_seed_draw_as_to_dict(self):
+        sketch = KLLQuantiles(8, rng=4).extend(value_stream(500, "uniform", rng=1))
+        stored_side, dict_side = copy.deepcopy(sketch), copy.deepcopy(sketch)
+        assert stored_side.to_stored()["seed"] == dict_side.to_dict()["seed"]
+        assert stored_side.to_dict() == dict_side.to_dict()
+
+    def test_a_packed_sample_costs_10_67_characters(self):
+        # the trade-off: 18-19 characters for the text of a lognormal
+        # latency, but 3 for an integer-valued sample such as 3.0
+        sketch = KLLQuantiles.from_dict(
+            {"k": 8, "n": 3, "levels": [[3.0, 17.25, 120.0]], "seed": 1}
+        )
+        assert len(sketch.to_stored()["packed"][0]) == 32  # ceil(24 / 3) * 4
+
+    def test_text_form_still_loads(self):
+        sketch = PACKED_CASES["many-samples"]()
+        logical = sketch.to_dict()
+        for payload in (logical, json.loads(_json_v2(logical))["state"]):
+            assert _bits(KLLQuantiles.from_dict(payload)._levels) == _bits(sketch._levels)
+        assert _bits(decode_summary(_json_v2(logical))._levels) == _bits(sketch._levels)
+
+
+class TestMalformedPackedPayloads:
+    @staticmethod
+    def _refused(state, match):
+        with pytest.raises(ParameterError, match=match):
+            KLLQuantiles.from_dict(state)
+        with pytest.raises(ReproError, match=match):
+            decode_summary(_json_v2(state))
+
+    def test_both_forms_together_are_refused(self):
+        state = {"k": 8, "n": 1, "packed": [_packed(1.0)], "levels": [[1.0]], "seed": 1}
+        self._refused(state, "not both")
+
+    @pytest.mark.parametrize(
+        "level", [5, None, ["AAAAAAAAAAA="], "AAAAAAAA!AA=", "ÅÅÅÅÅÅÅÅÅÅÅÅ"],
+        ids=["int", "null", "list", "not-base64", "non-ascii"],
+    )
+    def test_level_that_is_not_base64_text_is_refused(self, level):
+        self._refused({"k": 8, "n": 1, "packed": [level], "seed": 1}, "packed level")
+
+    @pytest.mark.parametrize("extra", [1, 7, 9], ids=["1-byte", "7-bytes", "9-bytes"])
+    def test_partial_float_is_refused(self, extra):
+        raw = struct.pack("<d", 1.0)[: extra] if extra < 8 else struct.pack("<d", 1.0) + b"\x00"
+        text = base64.b64encode(raw).decode("ascii")
+        self._refused({"k": 8, "n": 1, "packed": [text], "seed": 1}, "whole number")
+
+    def test_packed_levels_must_be_a_list(self):
+        self._refused({"k": 8, "n": 1, "packed": _packed(1.0), "seed": 1}, "must be a list")
+
+    @pytest.mark.parametrize(
+        "n, packed",
+        [(2, [_packed(1.0)]), (1, [_packed(), _packed(1.0)]), (0, [_packed(1.0)]),
+         (1, [])],
+        ids=["n-above", "n-below", "n-zero", "no-levels"],
+    )
+    def test_n_must_be_the_level_weight(self, n, packed):
+        self._refused({"k": 8, "n": n, "packed": packed, "seed": 1}, "total weight")
+
+
+class TestTextSamplesMustBeNumbers:
+    @pytest.mark.parametrize(
+        "levels",
+        [[["1.5", True]], [["1.5"]], [[True]], [[None]], [[[1.0]]], ["1"],
+         [{"1.5": 1}]],
+        ids=["str-and-bool", "str", "bool", "null", "nested-list", "level-str",
+             "level-object"],
+    )
+    def test_samples_that_are_not_numbers_are_refused(self, levels):
+        state = {"k": 8, "n": 2 if levels == [["1.5", True]] else 1, "levels": levels,
+                 "seed": 1}
+        with pytest.raises(ParameterError, match="list of numbers"):
+            KLLQuantiles.from_dict(state)
+        with pytest.raises(ParameterError, match="list of numbers"):
+            decode_summary(_json_v2(state))
+
+    def test_int_and_float_samples_load(self):
+        sketch = KLLQuantiles.from_dict({"k": 8, "n": 2, "levels": [[1, 2.5]], "seed": 1})
+        assert sketch._levels == [[1.0, 2.5]]
+        assert all(type(v) is float for v in sketch._levels[0])

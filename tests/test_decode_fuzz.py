@@ -5,7 +5,9 @@ the bytes as stored; the reference check parses the whole document and
 CRCs its re-encoded canonical form.  For every single-byte flip,
 truncation or insertion of a valid payload (``json.v1``, ``json.v2``
 and ``binary.v1`` of three summary types, with HyperLogLog in its
-dense and its sparse stored forms) or of a saved manifest, the decoder
+dense and its sparse stored forms, plus ``json.v2`` envelopes of the
+text form Misra-Gries and KLL states had before their stored forms) or
+of a saved manifest, the decoder
 must agree with the reference: both raise a
 :class:`~repro.core.exceptions.ReproError`, or both return the same
 canonical state (for a manifest, a store with the same segment
@@ -70,14 +72,29 @@ def _summaries():
     }
 
 
+def _legacy_json_v2(summary):
+    """The ``json.v2`` envelope of ``to_dict()``, as writers stored it
+    before the type had a stored form of its own."""
+    canonical = json.dumps(summary.to_dict(), separators=(",", ":"), sort_keys=True)
+    checksum = zlib.crc32(canonical.encode("utf-8"))
+    return (
+        f'{{"format":2,"type":"{summary.registry_name}","state":{canonical},'
+        f'"checksum":{checksum}}}'
+    ).encode("utf-8")
+
+
 def _corpus():
     corpus = {}
-    for name, summary in _summaries().items():
+    summaries = _summaries()
+    for name, summary in summaries.items():
         for codec in ("json.v1", "json.v2", "binary.v1"):
             payload = encode_summary(summary, codec)
             if isinstance(payload, str):
                 payload = payload.encode("utf-8")
             corpus[f"{codec}-{name}"] = payload
+    # the text forms still load: MG counter pairs, KLL sample text
+    for name in ("misra_gries", "kll_quantiles"):
+        corpus[f"json.v2-{name}_text_form"] = _legacy_json_v2(summaries[name])
     return corpus
 
 
@@ -146,6 +163,17 @@ def test_sparse_hyperloglogs_reach_both_decoders():
             words = len(base64.b64decode(stored["sparse"])) // _word_bytes(summary.p)
             decoders.add((summary.p, words > _SPARSE_LOOP_WORDS[_word_bytes(summary.p)]))
     assert decoders == {(10, False), (10, True), (14, False), (14, True)}
+
+
+def test_both_forms_of_misra_gries_and_kll_are_fuzzed():
+    keys = {
+        key
+        for payload in CORPUS.values()
+        if not payload.startswith(_BINARY_MAGIC)
+        for key in ('"items"', '"counters"', '"packed"', '"levels"')
+        if key.encode("ascii") in payload
+    }
+    assert keys == {'"items"', '"counters"', '"packed"', '"levels"'}
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

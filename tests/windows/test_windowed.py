@@ -8,6 +8,7 @@ the EH envelope plus transparent legacy-payload migration.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import Counter
@@ -17,7 +18,8 @@ import pytest
 from repro.core import ParameterError, QueryError, registered_names
 from repro.decay import WindowedMisraGries
 from repro.frequency import CountMin, ExactCounter, MisraGries
-from repro.quantiles import EqualWeightQuantiles
+from repro.quantiles import EqualWeightQuantiles, KLLQuantiles
+from repro.sketches import HyperLogLog
 from repro.windows import WindowedSummary, windowed_class, windowed_names
 from repro.workloads import window_replay_events
 
@@ -253,6 +255,28 @@ class TestSerialization:
 
         assert json.dumps(build().to_dict(), sort_keys=True) == json.dumps(
             build().to_dict(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "base, key",
+        [(lambda: HyperLogLog(p=10, seed=1), "sparse"),
+         (lambda: KLLQuantiles(16, rng=1), "packed"),
+         (lambda: MisraGries(8), "items")],
+        ids=["hyperloglog", "kll_quantiles", "misra_gries"],
+    )
+    def test_buckets_are_stored_in_their_base_stored_form(self, base, key):
+        win = base().windowed(eps=0.25, granularity=4)
+        win.extend([float(i % 37) for i in range(150)])
+        stored = copy.deepcopy(win).to_stored()
+        logical = win.to_dict()  # the same seed draws as the copy's to_stored
+        rows = stored["buckets"] + [stored["pending"]]
+        assert len(rows) > 2 and all(key in row["state"] for row in rows)
+        assert not any(key in row["state"] for row in logical["buckets"])
+        # the prototype stays in its logical form: to_dict() writes it back
+        assert stored["proto"] == logical["proto"]
+        restored = type(win).from_dict(json.loads(json.dumps(stored)))
+        assert json.dumps(restored.to_dict(), sort_keys=True) == json.dumps(
+            type(win).from_dict(logical).to_dict(), sort_keys=True
         )
 
     def test_round_trip_continues_deterministically(self):
