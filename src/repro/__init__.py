@@ -52,7 +52,7 @@ from .frequency import (
     MisraGries,
     SpaceSaving,
 )
-from .decay import DecayedMisraGries, WindowedMisraGries
+from .decay import DecayedMisraGries
 from .kernels import EpsKernel
 from .quantiles import (
     BottomKSample,
@@ -115,7 +115,6 @@ __all__ = [
     "BloomFilter",
     "AmsF2Sketch",
     "DecayedMisraGries",
-    "WindowedMisraGries",
     "KLLQuantiles",
     "MomentSketch",
     "SegmentStore",

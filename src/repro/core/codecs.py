@@ -162,15 +162,24 @@ def _restore(name: Any, state: Any) -> Summary:
     on a missing key or a wrongly shaped value, becomes
     :class:`SerializationError`.  A :class:`ReproError` that
     ``from_dict`` raises on purpose (a validation ``ParameterError``)
-    passes through unchanged.
+    passes through unchanged.  A name the registry does not know decodes
+    only when it is a retired type's (:mod:`repro.windows.legacy`).
     """
     if not isinstance(name, str):
         raise SerializationError(
             f"summary type name must be a string, got {type(name).__name__}"
         )
-    cls = get_summary_class(name)
     try:
-        return cls.from_dict(state)
+        read = get_summary_class(name).from_dict
+    except SerializationError:
+        # a retired type decodes through its reader as the type it became
+        from ..windows.legacy import retired_reader
+
+        read = retired_reader(name)
+        if read is None:
+            raise
+    try:
+        return read(state)
     except ReproError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, IndexError,

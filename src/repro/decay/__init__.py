@@ -1,6 +1,9 @@
-"""Time-decayed and sliding-window mergeable summaries (paper future work)."""
+"""Time-decayed mergeable heavy hitters (paper future work).
+
+Sliding windows over any windowable summary, Misra-Gries included,
+live in :mod:`repro.windows`: ``MisraGries(k).windowed(...)``.
+"""
 
 from .decayed_mg import DecayedMisraGries
-from .windowed_mg import WindowedMisraGries, WindowQueryResult
 
-__all__ = ["DecayedMisraGries", "WindowedMisraGries", "WindowQueryResult"]
+__all__ = ["DecayedMisraGries"]

@@ -45,7 +45,7 @@ and its build a miss on the source.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -195,22 +195,3 @@ class QuantileSummary(Summary):
         )
         return float(values[idx])
 
-
-def weighted_select(
-    pairs: Sequence[tuple], target: float, total: float
-) -> float:
-    """Select the value reaching cumulative weight ``target``.
-
-    ``pairs`` is a sequence of ``(value, weight)`` sorted by value;
-    returns the first value whose cumulative weight reaches ``target``
-    (clamped to ``[min, max]``).  Shared by the sample-based summaries.
-    """
-    if not pairs:
-        raise EmptySummaryError("selection from an empty summary")
-    target = min(max(target, 0.0), total)
-    acc = 0.0
-    for value, weight in pairs:
-        acc += weight
-        if acc >= target:
-            return value
-    return pairs[-1][0]

@@ -23,6 +23,7 @@ from typing import Any, Dict
 from ..core.base import Summary
 from ..core.exceptions import ParameterError
 from ..core.registry import get_summary_class
+from ..windows.legacy import current_spec
 
 __all__ = [
     "MemberSpec",
@@ -73,11 +74,12 @@ class MemberSpec:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MemberSpec":
-        return cls(
-            type_name=payload["type"],
-            field=payload["field"],
-            kwargs=dict(payload.get("kwargs", {})),
+        """Read :meth:`to_dict` output; a retired type's spec reads as
+        the type that replaced it."""
+        type_name, kwargs = current_spec(
+            payload["type"], dict(payload.get("kwargs", {}))
         )
+        return cls(type_name=type_name, field=payload["field"], kwargs=kwargs)
 
 
 @dataclass

@@ -91,19 +91,20 @@ def canonicalize(buckets: List[Bucket], cap: int) -> None:
     ``cap`` buckets, its two oldest (list order is oldest -> newest)
     merge into one bucket a level up, cascading overflow toward coarser
     levels.  Deterministic: the merge order is a pure function of the
-    bucket list.
+    bucket list.  Only occupied levels are visited, so the cost does not
+    grow with the level numbers themselves.
     """
-    level = 0
-    while True:
+    levels = {b.level for b in buckets}
+    while levels:
+        level = min(levels)
+        levels.remove(level)
         positions = [i for i, b in enumerate(buckets) if b.level == level]
         while len(positions) > cap:
             first, second = positions[0], positions[1]
             buckets[first].absorb(buckets[second])
             del buckets[second]
+            levels.add(level + 1)
             positions = [i for i, b in enumerate(buckets) if b.level == level]
-        if not any(b.level > level for b in buckets):
-            return
-        level += 1
 
 
 def sorted_union(mine: List[Bucket], theirs: List[Bucket]) -> List[Bucket]:

@@ -28,7 +28,7 @@ def _build_all_registered():
         MRLQuantiles,
     )
 
-    from repro.decay import DecayedMisraGries, WindowedMisraGries
+    from repro.decay import DecayedMisraGries
     from repro.quantiles import KLLQuantiles
     from repro.sketches import AmsF2Sketch, BloomFilter, HyperLogLog, KMinValues
 
@@ -49,16 +49,12 @@ def _build_all_registered():
     decayed = DecayedMisraGries(8, half_life=5.0)
     for t, item in enumerate(items[:50]):
         decayed.observe(item, float(t))
-    windowed = WindowedMisraGries(8, bucket_width=5.0, num_buckets=6)
-    for t, item in enumerate(items[:50]):
-        windowed.observe(item, float(t))
     instances = {
         "k_min_values": KMinValues(16, seed=1).extend(items),
         "hyperloglog": HyperLogLog(p=4, seed=1).extend(items),
         "bloom_filter": BloomFilter(64, 3, seed=1).extend(items),
         "ams_f2": AmsF2Sketch(8, 3, seed=1).extend(items),
         "decayed_misra_gries": decayed,
-        "windowed_misra_gries": windowed,
         "kll_quantiles": KLLQuantiles(16, rng=1).extend(values),
         "moment_sketch": MomentSketch(10).extend(values),
         "misra_gries": MisraGries(8).extend(items),

@@ -363,10 +363,6 @@ STORE_MEMBERS = {
     "moment_sketch": ({"k": 10}, "floats"),
     "mrl_quantiles": ({"s": 32}, "floats"),
     "space_saving": ({"k": 16}, "ints"),
-    "windowed_misra_gries": (
-        {"k": 16, "bucket_width": 5.0, "num_buckets": 8},
-        "ints",
-    ),
 }
 
 
@@ -461,12 +457,6 @@ def _check_decayed_mg(rollup, naive, feeds):
     _check_underestimating_hitters(rollup, naive, truth, n / (16 + 1))
 
 
-def _check_windowed_mg(rollup, naive, feeds):
-    truth = Counter(v for feed in feeds for v in feed)
-    n = sum(truth.values())
-    _check_underestimating_hitters(rollup, naive, truth, n / (16 + 1))
-
-
 def _check_dyadic(rollup, naive, feeds):
     truth = Counter(v for feed in feeds for v in feed)
     n = sum(truth.values())
@@ -542,7 +532,6 @@ CUSTOM_CHECKS = {
     "bottom_k_sample": _check_bottom_k,
     "conservative_count_min": _check_conservative_cm,
     "decayed_misra_gries": _check_decayed_mg,
-    "windowed_misra_gries": _check_windowed_mg,
     "dyadic_hierarchy": _check_dyadic,
     "eps_approximation": _check_eps_approximation,
     "moment_sketch": _check_moment_sketch,

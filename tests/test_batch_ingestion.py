@@ -75,7 +75,7 @@ def _sorted_values(payload: dict) -> dict:
 
 
 def _specs() -> List[BatchSpec]:
-    from repro.decay import DecayedMisraGries, WindowedMisraGries
+    from repro.decay import DecayedMisraGries
     from repro.frequency import (
         ConservativeCountMin,
         CountMin,
@@ -213,13 +213,6 @@ def _specs() -> List[BatchSpec]:
             lambda: DecayedMisraGries(8, half_life=10.0),
             lambda: _ints(23),
             mode="decay_frequency", freq_bound=2 / 9, weight_in_n=False,
-        ),
-        BatchSpec(
-            # batches delegate to the latest bucket's pre-aggregated MG path
-            "windowed_misra_gries",
-            lambda: WindowedMisraGries(8, bucket_width=5.0, num_buckets=8),
-            lambda: _ints(24),
-            mode="frequency", freq_bound=2 / 9,
         ),
     ]
 

@@ -665,10 +665,7 @@ class TestWindowedCli:
         assert main(["types", "--kind", "windowed"]) == 0
         windowed = capsys.readouterr().out.split()
         assert windowed
-        assert all(
-            name.startswith("windowed.") or name == "windowed_misra_gries"
-            for name in windowed
-        )
+        assert all(name.startswith("windowed.") for name in windowed)
         assert main(["types", "--kind", "base"]) == 0
         base = capsys.readouterr().out.split()
         assert "misra_gries" in base

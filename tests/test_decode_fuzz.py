@@ -5,9 +5,10 @@ the bytes as stored; the reference check parses the whole document and
 CRCs its re-encoded canonical form.  For every single-byte flip,
 truncation or insertion of a valid payload (``json.v1``, ``json.v2``
 and ``binary.v1`` of three summary types, with HyperLogLog in its
-dense and its sparse stored forms, plus ``json.v2`` envelopes of the
-text form Misra-Gries and KLL states had before their stored forms) or
-of a saved manifest, the decoder
+dense and its sparse stored forms, and of windowed Misra-Gries and KLL
+in count and time mode, plus ``json.v2`` envelopes of the text form
+Misra-Gries and KLL states had before their stored forms) or of a saved
+manifest, the decoder
 must agree with the reference: both raise a
 :class:`~repro.core.exceptions.ReproError`, or both return the same
 canonical state (for a manifest, a store with the same segment
@@ -69,7 +70,30 @@ def _summaries():
         "hyperloglog_p10_sparse_long": HyperLogLog(p=10, seed=5).extend(range(160)),
         "hyperloglog_p14_sparse": HyperLogLog(p=14, seed=6).extend(range(20)),
         "hyperloglog_p14_sparse_long": HyperLogLog(p=14, seed=6).extend(range(80)),
+        # windowed variants in both modes: cascaded buckets, a pending
+        # bucket, expiry and (time mode) late events
+        "windowed_mg_count": MisraGries(4)
+        .windowed(eps=0.5, window=16, granularity=4)
+        .extend(rng.zipf(1.3, 30).tolist()),
+        "windowed_kll_count": KLLQuantiles(8, rng=7)
+        .windowed(eps=0.5, window=16, granularity=4)
+        .extend(rng.random(30)),
+        "windowed_mg_time": _observed(
+            MisraGries(4).windowed(eps=0.5, window=8.0, mode="time", granularity=2.0),
+            rng.zipf(1.3, 30).tolist(),
+        ),
+        "windowed_kll_time": _observed(
+            KLLQuantiles(8, rng=8).windowed(eps=0.5, window=8.0, mode="time", granularity=2.0),
+            rng.random(30).tolist(),
+        ),
     }
+
+
+def _observed(window, items):
+    """``window`` after ``items`` at half-unit steps, every fifth one late."""
+    for i, item in enumerate(items):
+        window.observe(item, i / 2 - (5.0 if i % 5 == 4 else 0.0))
+    return window
 
 
 def _legacy_json_v2(summary):

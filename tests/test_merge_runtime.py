@@ -100,7 +100,7 @@ def _check_rank_bound(rel_error: float):
 
 
 def _specs() -> List[MergeSpec]:
-    from repro.decay import DecayedMisraGries, WindowedMisraGries
+    from repro.decay import DecayedMisraGries
     from repro.frequency import (
         ConservativeCountMin,
         CountMin,
@@ -158,12 +158,6 @@ def _specs() -> List[MergeSpec]:
         MergeSpec(
             "decayed_misra_gries",
             lambda i: DecayedMisraGries(8, half_life=10.0),
-            _ints,
-            "exact",
-        ),
-        MergeSpec(
-            "windowed_misra_gries",
-            lambda i: WindowedMisraGries(8, bucket_width=5.0, num_buckets=8),
             _ints,
             "exact",
         ),
@@ -359,7 +353,7 @@ AGGREGATION_DATA = {
 
 def _aggregation_setup(name: str):
     """(data, factory) for one registered type in the simulator."""
-    from repro.decay import DecayedMisraGries, WindowedMisraGries
+    from repro.decay import DecayedMisraGries
     from repro.frequency import (
         ConservativeCountMin,
         CountMin,
@@ -411,7 +405,6 @@ def _aggregation_setup(name: str):
         "bloom_filter": ("ints", lambda i: BloomFilter(256, 3, seed=1)),
         "ams_f2": ("ints", lambda i: AmsF2Sketch(8, 3, seed=1)),
         "decayed_misra_gries": ("ints", lambda i: DecayedMisraGries(8, half_life=10.0)),
-        "windowed_misra_gries": ("ints", lambda i: WindowedMisraGries(8, bucket_width=5.0, num_buckets=8)),
     }
     from repro.windows import windowed_names
 

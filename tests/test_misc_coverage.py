@@ -5,25 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import EmptySummaryError, ParameterError
-from repro.quantiles.estimator import check_quantile, weighted_select
-
-
-class TestWeightedSelect:
-    def test_basic_selection(self):
-        pairs = [(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)]
-        assert weighted_select(pairs, target=1.0, total=6.0) == 1.0
-        assert weighted_select(pairs, target=3.0, total=6.0) == 2.0
-        assert weighted_select(pairs, target=6.0, total=6.0) == 3.0
-
-    def test_target_clamped(self):
-        pairs = [(5.0, 1.0)]
-        assert weighted_select(pairs, target=-10, total=1.0) == 5.0
-        assert weighted_select(pairs, target=99, total=1.0) == 5.0
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySummaryError):
-            weighted_select([], target=1, total=1)
+from repro.core import ParameterError
+from repro.quantiles.estimator import check_quantile
 
 
 class TestCheckQuantile:
@@ -146,14 +129,6 @@ class TestDecayedExtras:
         dmg.observe("x", 0.0)
         assert "x" in dmg
         assert "y" not in dmg
-
-
-class TestWindowedExtras:
-    def test_horizon_property(self):
-        from repro.decay import WindowedMisraGries
-
-        w = WindowedMisraGries(4, bucket_width=2.5, num_buckets=4)
-        assert w.horizon == 10.0
 
 
 class TestCLIExtras:

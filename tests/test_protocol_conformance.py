@@ -71,7 +71,7 @@ def _points(seed: int, n: int = 40) -> list:
 
 
 def _specs() -> List[Spec]:
-    from repro.decay import DecayedMisraGries, WindowedMisraGries
+    from repro.decay import DecayedMisraGries
     from repro.frequency import (
         ConservativeCountMin,
         DyadicHierarchy,
@@ -99,15 +99,6 @@ def _specs() -> List[Spec]:
 
     def decayed_factory():
         return DecayedMisraGries(8, half_life=10.0)
-
-    def windowed_factory():
-        import warnings
-
-        with warnings.catch_warnings():
-            # deprecated alias; the deprecation itself is pinned in
-            # tests/windows/test_windowed.py
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return WindowedMisraGries(8, bucket_width=5.0, num_buckets=8)
 
     return [
         Spec("misra_gries", lambda: MisraGries(8), lambda: _items(1), lambda: _items(2)),
@@ -173,12 +164,6 @@ def _specs() -> List[Spec]:
             decayed_factory,
             lambda: _items(43),
             lambda: _items(44),
-        ),
-        Spec(
-            "windowed_misra_gries",
-            windowed_factory,
-            lambda: _items(45),
-            lambda: _items(46),
         ),
     ]
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Dead-duplication guard for the chain kernel, the merge schedules and
-the shared summary structures.
+"""Dead-duplication guard for the chain kernel, the merge schedules,
+the shared summary structures and the sliding window.
 
 The storage kernel (``repro.store.chain`` + ``repro.store.common`` +
 the kind-generic ``repro.store.persistence``) exists so that the flat
@@ -63,7 +63,13 @@ distributed simulator both replay a
   and the eps-approximation share one buffer and binary counter;
 * ``def _row_indices`` may appear only in ``core/counter_table.py``:
   CountMin, conservative CountMin, CountSketch and AMS share one
-  counter table.
+  counter table;
+* ``class WindowedMisraGries`` and ``class WindowQueryResult``, the
+  fixed-bucket window the combinator replaced, are banned everywhere
+  (its saved data decodes through ``windows/legacy.py``);
+* ``def _time_target`` and ``def _expire`` may appear only in
+  ``windows/windowed.py``: every sliding window routes events with one
+  router and drops buckets by one eviction rule.
 
 Run from the repo root: ``python tools/check_store_kernel.py``.
 Exit status 0 = clean, 1 = duplicates found (each printed as
@@ -125,6 +131,10 @@ BANNED_REPRO_DEFINITIONS = {
     r"def _carry\b": "core/merge_reduce.py",
     r"def _flush_buffer\b": "core/merge_reduce.py",
     r"def _row_indices\b": "core/counter_table.py",
+    r"class WindowedMisraGries\b": None,
+    r"class WindowQueryResult\b": None,
+    r"def _time_target\b": "windows/windowed.py",
+    r"def _expire\b": "windows/windowed.py",
 }
 
 
@@ -161,14 +171,15 @@ def main() -> int:
             "ingest, roll-up compaction, window slack, and store persistence; "
             "core/topology.py is the single home of every merge shape; "
             "core/merge_reduce.py of the buffer-and-counter carry; "
-            "core/counter_table.py of the counter table's row hashing; and "
-            "no merge-plan IR exists."
+            "core/counter_table.py of the counter table's row hashing; "
+            "windows/windowed.py of the window's event router and eviction "
+            "rule; and no merge-plan IR or fixed-bucket window exists."
         )
         return 1
     print(
         "store kernel clean: no duplicated chain/persistence surface, "
         "no merge-plan IR, one copy of each merge shape, one carry, "
-        "one counter table"
+        "one counter table, one sliding window"
     )
     return 0
 
